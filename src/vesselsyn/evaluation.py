@@ -17,13 +17,12 @@ complete one always retains a track's first and last report.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geo import haversine_m_vec, interpolate
+from .geo import haversine_m_vec
 from .ingest import VesselTrack
 from .synopses import CriticalPoint, SynopsisConfig, compress_track
 
@@ -58,26 +57,18 @@ def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[
     """
     if not synopsis:
         raise ValueError("cannot reconstruct from an empty synopsis")
-    times = [cp.timestamp for cp in synopsis]
-    i = bisect_left(times, tau)
-    if i < len(times) and times[i] == tau:
-        cp = synopsis[i]
-        return cp.lon, cp.lat
-    if i == 0:
-        return synopsis[0].lon, synopsis[0].lat
-    if i == len(times):
-        return synopsis[-1].lon, synopsis[-1].lat
-    return interpolate(synopsis[i - 1], synopsis[i], tau)
+    lon, lat = _reconstruct_track(synopsis, np.array([tau]))
+    return float(lon[0]), float(lat[0])
 
 
 def _reconstruct_track(
     synopsis: Sequence[CriticalPoint], times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reconstruction of lon/lat arrays at the given times.
+    """Reconstruction of lon/lat arrays at the given times.
 
-    Mirrors :func:`synchronized_position`; retained timestamps are copied
-    bit-for-bit so that a full-retention synopsis reconstructs with exactly
-    zero error.
+    The one interpolation path, behind both :func:`synchronized_position`
+    and :func:`compute_metrics`.  Retained timestamps are copied bit-for-bit
+    so that a full-retention synopsis reconstructs with exactly zero error.
     """
     knot_t = np.array([cp.timestamp for cp in synopsis], dtype=np.int64)
     knot_lon = np.array([cp.lon for cp in synopsis])

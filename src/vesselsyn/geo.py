@@ -50,6 +50,8 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    if a > 1.0:  # rounding overshoot on near-antipodal pairs
+        a = 1.0
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
 
 
@@ -62,6 +64,7 @@ def haversine_m_vec(
     dphi = np.radians(lat2 - lat1)
     dlam = np.radians(lon2 - lon1)
     a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    a = np.minimum(a, 1.0)  # rounding overshoot on near-antipodal pairs
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
 
 
@@ -144,26 +147,3 @@ def mean_velocity(
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
     return Velocity(speed, heading)
 
-
-def interpolate(p1: PositionedSample, p2: PositionedSample, tau: int | float) -> tuple[float, float]:
-    """Time-linear lon/lat position between two retained points.
-
-    Interpolation is planar in coordinate space (no great-circle blending),
-    matching how downstream consumers reconstruct a compressed track.  The
-    endpoints are returned exactly when ``tau`` coincides with them.
-
-    Raises:
-        ValueError: if the two points share a timestamp or ``tau`` lies
-            outside ``[p1.timestamp, p2.timestamp]``.
-    """
-    t1, t2 = p1.timestamp, p2.timestamp
-    if t2 <= t1:
-        raise ValueError(f"interpolation pair must be time-ordered: {t1} >= {t2}")
-    if tau < t1 or tau > t2:
-        raise ValueError(f"tau {tau} outside segment [{t1}, {t2}]")
-    if tau == t1:
-        return p1.lon, p1.lat
-    if tau == t2:
-        return p2.lon, p2.lat
-    f = (tau - t1) / (t2 - t1)
-    return p1.lon + f * (p2.lon - p1.lon), p1.lat + f * (p2.lat - p1.lat)

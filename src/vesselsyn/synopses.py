@@ -118,7 +118,8 @@ class SynopsisConfig:
         """Build a config from a flat mapping, rejecting unknown keys.
 
         Missing keys keep their defaults; unknown keys raise so that a typoed
-        parameter name cannot silently fall back to the default.
+        parameter name cannot silently fall back to the default.  Values must
+        be finite numbers.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -126,7 +127,13 @@ class SynopsisConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}; expected a subset of {sorted(known)}")
         kwargs: dict[str, float | int] = {}
         for key, value in data.items():
-            kwargs[key] = int(value) if key == "buffer_size" else float(value)
+            try:
+                number = float(value)
+            except (TypeError, OverflowError):  # null, lists, ints beyond float range
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+            kwargs[key] = int(value) if key == "buffer_size" else number
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -167,7 +174,9 @@ class VesselState:
 
     buffer: list[_BufferEntry] = field(default_factory=list)
     last_point: AisRecord | None = None
-    last_emitted: CriticalPoint | None = None
+    #: Critical point of ``last_point``, held until the next report or
+    #: :func:`finalize_track` can no longer add labels to it.
+    pending: CriticalPoint | None = None
     in_stop: bool = False
     stop_anchor: AisRecord | None = None
     in_slow_motion: bool = False
@@ -225,12 +234,13 @@ def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) ->
 def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> list[CriticalPoint]:
     """Feed one clean report through the detector, mutating ``state``.
 
-    Returns the critical points this report gives rise to, oldest first.  An
-    emission may reference the *previous* report (several events are only
-    recognizable one report late), and a location that was already emitted
-    can reappear carrying additional annotations; consumers that build a
-    synopsis merge annotation sets per timestamp, which is exactly what
-    :func:`compress_track` does.
+    Each critical point is emitted exactly once, in time order.  Several
+    events are only recognizable one report late, so the critical point of a
+    report is held in ``state.pending`` until the next report has added its
+    labels to it; this call therefore returns at most the previous report's
+    critical point, and :func:`finalize_track` releases the last one.
+    Concatenating every call's result and ``finalize_track`` gives the
+    synopsis; consumers need no merge.
 
     Raises:
         ValueError: if ``point`` does not advance the clock.
@@ -242,10 +252,7 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
     if state.last_point is None:
         cur_ann.add(Annotation.TRACK_START)
         _buffer_push(state, point, cfg.buffer_size)
-        state.last_point = point
-        emitted = [CriticalPoint.from_record(point, cur_ann)]
-        state.last_emitted = emitted[-1]
-        return emitted
+        return _advance(state, prev_ann, point, cur_ann)
 
     prev = state.last_point
     if point.timestamp <= prev.timestamp:
@@ -258,21 +265,11 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
     # silence is unknown.
     if point.timestamp - prev.timestamp > cfg.gap_period_s:
         prev_ann.add(Annotation.GAP_START)
-        if state.in_stop:
-            prev_ann.add(Annotation.STOP_END)
-            state.in_stop = False
-            state.stop_anchor = None
-        if state.in_slow_motion:
-            prev_ann.add(Annotation.SLOW_MOTION_END)
-            state.in_slow_motion = False
-        if state.in_speed_change:
-            prev_ann.add(Annotation.SPEED_CHANGE_END)
-            state.in_speed_change = False
+        _close_intervals(state, prev_ann)
         cur_ann.add(Annotation.GAP_END)
         state.buffer.clear()
         _buffer_push(state, point, cfg.buffer_size)
-        state.last_point = point
-        return _package(state, prev, prev_ann, point, cur_ann)
+        return _advance(state, prev_ann, point, cur_ann)
 
     v_now = segment_velocity(prev, point)
     v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
@@ -288,8 +285,7 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
             state.in_stop = False
             state.stop_anchor = None
         else:
-            state.last_point = point
-            return _package(state, prev, prev_ann, point, cur_ann)
+            return _advance(state, prev_ann, point, cur_ann)
 
     anchored_here = False
     if not state.in_stop and v_now.speed_knots < cfg.no_speed_threshold_kn:
@@ -343,32 +339,11 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
         state.buffer.append(_BufferEntry(prev))
 
     _buffer_push(state, point, cfg.buffer_size)
-    state.last_point = point
-    return _package(state, prev, prev_ann, point, cur_ann)
+    return _advance(state, prev_ann, point, cur_ann)
 
 
-def _package(
-    state: VesselState,
-    prev: AisRecord,
-    prev_ann: set[Annotation],
-    cur: AisRecord,
-    cur_ann: set[Annotation],
-) -> list[CriticalPoint]:
-    emitted: list[CriticalPoint] = []
-    if prev_ann:
-        emitted.append(CriticalPoint.from_record(prev, prev_ann))
-    if cur_ann:
-        emitted.append(CriticalPoint.from_record(cur, cur_ann))
-    if emitted:
-        state.last_emitted = emitted[-1]
-    return emitted
-
-
-def finalize_track(state: VesselState) -> list[CriticalPoint]:
-    """Close the stream: mark the last report and end any open interval."""
-    if state.last_point is None:
-        return []
-    annotations = {Annotation.TRACK_END}
+def _close_intervals(state: VesselState, annotations: set[Annotation]) -> None:
+    """End every open stop, slow-motion or speed-change interval."""
     if state.in_stop:
         annotations.add(Annotation.STOP_END)
         state.in_stop = False
@@ -379,33 +354,54 @@ def finalize_track(state: VesselState) -> list[CriticalPoint]:
     if state.in_speed_change:
         annotations.add(Annotation.SPEED_CHANGE_END)
         state.in_speed_change = False
-    emitted = [CriticalPoint.from_record(state.last_point, annotations)]
-    state.last_emitted = emitted[-1]
-    return emitted
+
+
+def _release(state: VesselState, last_ann: set[Annotation]) -> list[CriticalPoint]:
+    """Add ``last_ann`` to the last report's critical point and emit it, now final."""
+    cp = state.pending
+    if last_ann:
+        if cp is None:
+            assert state.last_point is not None
+            cp = CriticalPoint.from_record(state.last_point, last_ann)
+        else:
+            cp.annotations |= last_ann
+    state.pending = None
+    return [cp] if cp is not None else []
+
+
+def _advance(
+    state: VesselState, prev_ann: set[Annotation], point: AisRecord, cur_ann: set[Annotation]
+) -> list[CriticalPoint]:
+    """Release the previous report's critical point and hold ``point``'s."""
+    released = _release(state, prev_ann)
+    state.last_point = point
+    if cur_ann:
+        state.pending = CriticalPoint.from_record(point, cur_ann)
+    return released
+
+
+def finalize_track(state: VesselState) -> list[CriticalPoint]:
+    """Close the stream: mark the last report, end any open interval, emit it."""
+    if state.last_point is None:
+        return []
+    annotations = {Annotation.TRACK_END}
+    _close_intervals(state, annotations)
+    return _release(state, annotations)
 
 
 def compress_track(track: VesselTrack, cfg: SynopsisConfig) -> list[CriticalPoint]:
     """Compress a clean track into its synopsis of critical points.
 
-    Equivalent to folding :func:`ingest_point` over the track and then
-    :func:`finalize_track`, with annotation sets merged per location so each
-    retained report appears exactly once, in time order.
+    Feeds every report through :func:`ingest_point`, then closes the track
+    with :func:`finalize_track`.  Each critical point is emitted once, in time
+    order, so the emissions concatenated are the synopsis.
     """
     state = VesselState()
-    merged: dict[int, CriticalPoint] = {}
-
-    def absorb(points: list[CriticalPoint]) -> None:
-        for cp in points:
-            existing = merged.get(cp.timestamp)
-            if existing is None:
-                merged[cp.timestamp] = cp
-            else:
-                existing.annotations |= cp.annotations
-
+    synopsis: list[CriticalPoint] = []
     for point in track.points:
-        absorb(ingest_point(state, point, cfg))
-    absorb(finalize_track(state))
-    return [merged[ts] for ts in sorted(merged)]
+        synopsis.extend(ingest_point(state, point, cfg))
+    synopsis.extend(finalize_track(state))
+    return synopsis
 
 
 def write_synopsis_csv(points: Sequence[CriticalPoint], out: TextIO) -> None:

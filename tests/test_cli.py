@@ -156,6 +156,20 @@ def test_non_object_config_is_a_usage_error(tmp_path, straight_csv, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"buffer_size": 1e400}',
+    '{"gap_period_s": 1e400}',
+    '{"speed_ratio": NaN}',
+    '{"angle_threshold_deg": null}',
+])
+def test_non_finite_config_value_is_a_usage_error(tmp_path, straight_csv, capsys, text):
+    cfg = tmp_path / "value.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main(["compress", "--input", straight_csv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "finite number" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     rc = main(["compress"])
     assert rc == 2
@@ -185,6 +199,14 @@ def test_parse_rejections_are_noted_on_stderr(tmp_path, capsys):
     rc = main(["eval", "--input", str(path)])
     assert rc == 0
     assert "rejected 1 malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise_flag", [[], ["--no-noise-filter"]])
+def test_antipodal_reports_compress_cleanly(tmp_path, capsys, noise_flag):
+    path = tmp_path / "antipodal.csv"
+    path.write_text("1,100,-88.6,69.3\n1,5000,91.4,-69.3\n", encoding="utf-8")
+    rc = main(["compress", "--input", str(path), "--out", str(tmp_path / "out"), *noise_flag])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_header_flag_skips_the_header_row(tmp_path):

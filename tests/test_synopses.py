@@ -10,8 +10,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vesselsyn import synopses as S
+from vesselsyn.ga import default_gene_spec, genes_to_config
 from vesselsyn.geo import mean_velocity
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
@@ -29,6 +32,7 @@ from vesselsyn.synthetic import (
     DEFAULT_LON,
     DEFAULT_T0,
     make_corner_track,
+    make_fleet,
     make_gap_pair,
     make_gap_track,
     make_mixed_voyage,
@@ -223,20 +227,30 @@ def test_non_increasing_timestamps_rejected():
 # streaming behaviour
 
 
-def test_streaming_and_batch_agree():
-    track = make_slow_motion_track()
-    cfg = SynopsisConfig()
-    state = VesselState()
-    merged = {}
-    emissions = [cp for p in track.points for cp in ingest_point(state, p, cfg)]
-    emissions += finalize_track(state)
-    for cp in emissions:
-        if cp.timestamp in merged:
-            merged[cp.timestamp] |= cp.annotations
-        else:
-            merged[cp.timestamp] = set(cp.annotations)
-    batch = compress_track(track, cfg)
-    assert {cp.timestamp: cp.annotations for cp in batch} == merged
+def _gene_values(gene):
+    if gene.integer:
+        return st.integers(int(gene.lower), int(gene.upper))
+    return st.floats(gene.lower, gene.upper)
+
+
+_configs = st.one_of(
+    st.just(SynopsisConfig()),
+    st.tuples(*(_gene_values(g) for g in default_gene_spec())).map(genes_to_config),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), cfg=_configs)
+@example(seed=13, cfg=SynopsisConfig())  # a point labelled by its own report and the next
+def test_streaming_and_batch_agree(seed, cfg):
+    """Streaming emissions are the synopsis: each point once, in time order."""
+    for track in make_fleet(500, 3, seed=seed):
+        state = VesselState()
+        emissions = [cp for p in track.points for cp in ingest_point(state, p, cfg)]
+        emissions += finalize_track(state)
+        times = [cp.timestamp for cp in emissions]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert emissions == compress_track(track, cfg)
 
 
 def test_emissions_depend_only_on_the_points_seen_so_far():
