@@ -1,107 +1,13 @@
 """vesselsyn: online compression of vessel position streams into annotated
-critical points, plus an evolutionary tuner for the detection parameters."""
+critical points, plus an evolutionary tuner for the detection parameters.
 
-from .evaluation import Metrics, compute_metrics, evaluate_config, synchronized_position
-from .ga import (
-    GaHyperParams,
-    Gene,
-    GenerationStats,
-    Individual,
-    cross_validate,
-    default_gene_spec,
-    fitness,
-    gaussian_mutate,
-    genes_to_config,
-    run_ga,
-    search_fitness_hyperparams,
-    single_point_crossover,
-    tournament_select,
-)
-from .geo import (
-    EARTH_RADIUS_M,
-    KNOT_MS,
-    Velocity,
-    bearing_deg,
-    haversine_m,
-    heading_difference_deg,
-    mean_velocity,
-    segment_velocity,
-)
-from .ingest import (
-    AisRecord,
-    ColumnMap,
-    ParseReport,
-    VesselTrack,
-    load_records,
-    parse_records,
-    partition_tracks,
-    split_k_folds,
-    write_records,
-)
-from .noise import NoiseFilterConfig, filter_dataset, filter_track
-from .presets import FITNESS_PRESETS, TUNED_CONFIGS, FitnessPreset
-from .synopses import (
-    Annotation,
-    CriticalPoint,
-    SynopsisConfig,
-    VesselState,
-    compress_track,
-    finalize_track,
-    ingest_point,
-    speed_change_exceeds,
-    write_synopsis_csv,
-)
+The package root holds the quick-start and streaming names; everything else
+is imported from its submodule (``vesselsyn.ga``, ``vesselsyn.synthetic``, ...).
+"""
+
+from .evaluation import compute_metrics, evaluate_config
+from .ingest import load_records, partition_tracks
+from .noise import filter_dataset
+from .synopses import SynopsisConfig, VesselState, compress_track, finalize_track, ingest_point
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AisRecord",
-    "Annotation",
-    "ColumnMap",
-    "CriticalPoint",
-    "EARTH_RADIUS_M",
-    "FITNESS_PRESETS",
-    "FitnessPreset",
-    "GaHyperParams",
-    "Gene",
-    "GenerationStats",
-    "Individual",
-    "KNOT_MS",
-    "Metrics",
-    "NoiseFilterConfig",
-    "ParseReport",
-    "SynopsisConfig",
-    "TUNED_CONFIGS",
-    "Velocity",
-    "VesselState",
-    "VesselTrack",
-    "bearing_deg",
-    "compress_track",
-    "compute_metrics",
-    "cross_validate",
-    "default_gene_spec",
-    "evaluate_config",
-    "finalize_track",
-    "fitness",
-    "filter_dataset",
-    "filter_track",
-    "gaussian_mutate",
-    "genes_to_config",
-    "haversine_m",
-    "heading_difference_deg",
-    "ingest_point",
-    "load_records",
-    "mean_velocity",
-    "parse_records",
-    "partition_tracks",
-    "run_ga",
-    "search_fitness_hyperparams",
-    "segment_velocity",
-    "single_point_crossover",
-    "speed_change_exceeds",
-    "split_k_folds",
-    "synchronized_position",
-    "tournament_select",
-    "write_records",
-    "write_synopsis_csv",
-]

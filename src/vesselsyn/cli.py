@@ -32,19 +32,11 @@ def _round6(value: float) -> float:
     return round(float(value), 6)
 
 
-def _config_dict(cfg: SynopsisConfig) -> dict:
+def _rounded(obj: SynopsisConfig | Metrics) -> dict:
+    """``obj.to_dict()`` with its floats rounded to 6 decimals; ints stay ints."""
     return {
-        key: (value if key == "buffer_size" else _round6(value))
-        for key, value in cfg.to_dict().items()
-    }
-
-
-def _metrics_dict(metrics: Metrics) -> dict:
-    return {
-        "rmse_m": _round6(metrics.rmse_m),
-        "ratio": _round6(metrics.ratio),
-        "noiseless_count": metrics.noiseless_count,
-        "critical_count": metrics.critical_count,
+        key: _round6(value) if isinstance(value, float) else value
+        for key, value in obj.to_dict().items()
     }
 
 
@@ -108,8 +100,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
         os.path.join(args.out, "metrics.json"),
         {
             "input": args.input,
-            "config": _config_dict(cfg),
-            **_metrics_dict(metrics),
+            "config": _rounded(cfg),
+            **_rounded(metrics),
             "rows_rejected_parse": report.rejected_count,
             "reports_rejected_filter": dropped,
         },
@@ -125,7 +117,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     clean, _, _ = _load_dataset(args)
     metrics = evaluate_config(clean, cfg)
-    print(json.dumps({"config": _config_dict(cfg), **_metrics_dict(metrics)}, indent=2, sort_keys=True))
+    print(json.dumps({"config": _rounded(cfg), **_rounded(metrics)}, indent=2, sort_keys=True))
     return 0
 
 
@@ -140,8 +132,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         os.path.join(args.out, "comparison.json"),
         {
             "input": args.input,
-            "a": {"config": _config_dict(cfg_a), **_metrics_dict(metrics_a)},
-            "b": {"config": _config_dict(cfg_b), **_metrics_dict(metrics_b)},
+            "a": {"config": _rounded(cfg_a), **_rounded(metrics_a)},
+            "b": {"config": _rounded(cfg_b), **_rounded(metrics_b)},
         },
     )
     with open(os.path.join(args.out, "plot.csv"), "w", encoding="utf-8") as fh:
@@ -218,7 +210,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     for fold in result.folds:
         fold_dir = os.path.join(args.out, f"fold_{fold.index}")
         os.makedirs(fold_dir, exist_ok=True)
-        _write_json(os.path.join(fold_dir, "best_config.json"), _config_dict(fold.config))
+        _write_json(os.path.join(fold_dir, "best_config.json"), _rounded(fold.config))
         _write_json(
             os.path.join(fold_dir, "report.json"),
             {
@@ -242,7 +234,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         os.path.join(args.out, "summary.json"),
         {
             "chosen_fold": result.chosen_index,
-            "config": _config_dict(result.chosen.config),
+            "config": _rounded(result.chosen.config),
             "folds": [
                 {
                     "fold": fold.index,

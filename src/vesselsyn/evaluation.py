@@ -9,9 +9,11 @@ Two numbers summarize a compression run over a cleaned dataset:
   Points that were retained reconstruct to themselves and contribute zero.
 
 Reconstruction interpolates linearly in lon/lat between the two critical
-points bracketing the query time; queries outside the synopsis time range
-clamp to the nearest end, which only matters for degenerate synopses since a
-complete one always retains a track's first and last report.
+points bracketing the query time, taking the shorter way round in longitude
+(across the antimeridian when the knots straddle it); queries outside the
+synopsis time range clamp to the nearest end, which only matters for
+degenerate synopses since a complete one always retains a track's first and
+last report.
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ def _reconstruct_track(
     t_hi = knot_t[hi]
     span = np.where(t_hi > t_lo, t_hi - t_lo, 1)
     f = np.clip((times - t_lo) / span, 0.0, 1.0)
-    lon = knot_lon[lo] + f * (knot_lon[hi] - knot_lon[lo])
+    # Longitude goes the short way round, across the antimeridian when that is
+    # shorter.  Only out-of-range values are touched, so a track that never
+    # crosses it gets plain linear interpolation, bit for bit.
+    dlon = knot_lon[hi] - knot_lon[lo]
+    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    lon = knot_lon[lo] + f * dlon
+    lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
     lat = knot_lat[lo] + f * (knot_lat[hi] - knot_lat[lo])
 
     lon = np.where(exact, knot_lon[idx_clipped], lon)

@@ -30,26 +30,6 @@ from .evaluation import Metrics, evaluate_config
 from .ingest import VesselTrack
 from .synopses import SynopsisConfig
 
-__all__ = [
-    "Gene",
-    "default_gene_spec",
-    "Individual",
-    "GaHyperParams",
-    "GenerationStats",
-    "fitness",
-    "genes_to_config",
-    "uniform_individual",
-    "tournament_select",
-    "single_point_crossover",
-    "gaussian_mutate",
-    "run_ga",
-    "FoldResult",
-    "CrossValidationResult",
-    "cross_validate",
-    "GridSearchResult",
-    "search_fitness_hyperparams",
-]
-
 
 @dataclass(frozen=True)
 class Gene:
@@ -65,23 +45,22 @@ class Gene:
             raise ValueError(f"gene {self.name}: lower {self.lower} must be < upper {self.upper}")
 
 
-def default_gene_spec() -> tuple[Gene, ...]:
-    """The eight detection parameters with their search bounds."""
-    return (
-        Gene("angle_threshold_deg", 2.0, 25.0),
-        Gene("buffer_size", 3, 50, integer=True),
-        Gene("gap_period_s", 200.0, 5000.0),
-        Gene("historical_timespan_s", 300.0, 5000.0),
-        Gene("no_speed_threshold_kn", 0.05, 2.0),
-        Gene("low_speed_threshold_kn", 0.05, 8.0),
-        Gene("speed_ratio", 0.01, 0.8),
-        Gene("distance_threshold_m", 2.0, 100.0),
-    )
+#: The search space: the eight detection parameters with their bounds.
+GENE_SPEC: tuple[Gene, ...] = (
+    Gene("angle_threshold_deg", 2.0, 25.0),
+    Gene("buffer_size", 3, 50, integer=True),
+    Gene("gap_period_s", 200.0, 5000.0),
+    Gene("historical_timespan_s", 300.0, 5000.0),
+    Gene("no_speed_threshold_kn", 0.05, 2.0),
+    Gene("low_speed_threshold_kn", 0.05, 8.0),
+    Gene("speed_ratio", 0.01, 0.8),
+    Gene("distance_threshold_m", 2.0, 100.0),
+)
 
 
 @dataclass
 class Individual:
-    """One candidate parameter vector, genes in gene-spec order."""
+    """One candidate parameter vector, genes in :data:`GENE_SPEC` order."""
 
     genes: list[float]
     fitness: float | None = None
@@ -96,11 +75,8 @@ class GaHyperParams:
     population_size: int = 50
     max_generations: int = 30
     stagnation_limit: int = 10
-    tournament_size: int = 3
     crossover_prob: float = 0.4
     mutation_prob: float = 0.8
-    per_gene_mutation_prob: float = 0.5
-    mutation_sigma_fraction: float = 0.1
     rng_seed: int = 0
 
 
@@ -120,21 +96,19 @@ def fitness(metrics: Metrics, r: float, n: float) -> float:
     return math.pow(metrics.rmse_m + r, n) * metrics.ratio
 
 
-def genes_to_config(genes: Sequence[float], gene_spec: Sequence[Gene] | None = None) -> SynopsisConfig:
+def genes_to_config(genes: Sequence[float]) -> SynopsisConfig:
     """Interpret a gene vector as a detection configuration."""
-    spec = gene_spec or default_gene_spec()
-    if len(genes) != len(spec):
-        raise ValueError(f"expected {len(spec)} genes, got {len(genes)}")
+    if len(genes) != len(GENE_SPEC):
+        raise ValueError(f"expected {len(GENE_SPEC)} genes, got {len(genes)}")
     kwargs = {}
-    for gene, value in zip(spec, genes):
+    for gene, value in zip(GENE_SPEC, genes):
         kwargs[gene.name] = int(round(value)) if gene.integer else float(value)
     return SynopsisConfig(**kwargs)
 
 
-def config_to_genes(cfg: SynopsisConfig, gene_spec: Sequence[Gene] | None = None) -> list[float]:
+def config_to_genes(cfg: SynopsisConfig) -> list[float]:
     """Inverse of :func:`genes_to_config`."""
-    spec = gene_spec or default_gene_spec()
-    return [float(getattr(cfg, gene.name)) for gene in spec]
+    return [float(getattr(cfg, gene.name)) for gene in GENE_SPEC]
 
 
 def uniform_individual(gene_spec: Sequence[Gene], rng: np.random.Generator) -> Individual:
@@ -220,18 +194,18 @@ def run_ga(
     clean_tracks: Sequence[VesselTrack],
     hp: GaHyperParams,
     *,
-    gene_spec: Sequence[Gene] | None = None,
     observer: Callable[[int, list[Individual]], None] | None = None,
 ) -> tuple[Individual, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
 
-    Generation 0 is sampled uniformly within the gene bounds.  Each later
-    generation selects parents by tournament, pairs them, applies crossover
-    with probability ``hp.crossover_prob`` (copies otherwise) and mutation
-    with probability ``hp.mutation_prob``, then re-inserts the previous best
-    unchanged (elitism of one).  The run stops after ``hp.max_generations``
-    generations or once the best score has not improved for
-    ``hp.stagnation_limit`` consecutive generations.
+    Generation 0 is sampled uniformly within the :data:`GENE_SPEC` bounds.
+    Each later generation selects parents by tournament, pairs them, applies
+    crossover with probability ``hp.crossover_prob`` (copies otherwise) and
+    mutation with probability ``hp.mutation_prob``, then re-inserts the
+    previous best unchanged (elitism of one).  Tournament and mutation run
+    with their operators' default settings.  The run stops after
+    ``hp.max_generations`` generations or once the best score has not
+    improved for ``hp.stagnation_limit`` consecutive generations.
 
     Identical inputs, hyper-parameters and seed reproduce the run exactly;
     fitness evaluation itself is deterministic and memoized per gene vector.
@@ -239,7 +213,6 @@ def run_ga(
     Args:
         clean_tracks: the training dataset, already noise-filtered.
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
-        gene_spec: search space; defaults to :func:`default_gene_spec`.
         observer: optional callback invoked as ``observer(generation,
             population)`` after each generation is evaluated.
 
@@ -248,7 +221,6 @@ def run_ga(
     """
     if not clean_tracks:
         raise ValueError("empty training set")
-    spec = tuple(gene_spec or default_gene_spec())
     rng = np.random.default_rng(hp.rng_seed)
     cache: dict[tuple[float, ...], tuple[float, Metrics]] = {}
 
@@ -256,12 +228,12 @@ def run_ga(
         key = tuple(ind.genes)
         hit = cache.get(key)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes, spec))
+            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes))
             hit = (fitness(metrics, hp.r, hp.n), metrics)
             cache[key] = hit
         ind.fitness = hit[0]
 
-    population = [uniform_individual(spec, rng) for _ in range(hp.population_size)]
+    population = [uniform_individual(GENE_SPEC, rng) for _ in range(hp.population_size)]
     for ind in population:
         evaluate(ind)
 
@@ -287,10 +259,7 @@ def run_ga(
     stagnant = 0
 
     for generation in range(1, hp.max_generations + 1):
-        parents = [
-            tournament_select(population, rng, hp.tournament_size)
-            for _ in range(hp.population_size)
-        ]
+        parents = [tournament_select(population, rng) for _ in range(hp.population_size)]
         offspring: list[Individual] = []
         for i in range(0, len(parents) - 1, 2):
             a, b = parents[i], parents[i + 1]
@@ -303,13 +272,7 @@ def run_ga(
             offspring.append(_clone(parents[-1]))
         for i, child in enumerate(offspring):
             if rng.random() < hp.mutation_prob:
-                offspring[i] = gaussian_mutate(
-                    child,
-                    spec,
-                    rng,
-                    per_gene_prob=hp.per_gene_mutation_prob,
-                    sigma_fraction=hp.mutation_sigma_fraction,
-                )
+                offspring[i] = gaussian_mutate(child, GENE_SPEC, rng)
         population = [_clone(best_overall)] + offspring[: hp.population_size - 1]
         for ind in population:
             evaluate(ind)
@@ -352,13 +315,7 @@ class CrossValidationResult:
         return self.folds[self.chosen_index]
 
 
-def cross_validate(
-    tracks: Sequence[VesselTrack],
-    k: int,
-    hp: GaHyperParams,
-    *,
-    gene_spec: Sequence[Gene] | None = None,
-) -> CrossValidationResult:
+def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> CrossValidationResult:
     """k-fold tuning: train a GA per held-out fold, keep the best tester.
 
     Folds hold whole tracks (see :func:`vesselsyn.ingest.split_k_folds`).
@@ -373,8 +330,8 @@ def cross_validate(
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        best, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), gene_spec=gene_spec)
-        cfg = genes_to_config(best.genes, gene_spec)
+        best, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
+        cfg = genes_to_config(best.genes)
         test_metrics = evaluate_config(test_fold, cfg)
         results.append(
             FoldResult(
@@ -409,7 +366,6 @@ def search_fitness_hyperparams(
     *,
     r_candidates: Sequence[float] = (1, 2, 5, 10, 13, 17, 20),
     n_candidates: Sequence[float] = (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6),
-    gene_spec: Sequence[Gene] | None = None,
 ) -> GridSearchResult:
     """Pick ``(r, n)`` by grid search against quality thresholds.
 
@@ -422,8 +378,8 @@ def search_fitness_hyperparams(
     fallback_excess = math.inf
     for r in r_candidates:
         for n in n_candidates:
-            best, _ = run_ga(tracks, replace(hp, r=float(r), n=float(n)), gene_spec=gene_spec)
-            cfg = genes_to_config(best.genes, gene_spec)
+            best, _ = run_ga(tracks, replace(hp, r=float(r), n=float(n)))
+            cfg = genes_to_config(best.genes)
             metrics = evaluate_config(tracks, cfg)
             if metrics.rmse_m <= rmse_threshold_m and metrics.ratio <= ratio_threshold:
                 return GridSearchResult(float(r), float(n), cfg, metrics, True)

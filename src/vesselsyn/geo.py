@@ -122,6 +122,10 @@ def mean_velocity(
 ) -> Velocity | None:
     """Mean velocity over the recent portion of a point buffer.
 
+    The detector does not call this.  It is the reference oracle for
+    :func:`vesselsyn.synopses._buffer_mean_velocity`, which reuses velocities
+    cached per buffer entry; tests require the two to agree.
+
     Points older than ``now_ts - timespan_s`` are discarded; the velocities of
     the segments joining the surviving consecutive points are averaged as 2-D
     vectors, so opposing headings cancel rather than average arithmetically.

@@ -12,19 +12,6 @@ import io
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
-__all__ = [
-    "AisRecord",
-    "VesselTrack",
-    "ColumnMap",
-    "ParseIssue",
-    "ParseReport",
-    "parse_records",
-    "load_records",
-    "write_records",
-    "partition_tracks",
-    "split_k_folds",
-]
-
 
 @dataclass(frozen=True, slots=True)
 class AisRecord:

@@ -27,9 +27,9 @@ class NoiseFilterConfig:
     Attributes:
         max_speed_knots: ceiling on the speed implied between the last
             accepted point and the candidate; ``math.inf`` disables the rule.
-        max_coord_jump_deg: largest allowed per-message change in raw lon or
-            lat when the reports are less than :data:`COORD_JUMP_MAX_DT_S`
-            apart.
+        max_coord_jump_deg: largest allowed per-message change in lat, or in
+            lon measured the short way round (so 179.9 to -179.9 is 0.2),
+            when the reports are less than :data:`COORD_JUMP_MAX_DT_S` apart.
         bounding_region: optional ``(lon_min, lat_min, lon_max, lat_max)``
             rectangle; reports outside it are dropped.
     """
@@ -76,11 +76,13 @@ def filter_track(track: VesselTrack, cfg: NoiseFilterConfig | None = None) -> tu
             dt = rec.timestamp - prev.timestamp
             if dt <= 0:
                 continue
-            if dt < COORD_JUMP_MAX_DT_S and (
-                abs(rec.lon - prev.lon) > cfg.max_coord_jump_deg
-                or abs(rec.lat - prev.lat) > cfg.max_coord_jump_deg
-            ):
-                continue
+            if dt < COORD_JUMP_MAX_DT_S:
+                dlon = abs(rec.lon - prev.lon)
+                if (
+                    min(dlon, 360.0 - dlon) > cfg.max_coord_jump_deg
+                    or abs(rec.lat - prev.lat) > cfg.max_coord_jump_deg
+                ):
+                    continue
             speed_knots = haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS
             if speed_knots > cfg.max_speed_knots:
                 continue

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 from .synopses import SynopsisConfig
 
-__all__ = ["FitnessPreset", "FITNESS_PRESETS", "TUNED_CONFIGS"]
-
 
 @dataclass(frozen=True)
 class FitnessPreset:

@@ -32,17 +32,6 @@ from .geo import (
 )
 from .ingest import AisRecord, VesselTrack
 
-__all__ = [
-    "Annotation",
-    "SynopsisConfig",
-    "CriticalPoint",
-    "VesselState",
-    "speed_change_exceeds",
-    "ingest_point",
-    "finalize_track",
-    "compress_track",
-    "write_synopsis_csv",
-]
 
 #: Below this mean speed (knots) a heading is considered undefined and the
 #: turn rule stays quiet rather than comparing against directionless noise.
@@ -119,7 +108,8 @@ class SynopsisConfig:
 
         Missing keys keep their defaults; unknown keys raise so that a typoed
         parameter name cannot silently fall back to the default.  Values must
-        be finite numbers.
+        be finite numbers (booleans are not), and ``buffer_size`` must be
+        integral: 7.0 becomes 7, while 7.9 raises.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -128,11 +118,13 @@ class SynopsisConfig:
         kwargs: dict[str, float | int] = {}
         for key, value in data.items():
             try:
-                number = float(value)
+                number = math.nan if isinstance(value, bool) else float(value)
             except (TypeError, OverflowError):  # null, lists, ints beyond float range
                 number = math.nan
             if not math.isfinite(number):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+            if key == "buffer_size" and not number.is_integer():
+                raise ValueError(f"buffer_size must be an integer, got {value!r}")
             kwargs[key] = int(value) if key == "buffer_size" else number
         cfg = cls(**kwargs)
         cfg.validate()
@@ -208,8 +200,9 @@ def _buffer_push(state: VesselState, rec: AisRecord, cap: int) -> None:
 def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) -> Velocity | None:
     """Mean velocity over the buffered points still inside the time window.
 
-    Equivalent to calling :func:`vesselsyn.geo.mean_velocity` on the buffered
-    records, but reuses the velocity components cached at push time.
+    Equivalent to calling :func:`vesselsyn.geo.mean_velocity`, its reference
+    oracle, on the buffered records, but reuses the velocity components
+    cached at push time.
     """
     cutoff = now_ts - timespan_s
     start = 0

@@ -16,19 +16,6 @@ import random
 from .geo import EARTH_RADIUS_M, KNOT_MS
 from .ingest import AisRecord, VesselTrack
 
-__all__ = [
-    "offset_position",
-    "make_straight_track",
-    "make_stop_track",
-    "make_corner_track",
-    "make_gap_pair",
-    "make_gap_track",
-    "make_curve_track",
-    "make_speed_steps_track",
-    "make_slow_motion_track",
-    "make_mixed_voyage",
-    "make_fleet",
-]
 
 _M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -39,9 +26,16 @@ DEFAULT_T0 = 1_443_650_000
 
 
 def offset_position(lon: float, lat: float, east_m: float, north_m: float) -> tuple[float, float]:
-    """Shift a lon/lat position by metre offsets (local tangent plane)."""
+    """Shift a lon/lat position by metre offsets (local tangent plane).
+
+    A longitude pushed past the antimeridian is wrapped back into [-180, 180].
+    """
     new_lat = lat + north_m / _M_PER_DEG_LAT
     new_lon = lon + east_m / (_M_PER_DEG_LAT * math.cos(math.radians(lat)))
+    if new_lon > 180.0:
+        new_lon -= 360.0
+    elif new_lon < -180.0:
+        new_lon += 360.0
     return new_lon, new_lat
 
 

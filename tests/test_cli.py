@@ -170,6 +170,18 @@ def test_non_finite_config_value_is_a_usage_error(tmp_path, straight_csv, capsys
     assert "finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"buffer_size": 7.9}', "buffer_size must be an integer"),
+    ('{"speed_ratio": true}', "speed_ratio must be a finite number"),
+], ids=["fractional_buffer_size", "boolean"])
+def test_fractional_or_boolean_config_value_is_a_usage_error(tmp_path, straight_csv, capsys, text, message):
+    cfg = tmp_path / "value.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main(["compress", "--input", straight_csv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     rc = main(["compress"])
     assert rc == 2

@@ -12,8 +12,8 @@ from vesselsyn.evaluation import (
     evaluate_config,
     synchronized_position,
 )
-from vesselsyn.geo import EARTH_RADIUS_M
-from vesselsyn.ingest import VesselTrack
+from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
+from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track
 from vesselsyn.synthetic import (
     make_corner_track,
@@ -112,13 +112,24 @@ def test_synchronized_position_rejects_empty_synopsis():
         synchronized_position([], 100)
 
 
+def equatorial_run_across_antimeridian(n_points=20, start_lon=179.97):
+    """A 10-kn due-east run along the equator that crosses 180 deg midway."""
+    step_deg = 10.0 * KNOT_MS * 60 / (EARTH_RADIUS_M * math.pi / 180.0)
+    points = []
+    for i in range(n_points):
+        lon = start_lon + i * step_deg
+        points.append(AisRecord(1, 1_000_000 + 60 * i, lon - 360.0 if lon > 180.0 else lon, 0.0))
+    assert points[0].lon > 0.0 > points[-1].lon
+    return VesselTrack(1, "unknown", points)
+
+
 def test_straight_track_reconstructs_essentially_exactly(default_config):
-    track = make_straight_track()
-    metrics = evaluate_config([track], default_config)
-    assert metrics.critical_count == 2
-    assert metrics.ratio == pytest.approx(0.1)
-    assert metrics.rmse_m < 0.5
-    assert metrics.rmse_m == pytest.approx(0.0, abs=1e-6)
+    for track in (make_straight_track(), equatorial_run_across_antimeridian()):
+        metrics = evaluate_config([track], default_config)
+        assert metrics.critical_count == 2
+        assert metrics.ratio == pytest.approx(0.1)
+        assert metrics.rmse_m < 0.5
+        assert metrics.rmse_m == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rmse_matches_brute_force_oracle(default_config):

@@ -7,13 +7,13 @@ import pytest
 
 from vesselsyn.evaluation import Metrics
 from vesselsyn.ga import (
+    GENE_SPEC,
     CrossValidationResult,
     GaHyperParams,
     Gene,
     Individual,
     config_to_genes,
     cross_validate,
-    default_gene_spec,
     fitness,
     gaussian_mutate,
     genes_to_config,
@@ -79,7 +79,7 @@ def test_fitness_is_monotone_in_both_metrics():
 
 
 def test_gene_spec_matches_config_fields():
-    spec = default_gene_spec()
+    spec = GENE_SPEC
     assert [g.name for g in spec] == [
         "angle_threshold_deg",
         "buffer_size",
@@ -114,7 +114,7 @@ def test_genes_to_config_rejects_wrong_length():
 
 
 def test_uniform_individual_respects_bounds():
-    spec = default_gene_spec()
+    spec = GENE_SPEC
     rng = np.random.default_rng(7)
     for _ in range(200):
         ind = uniform_individual(spec, rng)
@@ -199,14 +199,14 @@ def test_crossover_requires_matching_lengths():
 
 
 def test_mutation_with_zero_per_gene_probability_is_identity():
-    spec = default_gene_spec()
+    spec = GENE_SPEC
     ind = Individual(config_to_genes(SynopsisConfig()))
     mutated = gaussian_mutate(ind, spec, np.random.default_rng(5), per_gene_prob=0.0)
     assert mutated.genes == ind.genes
 
 
 def test_mutation_clamps_to_bounds_and_keeps_integers_integral():
-    spec = default_gene_spec()
+    spec = GENE_SPEC
     rng = np.random.default_rng(29)
     at_upper = Individual([g.upper for g in spec])
     for _ in range(500):
@@ -257,7 +257,7 @@ def test_run_ga_best_is_monotone_and_evaluated():
 
 
 def test_run_ga_population_stays_within_bounds():
-    spec = default_gene_spec()
+    spec = GENE_SPEC
     seen = []
     run_ga(tiny_dataset(), TINY_HP, observer=lambda gen, pop: seen.append((gen, [list(i.genes) for i in pop])))
     assert seen, "observer was never called"

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
@@ -62,14 +64,18 @@ def test_haversine_matches_independent_formula():
         assert haversine_m(lon1, lat1, lon2, lat2) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_haversine_symmetry():
-    rng = random.Random(13)
-    for _ in range(1000):
-        lon1, lat1 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-        lon2, lat2 = rng.uniform(-180, 180), rng.uniform(-90, 90)
-        d_ab = haversine_m(lon1, lat1, lon2, lat2)
-        d_ba = haversine_m(lon2, lat2, lon1, lat1)
-        assert d_ab == pytest.approx(d_ba, rel=1e-6, abs=1e-9)
+LONS = st.floats(-180.0, 180.0)
+LATS = st.floats(-90.0, 90.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LONS, LATS, LONS, LATS)
+def test_haversine_symmetry(lon1, lat1, lon2, lat2):
+    d_ab = haversine_m(lon1, lat1, lon2, lat2)
+    d_ba = haversine_m(lon2, lat2, lon1, lat1)
+    assert math.isfinite(d_ab)
+    assert 0.0 <= d_ab <= math.pi * EARTH_RADIUS_M
+    assert d_ab == pytest.approx(d_ba, rel=1e-6, abs=1e-9)
 
 
 def test_haversine_triangle_inequality():

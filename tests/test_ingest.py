@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesselsyn.ingest import (
     AisRecord,
@@ -220,3 +222,22 @@ def test_split_k_folds_rejects_bad_k():
         split_k_folds(tracks, 1)
     with pytest.raises(ValueError):
         split_k_folds(tracks, 3)
+
+
+# Fields that are often almost valid, so rows reach every check in the parser.
+_FIELD = st.one_of(
+    st.text(max_size=8),
+    st.integers().map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+)
+_LINE = st.one_of(st.text(), st.lists(_FIELD, max_size=7).map(",".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=8))
+def test_parse_records_never_raises_and_accounts_for_every_row(lines):
+    records, report = parse_records(lines)
+    assert report.rows_seen == report.records_parsed + report.rejected_count
+    assert len(records) == report.records_parsed
+    for rec in records:
+        assert -180.0 <= rec.lon <= 180.0 and -90.0 <= rec.lat <= 90.0

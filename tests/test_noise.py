@@ -81,6 +81,12 @@ def test_coordinate_jump_rule_applies_only_to_fast_repeats():
     filtered, rejected = filter_track(track_of([a, at_boundary]), cfg)
     assert rejected == 0  # the window is strict: dt == limit is not a repeat
 
+    # 22 m apart across the antimeridian: the longitude change is 0.0002 deg.
+    east = AisRecord(1, 0, 179.9999, 0.0)
+    west = AisRecord(1, 5, -179.9999, 0.0)
+    filtered, rejected = filter_track(track_of([east, west]), cfg)
+    assert rejected == 0 and filtered.points == [east, west]
+
 
 def test_speed_ceiling_brackets():
     cfg = NoiseFilterConfig(max_speed_knots=50.0)

@@ -1,0 +1,53 @@
+"""The README's code must import names that exist where it says they live."""
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+import vesselsyn
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: The quick-start and streaming names; everything else lives in a submodule.
+ROOT_NAMES = {
+    "SynopsisConfig",
+    "load_records",
+    "partition_tracks",
+    "filter_dataset",
+    "compress_track",
+    "compute_metrics",
+    "evaluate_config",
+    "ingest_point",
+    "finalize_track",
+    "VesselState",
+}
+
+
+def readme_imports():
+    """(module, name) for every ``from vesselsyn... import`` in the README's python blocks."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [
+        (node.module, alias.name)
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "vesselsyn"
+        for alias in node.names
+    ]
+
+
+def test_readme_imports_resolve():
+    imports = readme_imports()
+    assert imports, "no vesselsyn imports found in the README"
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"README imports {name} from {module}"
+
+
+def test_package_root_exports_exactly_the_documented_names():
+    public = {
+        name
+        for name, value in vars(vesselsyn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == ROOT_NAMES

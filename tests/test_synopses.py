@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsyn import synopses as S
-from vesselsyn.ga import default_gene_spec, genes_to_config
+from vesselsyn.ga import GENE_SPEC, genes_to_config
 from vesselsyn.geo import mean_velocity
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
@@ -235,7 +235,7 @@ def _gene_values(gene):
 
 _configs = st.one_of(
     st.just(SynopsisConfig()),
-    st.tuples(*(_gene_values(g) for g in default_gene_spec())).map(genes_to_config),
+    st.tuples(*(_gene_values(g) for g in GENE_SPEC)).map(genes_to_config),
 )
 
 
