@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geo import haversine_m_vec
 from .ingest import VesselTrack
-from .synopses import CriticalPoint, SynopsisConfig, compress_track
+from .synopses import CriticalPoint, Segment, SynopsisConfig, compress_track
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,21 @@ def compute_metrics(
     )
 
 
-def evaluate_config(clean_tracks: Sequence[VesselTrack], cfg: SynopsisConfig) -> Metrics:
-    """Compress every clean track with ``cfg`` and measure the result."""
-    synopses = {track.mmsi: compress_track(track, cfg) for track in clean_tracks}
+def evaluate_config(
+    clean_tracks: Sequence[VesselTrack],
+    cfg: SynopsisConfig,
+    segments: Sequence[Sequence[Segment]] | None = None,
+) -> Metrics:
+    """Compress every clean track with ``cfg`` and measure the result.
+
+    ``segments`` holds ``track_segments(track)`` for each track, in order;
+    callers that evaluate many configurations on the same tracks pass it so
+    that each track's geometry is computed once (see
+    :func:`vesselsyn.synopses.compress_track`).
+    """
+    per_track = repeat(None) if segments is None else segments
+    synopses = {
+        track.mmsi: compress_track(track, cfg, geometry)
+        for track, geometry in zip(clean_tracks, per_track)
+    }
     return compute_metrics(clean_tracks, synopses)

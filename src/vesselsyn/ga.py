@@ -28,7 +28,7 @@ import numpy as np
 
 from .evaluation import Metrics, evaluate_config
 from .ingest import VesselTrack
-from .synopses import SynopsisConfig
+from .synopses import SynopsisConfig, track_segments
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ def run_ga(
 
     Identical inputs, hyper-parameters and seed reproduce the run exactly;
     fitness evaluation itself is deterministic and memoized per gene vector.
+    Each track's segment geometry does not depend on the genes, so it is
+    computed once per run and reused by every evaluation.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
@@ -223,12 +225,13 @@ def run_ga(
         raise ValueError("empty training set")
     rng = np.random.default_rng(hp.rng_seed)
     cache: dict[tuple[float, ...], tuple[float, Metrics]] = {}
+    segments = [track_segments(track) for track in clean_tracks]
 
     def evaluate(ind: Individual) -> None:
         key = tuple(ind.genes)
         hit = cache.get(key)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes))
+            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes), segments)
             hit = (fitness(metrics, hp.r, hp.n), metrics)
             cache[key] = hit
         ind.fitness = hit[0]

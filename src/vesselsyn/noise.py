@@ -31,7 +31,9 @@ class NoiseFilterConfig:
             lon measured the short way round (so 179.9 to -179.9 is 0.2),
             when the reports are less than :data:`COORD_JUMP_MAX_DT_S` apart.
         bounding_region: optional ``(lon_min, lat_min, lon_max, lat_max)``
-            rectangle; reports outside it are dropped.
+            rectangle; reports outside it are dropped.  ``lon_min > lon_max``
+            means the rectangle that wraps through the antimeridian, so
+            ``(170, -10, -170, 10)`` spans 20 degrees of longitude.
     """
 
     max_speed_knots: float = 50.0
@@ -45,7 +47,7 @@ class NoiseFilterConfig:
             raise ValueError("max_coord_jump_deg must be positive")
         if self.bounding_region is not None:
             lon_min, lat_min, lon_max, lat_max = self.bounding_region
-            if lon_min >= lon_max or lat_min >= lat_max:
+            if lon_min == lon_max or lat_min >= lat_max:
                 raise ValueError(f"degenerate bounding region {self.bounding_region}")
 
     @classmethod
@@ -56,7 +58,11 @@ class NoiseFilterConfig:
 
 def _in_region(rec: AisRecord, region: tuple[float, float, float, float]) -> bool:
     lon_min, lat_min, lon_max, lat_max = region
-    return lon_min <= rec.lon <= lon_max and lat_min <= rec.lat <= lat_max
+    if lon_min < lon_max:
+        in_lon = lon_min <= rec.lon <= lon_max
+    else:  # wraps through the antimeridian
+        in_lon = rec.lon >= lon_min or rec.lon <= lon_max
+    return in_lon and lat_min <= rec.lat <= lat_max
 
 
 def filter_track(track: VesselTrack, cfg: NoiseFilterConfig | None = None) -> tuple[VesselTrack, int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from typing import Iterable, Sequence, TextIO
 
 from .geo import (
@@ -108,8 +109,8 @@ class SynopsisConfig:
 
         Missing keys keep their defaults; unknown keys raise so that a typoed
         parameter name cannot silently fall back to the default.  Values must
-        be finite numbers (booleans are not), and ``buffer_size`` must be
-        integral: 7.0 becomes 7, while 7.9 raises.
+        be finite ints or floats (booleans and numeric strings are not), and
+        ``buffer_size`` must be integral: 7.0 becomes 7, while 7.9 raises.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -117,9 +118,10 @@ class SynopsisConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}; expected a subset of {sorted(known)}")
         kwargs: dict[str, float | int] = {}
         for key, value in data.items():
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
             try:
-                number = math.nan if isinstance(value, bool) else float(value)
-            except (TypeError, OverflowError):  # null, lists, ints beyond float range
+                number = float(value) if is_number else math.nan
+            except OverflowError:  # ints beyond float range
                 number = math.nan
             if not math.isfinite(number):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
@@ -175,6 +177,33 @@ class VesselState:
     in_speed_change: bool = False
 
 
+#: The segment reaching a report from its predecessor: the segment's velocity
+#: and that velocity's (east, north) components in knots.
+Segment = tuple[Velocity, float, float]
+
+
+def _segment(a: AisRecord, b: AisRecord) -> Segment:
+    v = segment_velocity(a, b)
+    east, north = velocity_components(v)
+    return v, east, north
+
+
+def track_segments(track: VesselTrack) -> list[Segment]:
+    """The segment reaching each report of ``track`` after the first.
+
+    Entry ``i`` joins ``track.points[i]`` to ``track.points[i + 1]``.  The
+    geometry of consecutive reports does not depend on the detection
+    parameters, so a caller that compresses the same track many times (the
+    GA) computes it once and hands it to :func:`compress_track`.  The values
+    are the ones :func:`ingest_point` would compute itself, bit for bit.
+
+    Raises:
+        ValueError: if the timestamps do not increase.
+    """
+    points = track.points
+    return [_segment(a, b) for a, b in zip(points, points[1:])]
+
+
 def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) -> bool:
     """Whether the instantaneous speed deviates too much from the mean speed.
 
@@ -187,10 +216,18 @@ def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) 
     return abs((v_now_knots - v_mean_knots) / v_now_knots) > ratio
 
 
-def _buffer_push(state: VesselState, rec: AisRecord, cap: int) -> None:
+def _buffer_push(state: VesselState, rec: AisRecord, cap: int, segment: Segment | None = None) -> None:
+    """Append ``rec`` to the buffer, with the velocity of the segment reaching it.
+
+    ``segment`` is the segment from ``state.last_point`` to ``rec``.  It is
+    reused when that report ends the buffer; after absorbed stop reports the
+    buffer ends at an earlier report, and that segment is computed here.
+    """
     if state.buffer:
-        east, north = velocity_components(segment_velocity(state.buffer[-1].record, rec))
-        state.buffer.append(_BufferEntry(rec, east, north))
+        last = state.buffer[-1].record
+        if segment is None or last is not state.last_point:
+            segment = _segment(last, rec)
+        state.buffer.append(_BufferEntry(rec, segment[1], segment[2]))
     else:
         state.buffer.append(_BufferEntry(rec))
     while len(state.buffer) > cap:
@@ -224,7 +261,9 @@ def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) ->
     return Velocity(speed, heading)
 
 
-def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> list[CriticalPoint]:
+def ingest_point(
+    state: VesselState, point: AisRecord, cfg: SynopsisConfig, segment: Segment | None = None
+) -> list[CriticalPoint]:
     """Feed one clean report through the detector, mutating ``state``.
 
     Each critical point is emitted exactly once, in time order.  Several
@@ -234,6 +273,14 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
     critical point, and :func:`finalize_track` releases the last one.
     Concatenating every call's result and ``finalize_track`` gives the
     synopsis; consumers need no merge.
+
+    Args:
+        segment: the segment from the previous report of this vessel to
+            ``point``, as built by :func:`track_segments`; ignored for the
+            first report.  Online callers leave it out and the segment is
+            computed here, once.  A caller that passes it must pass the
+            segment of exactly these two reports, or the detector decides
+            on wrong geometry.
 
     Raises:
         ValueError: if ``point`` does not advance the clock.
@@ -264,7 +311,9 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
         _buffer_push(state, point, cfg.buffer_size)
         return _advance(state, prev_ann, point, cur_ann)
 
-    v_now = segment_velocity(prev, point)
+    if segment is None:
+        segment = _segment(prev, point)
+    v_now = segment[0]
     v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
@@ -331,7 +380,7 @@ def ingest_point(state: VesselState, point: AisRecord, cfg: SynopsisConfig) -> l
         state.buffer.clear()
         state.buffer.append(_BufferEntry(prev))
 
-    _buffer_push(state, point, cfg.buffer_size)
+    _buffer_push(state, point, cfg.buffer_size, segment)
     return _advance(state, prev_ann, point, cur_ann)
 
 
@@ -382,17 +431,31 @@ def finalize_track(state: VesselState) -> list[CriticalPoint]:
     return _release(state, annotations)
 
 
-def compress_track(track: VesselTrack, cfg: SynopsisConfig) -> list[CriticalPoint]:
+def compress_track(
+    track: VesselTrack, cfg: SynopsisConfig, segments: Sequence[Segment] | None = None
+) -> list[CriticalPoint]:
     """Compress a clean track into its synopsis of critical points.
 
     Feeds every report through :func:`ingest_point`, then closes the track
     with :func:`finalize_track`.  Each critical point is emitted once, in time
     order, so the emissions concatenated are the synopsis.
+
+    ``segments`` is ``track_segments(track)``, for a caller that compresses
+    the same track under many configurations; each report after the first
+    gets its segment from there instead of computing it.  The synopsis is the
+    same either way.  Single-pass callers leave it out, so no geometry is
+    held beyond the report being ingested.
     """
+    if segments is None:
+        incoming: Iterable[Segment | None] = repeat(None)
+    elif len(segments) == max(len(track.points) - 1, 0):
+        incoming = chain((None,), segments)
+    else:
+        raise ValueError(f"{len(segments)} segments for a track of {len(track.points)} reports")
     state = VesselState()
     synopsis: list[CriticalPoint] = []
-    for point in track.points:
-        synopsis.extend(ingest_point(state, point, cfg))
+    for point, segment in zip(track.points, incoming):
+        synopsis.extend(ingest_point(state, point, cfg, segment))
     synopsis.extend(finalize_track(state))
     return synopsis
 

@@ -161,6 +161,8 @@ def test_non_object_config_is_a_usage_error(tmp_path, straight_csv, capsys):
     '{"gap_period_s": 1e400}',
     '{"speed_ratio": NaN}',
     '{"angle_threshold_deg": null}',
+    '{"gap_period_s": "900"}',
+    '{"buffer_size": "7.0"}',
 ])
 def test_non_finite_config_value_is_a_usage_error(tmp_path, straight_csv, capsys, text):
     cfg = tmp_path / "value.json"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vesselsyn.evaluation import Metrics
+from vesselsyn import ga
+from vesselsyn.evaluation import Metrics, evaluate_config
 from vesselsyn.ga import (
     GENE_SPEC,
     CrossValidationResult,
@@ -26,6 +27,7 @@ from vesselsyn.ga import (
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import (
     make_corner_track,
+    make_fleet,
     make_slow_motion_track,
     make_speed_steps_track,
     make_stop_track,
@@ -236,13 +238,21 @@ def test_mutation_noise_is_centred():
 # whole runs
 
 
-def test_run_ga_is_deterministic_for_a_seed():
+def test_run_ga_is_deterministic_for_a_seed(monkeypatch):
     data = tiny_dataset()
     best1, history1 = run_ga(data, TINY_HP)
     best2, history2 = run_ga(data, TINY_HP)
     assert best1.genes == best2.genes
     assert best1.fitness == best2.fitness
     assert history1 == history2
+
+    # The geometry run_ga computes once per track scores every individual
+    # exactly as plain per-report evaluation does.
+    fleet = make_fleet(600, 3, seed=7)
+    reused = run_ga(fleet, TINY_HP)
+    monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments: evaluate_config(tracks, cfg))
+    plain = run_ga(fleet, TINY_HP)
+    assert (plain[0].genes, plain[0].fitness, plain[1]) == (reused[0].genes, reused[0].fitness, reused[1])
 
 
 def test_run_ga_best_is_monotone_and_evaluated():

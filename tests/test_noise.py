@@ -109,6 +109,16 @@ def test_bounding_region_drops_outsiders_including_first_point():
     assert filtered.points == [inside1, inside2]
 
 
+def test_bounding_region_can_span_the_antimeridian():
+    cfg = NoiseFilterConfig(max_speed_knots=math.inf, bounding_region=(170.0, -10.0, -170.0, 10.0))
+    east = AisRecord(1, 0, 179.9, 0.0)
+    far = AisRecord(1, 60, 0.0, 0.0)
+    west = AisRecord(1, 120, -179.9, 0.0)
+    filtered, rejected = filter_track(track_of([east, far, west]), cfg)
+    assert rejected == 1
+    assert filtered.points == [east, west]
+
+
 def test_disabled_config_keeps_any_plausible_ordering():
     cfg = NoiseFilterConfig.disabled()
     a = AisRecord(1, 0, 0.0, 0.0)
@@ -167,4 +177,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NoiseFilterConfig(max_coord_jump_deg=-1.0)
     with pytest.raises(ValueError):
-        NoiseFilterConfig(bounding_region=(0.0, 0.0, -1.0, 1.0))
+        NoiseFilterConfig(bounding_region=(0.0, 0.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        NoiseFilterConfig(bounding_region=(0.0, 1.0, 1.0, 1.0))
