@@ -19,7 +19,7 @@ from .ga import GaHyperParams, cross_validate
 from .ingest import ParseReport, VesselTrack, load_records, partition_tracks
 from .noise import NoiseFilterConfig, filter_dataset
 from .presets import FITNESS_PRESETS
-from .synopses import CriticalPoint, SynopsisConfig, compress_track, write_synopsis_csv
+from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
 
 
 class CliError(Exception):
@@ -80,22 +80,14 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], ParseRep
     return clean, report, dropped
 
 
-def _compress_all(tracks: Sequence[VesselTrack], cfg: SynopsisConfig) -> tuple[dict[int, list[CriticalPoint]], list[CriticalPoint]]:
-    synopses = {t.mmsi: compress_track(t, cfg) for t in tracks}
-    flat: list[CriticalPoint] = []
-    for mmsi in sorted(synopses):
-        flat.extend(synopses[mmsi])
-    return synopses, flat
-
-
 def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     clean, report, dropped = _load_dataset(args)
-    synopses, flat = _compress_all(clean, cfg)
+    synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
     metrics = compute_metrics(clean, synopses)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "synopsis.csv"), "w", encoding="utf-8") as fh:
-        write_synopsis_csv(flat, fh)
+        write_synopsis_csv((cp for mmsi in sorted(synopses) for cp in synopses[mmsi]), fh)
     _write_json(
         os.path.join(args.out, "metrics.json"),
         {

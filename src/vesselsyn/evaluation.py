@@ -19,7 +19,7 @@ last report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Mapping, Sequence
 
@@ -40,12 +40,7 @@ class Metrics:
     critical_count: int
 
     def to_dict(self) -> dict[str, float | int]:
-        return {
-            "rmse_m": self.rmse_m,
-            "ratio": self.ratio,
-            "noiseless_count": self.noiseless_count,
-            "critical_count": self.critical_count,
-        }
+        return asdict(self)
 
 
 def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[float, float]:
@@ -112,16 +107,22 @@ def compute_metrics(
     per-track square sums come from numpy's pairwise summation and are folded
     with exact ``math.fsum``, so results do not depend on track order.
 
+    Synopses are keyed by MMSI, so each track must have its own.
+
     Raises:
-        ValueError: empty dataset, a track without a synopsis, or an empty
-            synopsis for a nonempty track.
+        ValueError: empty dataset, two tracks with the same MMSI, a track
+            without a synopsis, or an empty synopsis for a nonempty track.
     """
     if not clean_tracks:
         raise ValueError("empty dataset: no clean tracks to evaluate")
     total_points = 0
     total_critical = 0
     square_sums: list[float] = []
+    seen: set[int] = set()
     for track in clean_tracks:
+        if track.mmsi in seen:
+            raise ValueError(f"two tracks share vessel {track.mmsi}; each needs its own synopsis")
+        seen.add(track.mmsi)
         if not track.points:
             continue
         synopsis = synopses.get(track.mmsi)

@@ -58,9 +58,13 @@ GENE_SPEC: tuple[Gene, ...] = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Individual:
-    """One candidate parameter vector, genes in :data:`GENE_SPEC` order."""
+    """One candidate parameter vector, genes in :data:`GENE_SPEC` order.
+
+    Immutable, so one individual may sit in several population slots; the
+    operators build new individuals and never change a gene list in place.
+    """
 
     genes: list[float]
     fitness: float | None = None
@@ -186,10 +190,6 @@ def gaussian_mutate(
     return Individual(genes)
 
 
-def _clone(ind: Individual) -> Individual:
-    return Individual(list(ind.genes), ind.fitness)
-
-
 def run_ga(
     clean_tracks: Sequence[VesselTrack],
     hp: GaHyperParams,
@@ -227,18 +227,15 @@ def run_ga(
     cache: dict[tuple[float, ...], tuple[float, Metrics]] = {}
     segments = [track_segments(track) for track in clean_tracks]
 
-    def evaluate(ind: Individual) -> None:
+    def scored(ind: Individual) -> Individual:
         key = tuple(ind.genes)
         hit = cache.get(key)
         if hit is None:
             metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes), segments)
-            hit = (fitness(metrics, hp.r, hp.n), metrics)
-            cache[key] = hit
-        ind.fitness = hit[0]
+            hit = cache[key] = (fitness(metrics, hp.r, hp.n), metrics)
+        return Individual(ind.genes, hit[0])
 
-    population = [uniform_individual(GENE_SPEC, rng) for _ in range(hp.population_size)]
-    for ind in population:
-        evaluate(ind)
+    population = [scored(uniform_individual(GENE_SPEC, rng)) for _ in range(hp.population_size)]
 
     history: list[GenerationStats] = []
 
@@ -256,7 +253,7 @@ def run_ga(
         )
         return best
 
-    best_overall = _clone(record(0))
+    best_overall = record(0)
     if observer is not None:
         observer(0, population)
     stagnant = 0
@@ -267,24 +264,20 @@ def run_ga(
         for i in range(0, len(parents) - 1, 2):
             a, b = parents[i], parents[i + 1]
             if rng.random() < hp.crossover_prob:
-                c1, c2 = single_point_crossover(a, b, rng)
-            else:
-                c1, c2 = _clone(a), _clone(b)
-            offspring.extend((c1, c2))
+                a, b = single_point_crossover(a, b, rng)
+            offspring.extend((a, b))
         if len(parents) % 2 == 1:
-            offspring.append(_clone(parents[-1]))
+            offspring.append(parents[-1])
         for i, child in enumerate(offspring):
             if rng.random() < hp.mutation_prob:
                 offspring[i] = gaussian_mutate(child, GENE_SPEC, rng)
-        population = [_clone(best_overall)] + offspring[: hp.population_size - 1]
-        for ind in population:
-            evaluate(ind)
+        population = [scored(ind) for ind in [best_overall] + offspring[: hp.population_size - 1]]
 
         best = record(generation)
         if observer is not None:
             observer(generation, population)
         if best.fitness < best_overall.fitness:
-            best_overall = _clone(best)
+            best_overall = best
             stagnant = 0
         else:
             stagnant += 1

@@ -104,8 +104,9 @@ def _parse_row(fields: Sequence[str], mapping: ColumnMap) -> AisRecord:
 
     mmsi = int(pick(mapping.mmsi, "mmsi"))
     timestamp = int(pick(mapping.timestamp, "timestamp"))
-    if timestamp < 0:
-        raise ValueError(f"negative timestamp {timestamp}")
+    # Downstream code holds timestamps as floats and int64 arrays.
+    if not 0 <= timestamp < 2**63:
+        raise ValueError(f"timestamp {timestamp} outside [0, 2**63)")
     lon = float(pick(mapping.lon, "lon"))
     lat = float(pick(mapping.lat, "lat"))
     # Written so that NaN fails the containment test and is rejected.

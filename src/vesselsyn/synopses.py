@@ -164,14 +164,18 @@ class _BufferEntry:
 
 @dataclass
 class VesselState:
-    """Mutable per-vessel detector state threaded between ingest calls."""
+    """Mutable per-vessel detector state threaded between ingest calls.
+
+    ``labels`` are the annotations ``last_point`` has gathered so far.  The
+    next report or :func:`finalize_track` may still add to them, so the
+    report is emitted, as a critical point, only when it is replaced as
+    ``last_point`` (or the track is closed) with labels.  ``stop_anchor`` is
+    the report an open stop is anchored at, ``None`` outside a stop.
+    """
 
     buffer: list[_BufferEntry] = field(default_factory=list)
     last_point: AisRecord | None = None
-    #: Critical point of ``last_point``, held until the next report or
-    #: :func:`finalize_track` can no longer add labels to it.
-    pending: CriticalPoint | None = None
-    in_stop: bool = False
+    labels: set[Annotation] = field(default_factory=set)
     stop_anchor: AisRecord | None = None
     in_slow_motion: bool = False
     in_speed_change: bool = False
@@ -267,12 +271,12 @@ def ingest_point(
     """Feed one clean report through the detector, mutating ``state``.
 
     Each critical point is emitted exactly once, in time order.  Several
-    events are only recognizable one report late, so the critical point of a
-    report is held in ``state.pending`` until the next report has added its
-    labels to it; this call therefore returns at most the previous report's
-    critical point, and :func:`finalize_track` releases the last one.
-    Concatenating every call's result and ``finalize_track`` gives the
-    synopsis; consumers need no merge.
+    events are only recognizable one report late, so a report's labels are
+    held in ``state.labels`` until the next report has added its own to
+    them; this call therefore returns at most the previous report's critical
+    point, and :func:`finalize_track` emits the last one.  Concatenating
+    every call's result and ``finalize_track`` gives the synopsis; consumers
+    need no merge.
 
     Args:
         segment: the segment from the previous report of this vessel to
@@ -285,14 +289,9 @@ def ingest_point(
     Raises:
         ValueError: if ``point`` does not advance the clock.
     """
-    # Annotations gathered this call, keyed by which report they attach to.
-    prev_ann: set[Annotation] = set()
-    cur_ann: set[Annotation] = set()
-
     if state.last_point is None:
-        cur_ann.add(Annotation.TRACK_START)
         _buffer_push(state, point, cfg.buffer_size)
-        return _advance(state, prev_ann, point, cur_ann)
+        return _advance(state, point, {Annotation.TRACK_START})
 
     prev = state.last_point
     if point.timestamp <= prev.timestamp:
@@ -304,37 +303,33 @@ def ingest_point(
     # closes any interval left open, because whatever happened during the
     # silence is unknown.
     if point.timestamp - prev.timestamp > cfg.gap_period_s:
-        prev_ann.add(Annotation.GAP_START)
-        _close_intervals(state, prev_ann)
-        cur_ann.add(Annotation.GAP_END)
+        state.labels.add(Annotation.GAP_START)
+        _close_intervals(state)
         state.buffer.clear()
         _buffer_push(state, point, cfg.buffer_size)
-        return _advance(state, prev_ann, point, cur_ann)
+        return _advance(state, point, {Annotation.GAP_END})
 
     if segment is None:
         segment = _segment(prev, point)
     v_now = segment[0]
     v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
+    labels: set[Annotation] = set()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
     # the report is neither emitted nor buffered, and no further rule sees it.
-    if state.in_stop:
-        anchor = state.stop_anchor
-        assert anchor is not None
+    anchor = state.stop_anchor
+    if anchor is not None:
         displaced = haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
         if displaced or v_now.speed_knots >= cfg.no_speed_threshold_kn:
-            prev_ann.add(Annotation.STOP_END)
-            state.in_stop = False
+            state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
-            return _advance(state, prev_ann, point, cur_ann)
+            return _advance(state, point, labels)
 
-    anchored_here = False
-    if not state.in_stop and v_now.speed_knots < cfg.no_speed_threshold_kn:
-        cur_ann.add(Annotation.STOP_START)
-        state.in_stop = True
+    anchored_here = v_now.speed_knots < cfg.no_speed_threshold_kn
+    if anchored_here:
+        labels.add(Annotation.STOP_START)
         state.stop_anchor = point
-        anchored_here = True
 
     # Rules 3 to 5 are suppressed at the point that anchors a stop: around an
     # anchor, v_now's heading and speed are jitter, not motion.
@@ -345,10 +340,10 @@ def ingest_point(
             not state.in_slow_motion
             and cfg.no_speed_threshold_kn <= v_now.speed_knots < cfg.low_speed_threshold_kn
         ):
-            cur_ann.add(Annotation.SLOW_MOTION_START)
+            labels.add(Annotation.SLOW_MOTION_START)
             state.in_slow_motion = True
         elif state.in_slow_motion and v_now.speed_knots >= cfg.low_speed_threshold_kn:
-            prev_ann.add(Annotation.SLOW_MOTION_END)
+            state.labels.add(Annotation.SLOW_MOTION_END)
             state.in_slow_motion = False
 
         # Rule 4: change in heading.  The deviation became visible with the
@@ -360,17 +355,17 @@ def ingest_point(
             and abs(heading_difference_deg(v_now.heading_deg, v_mean.heading_deg))
             > cfg.angle_threshold_deg
         ):
-            prev_ann.add(Annotation.CHANGE_IN_HEADING)
+            state.labels.add(Annotation.CHANGE_IN_HEADING)
             turn_fired = True
 
         # Rule 5: speed change.
         if v_mean is not None and v_now.speed_knots > 0.0:
             exceeds = speed_change_exceeds(v_now.speed_knots, v_mean.speed_knots, cfg.speed_ratio)
             if exceeds and not state.in_speed_change:
-                cur_ann.add(Annotation.SPEED_CHANGE_START)
+                labels.add(Annotation.SPEED_CHANGE_START)
                 state.in_speed_change = True
             elif not exceeds and state.in_speed_change:
-                cur_ann.add(Annotation.SPEED_CHANGE_END)
+                labels.add(Annotation.SPEED_CHANGE_END)
                 state.in_speed_change = False
 
     if turn_fired:
@@ -381,54 +376,40 @@ def ingest_point(
         state.buffer.append(_BufferEntry(prev))
 
     _buffer_push(state, point, cfg.buffer_size, segment)
-    return _advance(state, prev_ann, point, cur_ann)
+    return _advance(state, point, labels)
 
 
-def _close_intervals(state: VesselState, annotations: set[Annotation]) -> None:
-    """End every open stop, slow-motion or speed-change interval."""
-    if state.in_stop:
-        annotations.add(Annotation.STOP_END)
-        state.in_stop = False
+def _close_intervals(state: VesselState) -> None:
+    """End every open stop, slow-motion or speed-change interval at ``last_point``."""
+    if state.stop_anchor is not None:
+        state.labels.add(Annotation.STOP_END)
         state.stop_anchor = None
     if state.in_slow_motion:
-        annotations.add(Annotation.SLOW_MOTION_END)
+        state.labels.add(Annotation.SLOW_MOTION_END)
         state.in_slow_motion = False
     if state.in_speed_change:
-        annotations.add(Annotation.SPEED_CHANGE_END)
+        state.labels.add(Annotation.SPEED_CHANGE_END)
         state.in_speed_change = False
 
 
-def _release(state: VesselState, last_ann: set[Annotation]) -> list[CriticalPoint]:
-    """Add ``last_ann`` to the last report's critical point and emit it, now final."""
-    cp = state.pending
-    if last_ann:
-        if cp is None:
-            assert state.last_point is not None
-            cp = CriticalPoint.from_record(state.last_point, last_ann)
-        else:
-            cp.annotations |= last_ann
-    state.pending = None
-    return [cp] if cp is not None else []
-
-
-def _advance(
-    state: VesselState, prev_ann: set[Annotation], point: AisRecord, cur_ann: set[Annotation]
-) -> list[CriticalPoint]:
-    """Release the previous report's critical point and hold ``point``'s."""
-    released = _release(state, prev_ann)
+def _advance(state: VesselState, point: AisRecord, labels: set[Annotation]) -> list[CriticalPoint]:
+    """Emit ``last_point`` if it has labels, now final; ``point`` takes its place with ``labels``."""
+    emitted = [CriticalPoint.from_record(state.last_point, state.labels)] if state.labels else []
     state.last_point = point
-    if cur_ann:
-        state.pending = CriticalPoint.from_record(point, cur_ann)
-    return released
+    state.labels = labels
+    return emitted
 
 
 def finalize_track(state: VesselState) -> list[CriticalPoint]:
-    """Close the stream: mark the last report, end any open interval, emit it."""
+    """Close the stream: label the last report trackEnd, end any open interval, emit it.
+
+    The state keeps its last report, with no labels left to emit.
+    """
     if state.last_point is None:
         return []
-    annotations = {Annotation.TRACK_END}
-    _close_intervals(state, annotations)
-    return _release(state, annotations)
+    state.labels.add(Annotation.TRACK_END)
+    _close_intervals(state)
+    return _advance(state, state.last_point, set())
 
 
 def compress_track(
@@ -460,7 +441,7 @@ def compress_track(
     return synopsis
 
 
-def write_synopsis_csv(points: Sequence[CriticalPoint], out: TextIO) -> None:
+def write_synopsis_csv(points: Iterable[CriticalPoint], out: TextIO) -> None:
     """Serialize a synopsis as ``mmsi,timestamp,lon,lat,annotations`` rows.
 
     Annotations are joined with ``|`` in lexicographic order so output is

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vesselsyn.cli import main
 from vesselsyn.ingest import write_records
@@ -221,6 +224,27 @@ def test_antipodal_reports_compress_cleanly(tmp_path, capsys, noise_flag):
     path.write_text("1,100,-88.6,69.3\n1,5000,91.4,-69.3\n", encoding="utf-8")
     rc = main(["compress", "--input", str(path), "--out", str(tmp_path / "out"), *noise_flag])
     assert rc == 0, capsys.readouterr().err
+
+
+_FIELD = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_FIELD, min_size=3, max_size=5).map(",".join), max_size=8))
+@example(rows=["1,0,0.0,0.0", "1,1" + "0" * 400 + ",0.1,0.1"])
+@example(rows=["1,0,0.0,0.0", "1,10000000000000000000,0.1,0.1"])
+def test_no_cli_input_produces_a_traceback(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+        for noise_flag in ([], ["--no-noise-filter"]):
+            for command in (["compress", "--out", os.path.join(tmp, "out")], ["eval"]):
+                assert main([*command, "--input", path, *noise_flag]) in (0, 1, 2)
 
 
 def test_header_flag_skips_the_header_row(tmp_path):

@@ -187,6 +187,9 @@ def test_compute_metrics_rejects_bad_inputs(default_config):
         compute_metrics([track], {})  # synopsis missing for the vessel
     with pytest.raises(ValueError):
         compute_metrics([track], {track.mmsi: []})  # empty synopsis
+    twin = make_stop_track(mmsi=track.mmsi)
+    with pytest.raises(ValueError, match=f"share vessel {track.mmsi}"):
+        evaluate_config([track, twin], default_config)  # one MMSI, two synopses
 
 
 def test_metrics_to_dict():

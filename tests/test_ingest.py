@@ -54,15 +54,16 @@ def test_parse_rejects_malformed_rows_and_reports_line_numbers():
         "3,100,-200.0,50.0",  # longitude out of range
         "4,100,0.5,nan",  # NaN never satisfies the range check
         "5,-7,0.5,50.0",  # negative timestamp
+        f"5,{2**63},0.5,50.0",  # timestamp beyond int64
         "abc,100,0.5,50.0",  # non-numeric vessel id
         "6,100",  # too few columns
     ]
     records, report = parse_records(lines)
     assert [r.mmsi for r in records] == [1]
-    assert report.rows_seen == 7
+    assert report.rows_seen == 8
     assert report.records_parsed == 1
-    assert report.rejected_count == 6
-    assert [issue.line_no for issue in report.issues] == [2, 3, 4, 5, 6, 7]
+    assert report.rejected_count == 7
+    assert [issue.line_no for issue in report.issues] == [2, 3, 4, 5, 6, 7, 8]
     assert all(issue.reason for issue in report.issues)
 
 
@@ -74,8 +75,8 @@ def test_parse_skips_blank_lines_without_counting_them():
 
 
 def test_parse_accepts_boundary_coordinates():
-    records, report = parse_records(["1,0,180.0,-90.0", "2,0,-180.0,90.0"])
-    assert len(records) == 2
+    records, report = parse_records(["1,0,180.0,-90.0", "2,0,-180.0,90.0", f"3,{2**63 - 1},0.0,0.0"])
+    assert len(records) == 3
     assert report.rejected_count == 0
 
 
