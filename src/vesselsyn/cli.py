@@ -41,9 +41,10 @@ def _rounded(obj: SynopsisConfig | Metrics) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_config(path: str | None) -> SynopsisConfig:
@@ -159,6 +160,17 @@ def _resolve_scoring(args: argparse.Namespace) -> tuple[str | None, float, float
     return preset.name, preset.r, preset.n
 
 
+#: The ``tune`` flag that sets each range-checked :class:`GaHyperParams` field.
+_TUNE_FLAGS = {
+    "r": "--r",
+    "n": "--n",
+    "population_size": "--population",
+    "max_generations": "--generations",
+    "stagnation_limit": "--stagnation",
+    "rng_seed": "--seed",
+}
+
+
 def cmd_tune(args: argparse.Namespace) -> int:
     clean, _, _ = _load_dataset(args)
     wanted = args.type.lower()
@@ -167,14 +179,18 @@ def cmd_tune(args: argparse.Namespace) -> int:
         available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
         raise CliError(f"no tracks of vessel type {wanted!r} in input (available: {available})")
     preset_name, r, n = _resolve_scoring(args)
-    hp = GaHyperParams(
-        r=r,
-        n=n,
-        population_size=args.population,
-        max_generations=args.generations,
-        stagnation_limit=args.stagnation,
-        rng_seed=args.seed,
-    )
+    try:
+        hp = GaHyperParams(
+            r=r,
+            n=n,
+            population_size=args.population,
+            max_generations=args.generations,
+            stagnation_limit=args.stagnation,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        raise CliError(f"{_TUNE_FLAGS[field]}: {exc}")
     try:
         result = cross_validate(selected, args.k, hp)
     except ValueError as exc:

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import Metrics, evaluate_config
+from .geo import EARTH_RADIUS_M
 from .ingest import VesselTrack
 from .synopses import SynopsisConfig, track_segments
 
@@ -82,6 +83,34 @@ class GaHyperParams:
     crossover_prob: float = 0.4
     mutation_prob: float = 0.8
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject values the search cannot run with; each message starts with the field.
+
+        ``r`` and ``n`` must keep every score finite.  No RMSE exceeds half
+        the Earth's circumference (no two points lie farther apart) and the
+        ratio is at most 1, so ``(r + pi * EARTH_RADIUS_M) ** n`` bounds the
+        score.
+        """
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
+        if not (math.isfinite(self.n) and self.n > 0):
+            raise ValueError(f"n must be finite and > 0, got {self.n!r}")
+        try:
+            math.pow(self.r + math.pi * EARTH_RADIUS_M, self.n)
+        except OverflowError:
+            raise ValueError(f"r and n let the score overflow, got r={self.r!r}, n={self.n!r}") from None
+        for name, lowest in (
+            ("population_size", 1),
+            ("max_generations", 0),
+            ("stagnation_limit", 1),
+            ("rng_seed", 0),
+        ):
+            if not getattr(self, name) >= lowest:
+                raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)!r}")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

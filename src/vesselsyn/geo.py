@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -115,39 +115,3 @@ def velocity_components(v: Velocity) -> tuple[float, float]:
     """Decompose a velocity into (east, north) speed components in knots."""
     h = math.radians(v.heading_deg)
     return v.speed_knots * math.sin(h), v.speed_knots * math.cos(h)
-
-
-def mean_velocity(
-    points: Sequence[PositionedSample], timespan_s: float, now_ts: int
-) -> Velocity | None:
-    """Mean velocity over the recent portion of a point buffer.
-
-    The detector does not call this.  It is the reference oracle for
-    :func:`vesselsyn.synopses._buffer_mean_velocity`, which reuses velocities
-    cached per buffer entry; tests require the two to agree.
-
-    Points older than ``now_ts - timespan_s`` are discarded; the velocities of
-    the segments joining the surviving consecutive points are averaged as 2-D
-    vectors, so opposing headings cancel rather than average arithmetically.
-
-    Returns:
-        The vector-mean velocity, or ``None`` when fewer than two points
-        survive the time window (no segment to average).
-    """
-    cutoff = now_ts - timespan_s
-    recent = [p for p in points if p.timestamp >= cutoff]
-    if len(recent) < 2:
-        return None
-    east = 0.0
-    north = 0.0
-    n_segments = len(recent) - 1
-    for prev, cur in zip(recent, recent[1:]):
-        e, n = velocity_components(segment_velocity(prev, cur))
-        east += e
-        north += n
-    east /= n_segments
-    north /= n_segments
-    speed = math.hypot(east, north)
-    heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading)
-

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from typing import Iterable, Sequence, TextIO
@@ -166,6 +167,19 @@ class _BufferEntry:
 class VesselState:
     """Mutable per-vessel detector state threaded between ingest calls.
 
+    ``buffer`` holds the recent reports the mean velocity is taken over.
+    ``east_sum``/``north_sum`` are the running sums of the cached segment
+    components of ``buffer[1:]``, the segments that join buffered reports:
+    a push adds the new segment, and removing the front entry subtracts the
+    segment of the entry that becomes the new front.  Entries leave only from
+    the front, when the buffer exceeds ``buffer_size`` or when they fall
+    before the time window.  Within a track the window's cutoff only grows,
+    so an entry that has left the window never re-enters it.  A clear, or a
+    removal that leaves fewer than two entries, resets both sums to exactly
+    0.0, so no rounding residue carries forward.  The sums still round
+    differently from a fresh sum over the window, so a detection decision can
+    move only where a threshold comparison lands within that rounding.
+
     ``labels`` are the annotations ``last_point`` has gathered so far.  The
     next report or :func:`finalize_track` may still add to them, so the
     report is emitted, as a critical point, only when it is replaced as
@@ -173,7 +187,9 @@ class VesselState:
     the report an open stop is anchored at, ``None`` outside a stop.
     """
 
-    buffer: list[_BufferEntry] = field(default_factory=list)
+    buffer: deque[_BufferEntry] = field(default_factory=deque)
+    east_sum: float = 0.0
+    north_sum: float = 0.0
     last_point: AisRecord | None = None
     labels: set[Annotation] = field(default_factory=set)
     stop_anchor: AisRecord | None = None
@@ -220,6 +236,12 @@ def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) 
     return abs((v_now_knots - v_mean_knots) / v_now_knots) > ratio
 
 
+def _buffer_clear(state: VesselState) -> None:
+    """Empty the buffer; the sums return to exactly 0.0."""
+    state.buffer.clear()
+    state.east_sum = state.north_sum = 0.0
+
+
 def _buffer_push(state: VesselState, rec: AisRecord, cap: int, segment: Segment | None = None) -> None:
     """Append ``rec`` to the buffer, with the velocity of the segment reaching it.
 
@@ -227,39 +249,55 @@ def _buffer_push(state: VesselState, rec: AisRecord, cap: int, segment: Segment 
     reused when that report ends the buffer; after absorbed stop reports the
     buffer ends at an earlier report, and that segment is computed here.
     """
-    if state.buffer:
-        last = state.buffer[-1].record
+    buffer = state.buffer
+    if buffer:
+        last = buffer[-1].record
         if segment is None or last is not state.last_point:
             segment = _segment(last, rec)
-        state.buffer.append(_BufferEntry(rec, segment[1], segment[2]))
+        buffer.append(_BufferEntry(rec, segment[1], segment[2]))
+        state.east_sum += segment[1]
+        state.north_sum += segment[2]
     else:
-        state.buffer.append(_BufferEntry(rec))
-    while len(state.buffer) > cap:
-        state.buffer.pop(0)
+        buffer.append(_BufferEntry(rec))
+    while len(buffer) > cap:
+        _buffer_pop_front(state)
+
+
+def _buffer_pop_front(state: VesselState) -> None:
+    """Drop the oldest entry; the segment reaching the new front leaves the sums."""
+    buffer = state.buffer
+    buffer.popleft()
+    if len(buffer) < 2:
+        state.east_sum = state.north_sum = 0.0
+    else:
+        front = buffer[0]
+        state.east_sum -= front.east
+        state.north_sum -= front.north
 
 
 def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) -> Velocity | None:
     """Mean velocity over the buffered points still inside the time window.
 
-    Equivalent to calling :func:`vesselsyn.geo.mean_velocity`, its reference
-    oracle, on the buffered records, but reuses the velocity components
-    cached at push time.
+    Entries older than ``now_ts - timespan_s`` are removed from the front of
+    the buffer for good: the cutoff only grows within a track, so they could
+    never count again.  The mean is then the running sums of
+    :class:`VesselState` over the remaining segments, O(1) amortized per
+    report.  ``None`` when fewer than two entries remain.
+
+    Running sums round differently from a left-to-right sum over the window,
+    so the mean may differ from a from-scratch sum in the last bits.  A
+    detection decision can therefore move only where one of its threshold
+    comparisons lands within that rounding.
     """
+    buffer = state.buffer
     cutoff = now_ts - timespan_s
-    start = 0
-    while start < len(state.buffer) and state.buffer[start].record.timestamp < cutoff:
-        start += 1
-    survivors = len(state.buffer) - start
-    if survivors < 2:
+    while buffer and buffer[0].record.timestamp < cutoff:
+        _buffer_pop_front(state)
+    n_segments = len(buffer) - 1
+    if n_segments < 1:
         return None
-    east = 0.0
-    north = 0.0
-    for entry in state.buffer[start + 1 :]:
-        east += entry.east
-        north += entry.north
-    n_segments = survivors - 1
-    east /= n_segments
-    north /= n_segments
+    east = state.east_sum / n_segments
+    north = state.north_sum / n_segments
     speed = math.hypot(east, north)
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
     return Velocity(speed, heading)
@@ -305,14 +343,13 @@ def ingest_point(
     if point.timestamp - prev.timestamp > cfg.gap_period_s:
         state.labels.add(Annotation.GAP_START)
         _close_intervals(state)
-        state.buffer.clear()
+        _buffer_clear(state)
         _buffer_push(state, point, cfg.buffer_size)
         return _advance(state, point, {Annotation.GAP_END})
 
     if segment is None:
         segment = _segment(prev, point)
     v_now = segment[0]
-    v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
     labels: set[Annotation] = set()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
@@ -335,6 +372,8 @@ def ingest_point(
     # anchor, v_now's heading and speed are jitter, not motion.
     turn_fired = False
     if not anchored_here:
+        v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
+
         # Rule 3: slow motion.
         if (
             not state.in_slow_motion
@@ -372,7 +411,7 @@ def ingest_point(
         # Re-reference the mean velocity at the turn: the retained vertex
         # starts a new course, and keeping pre-turn segments in the buffer
         # would re-detect the same turn for the next buffer_size reports.
-        state.buffer.clear()
+        _buffer_clear(state)
         state.buffer.append(_BufferEntry(prev))
 
     _buffer_push(state, point, cfg.buffer_size, segment)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -233,18 +234,50 @@ _FIELD = st.one_of(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def assert_strict_json_files(root):
+    """Every ``.json`` file under ``root`` parses without NaN or Infinity."""
+    for folder, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(".json"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    json.loads(fh.read(), parse_constant=_reject_constant)
+
+
+_TWO_VESSELS = ["1,0,0.0,0.0", "1,60,0.001,0.0", "2,0,1.0,1.0", "2,60,1.001,1.0"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(_FIELD, min_size=3, max_size=5).map(",".join), max_size=8))
-@example(rows=["1,0,0.0,0.0", "1,1" + "0" * 400 + ",0.1,0.1"])
-@example(rows=["1,0,0.0,0.0", "1,10000000000000000000,0.1,0.1"])
-def test_no_cli_input_produces_a_traceback(rows):
+@given(
+    rows=st.lists(st.lists(_FIELD, min_size=3, max_size=5).map(",".join), max_size=8),
+    r=st.floats(),
+    n=st.floats(),
+    population=st.integers(-1, 3),
+    generations=st.integers(-1, 2),
+)
+@example(rows=["1,0,0.0,0.0", "1,1" + "0" * 400 + ",0.1,0.1"], r=10.0, n=1.0, population=2, generations=1)
+@example(rows=["1,0,0.0,0.0", "1,10000000000000000000,0.1,0.1"], r=10.0, n=1.0, population=2, generations=1)
+@example(rows=_TWO_VESSELS, r=1e308, n=3.0, population=2, generations=1)
+@example(rows=_TWO_VESSELS, r=math.nan, n=1.0, population=2, generations=1)
+@example(rows=_TWO_VESSELS, r=10.0, n=1.0, population=1, generations=0)
+def test_no_cli_input_produces_a_traceback(rows, r, n, population, generations):
+    tune = [
+        "tune", "--type", "unknown", "--k", "2", "--stagnation", "1",
+        "--r", repr(r), "--n", repr(n),
+        "--population", str(population), "--generations", str(generations),
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
+        out = ["--out", os.path.join(tmp, "out")]
         for noise_flag in ([], ["--no-noise-filter"]):
-            for command in (["compress", "--out", os.path.join(tmp, "out")], ["eval"]):
+            for command in (["compress", *out], ["eval"], [*tune, *out]):
                 assert main([*command, "--input", path, *noise_flag]) in (0, 1, 2)
+        assert_strict_json_files(tmp)
 
 
 def test_header_flag_skips_the_header_row(tmp_path):
@@ -393,3 +426,22 @@ def test_tune_with_more_folds_than_tracks_fails_cleanly(tmp_path, passenger_csv,
     )
     assert rc == 2
     assert "folds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--r", "1e308", "--n", "3"], "--r"),
+        (["--r", "nan", "--n", "1"], "--r"),
+        (["--r", "-50", "--n", "0.5"], "--r"),
+        (["--population", "0"], "--population"),
+        (["--generations", "-1"], "--generations"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_tune_rejects_out_of_range_flags(tmp_path, passenger_csv, capsys, flags, named):
+    out = tmp_path / "x"
+    rc = main(["tune", "--input", passenger_csv, "--type", "passenger", "--out", str(out)] + TUNE_FAST + flags)
+    assert rc == 2
+    assert f"error: {named}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,7 @@ import pytest
 
 from vesselsyn import ga
 from vesselsyn.evaluation import Metrics, evaluate_config
+from vesselsyn.geo import EARTH_RADIUS_M
 from vesselsyn.ga import (
     GENE_SPEC,
     CrossValidationResult,
@@ -74,6 +75,33 @@ def test_fitness_is_monotone_in_both_metrics():
     base = fitness(Metrics(20.0, 0.2, 100, 20), r=10.0, n=1.0)
     assert fitness(Metrics(25.0, 0.2, 100, 20), r=10.0, n=1.0) > base
     assert fitness(Metrics(20.0, 0.3, 100, 30), r=10.0, n=1.0) > base
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("r", -1.0),
+        ("r", math.inf),
+        ("n", 0.0),
+        ("n", math.nan),
+        ("population_size", 0),
+        ("max_generations", -1),
+        ("stagnation_limit", 0),
+        ("rng_seed", -1),
+        ("crossover_prob", 1.5),
+        ("mutation_prob", math.nan),
+    ],
+)
+def test_hyper_params_reject_out_of_range_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        GaHyperParams(**{name: value})
+
+
+def test_hyper_params_keep_the_worst_score_finite():
+    worst = Metrics(math.pi * EARTH_RADIUS_M, 1.0, 10, 10)
+    assert math.isfinite(fitness(worst, r=0.0, n=GaHyperParams(r=0.0, n=42.0).n))
+    with pytest.raises(ValueError, match="overflow"):
+        GaHyperParams(r=0.0, n=43.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from vesselsyn.geo import (
     haversine_m,
     haversine_m_vec,
     heading_difference_deg,
-    mean_velocity,
     segment_velocity,
     velocity_components,
 )
@@ -193,45 +192,6 @@ def test_velocity_components_cardinal():
     east, north = velocity_components(Velocity(10.0, 0.0))
     assert east == pytest.approx(0.0, abs=1e-9)
     assert north == pytest.approx(10.0, abs=1e-9)
-
-
-def test_mean_velocity_opposing_legs_cancel():
-    # Out and straight back: the average *vector* velocity is zero even
-    # though the average scalar speed is not.
-    step = 100.0 * DEG_PER_M_EQUATOR
-    pts = [
-        AisRecord(1, 0, 0.0, 0.0),
-        AisRecord(1, 60, step, 0.0),
-        AisRecord(1, 120, 0.0, 0.0),
-    ]
-    v = mean_velocity(pts, 3600.0, 120)
-    assert v is not None
-    assert v.speed_knots == pytest.approx(0.0, abs=1e-9)
-
-
-def test_mean_velocity_window_drops_old_points():
-    step = 100.0 * DEG_PER_M_EQUATOR
-    pts = [
-        AisRecord(1, 0, 0.0, 0.0),
-        AisRecord(1, 100, step, 0.0),
-        AisRecord(1, 200, 2 * step, 0.0),
-    ]
-    # Only the last two points are inside the window, so the mean reduces
-    # to the final segment's velocity.
-    v = mean_velocity(pts, 150.0, 200)
-    assert v == segment_velocity(pts[1], pts[2])
-
-
-def test_mean_velocity_window_boundary_is_inclusive():
-    pts = [AisRecord(1, 100, 0.0, 0.0), AisRecord(1, 200, 0.001, 0.0)]
-    assert mean_velocity(pts, 100.0, 200) is not None
-
-
-def test_mean_velocity_needs_two_points_in_window():
-    pts = [AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 200, 0.001, 0.0)]
-    assert mean_velocity(pts, 100.0, 200) is None
-    assert mean_velocity(pts[:1], 3600.0, 0) is None
-    assert mean_velocity([], 3600.0, 0) is None
 
 
 def test_knot_constant_matches_nautical_mile():

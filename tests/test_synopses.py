@@ -6,6 +6,7 @@ rules on the constructed track before running the engine, then frozen.
 
 import hashlib
 import io
+import math
 import random
 from dataclasses import replace
 
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 from vesselsyn import synopses as S
 from vesselsyn.ga import GENE_SPEC, genes_to_config
-from vesselsyn.geo import mean_velocity
+from vesselsyn.geo import (
+    EARTH_RADIUS_M,
+    Velocity,
+    heading_difference_deg,
+    segment_velocity,
+    velocity_components,
+)
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
     Annotation,
@@ -410,23 +417,132 @@ def test_speed_change_predicate_matches_direct_formula():
 
 
 # ---------------------------------------------------------------------------
-# internal buffer consistency
+# buffer mean: the detector's running sums against a from-scratch oracle
 
 
-def test_buffer_mean_velocity_matches_public_helper():
-    rng = random.Random(53)
+def mean_velocity(points, timespan_s, now_ts):
+    """Vector mean of the segment velocities joining the points in the window.
+
+    The from-scratch reference for ``synopses._buffer_mean_velocity``: points
+    older than ``now_ts - timespan_s`` are dropped, and the velocities of the
+    segments joining the rest are summed left to right as (east, north)
+    vectors, so opposing headings cancel.  ``None`` when fewer than two
+    points remain.
+    """
+    recent = [p for p in points if p.timestamp >= now_ts - timespan_s]
+    if len(recent) < 2:
+        return None
+    east = 0.0
+    north = 0.0
+    for prev, cur in zip(recent, recent[1:]):
+        e, n = velocity_components(segment_velocity(prev, cur))
+        east += e
+        north += n
+    east /= len(recent) - 1
+    north /= len(recent) - 1
+    speed = math.hypot(east, north)
+    heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
+    return Velocity(speed, heading)
+
+
+# Degrees of longitude at the equator covering exactly one metre of arc.
+DEG_PER_M_EQUATOR = 1.0 / (EARTH_RADIUS_M * math.pi / 180.0)
+
+
+def test_mean_velocity_opposing_legs_cancel():
+    # Out and straight back: the average *vector* velocity is zero even
+    # though the average scalar speed is not.
+    step = 100.0 * DEG_PER_M_EQUATOR
+    pts = [
+        AisRecord(1, 0, 0.0, 0.0),
+        AisRecord(1, 60, step, 0.0),
+        AisRecord(1, 120, 0.0, 0.0),
+    ]
+    v = mean_velocity(pts, 3600.0, 120)
+    assert v is not None
+    assert v.speed_knots == pytest.approx(0.0, abs=1e-9)
+
+
+def test_mean_velocity_window_drops_old_points():
+    step = 100.0 * DEG_PER_M_EQUATOR
+    pts = [
+        AisRecord(1, 0, 0.0, 0.0),
+        AisRecord(1, 100, step, 0.0),
+        AisRecord(1, 200, 2 * step, 0.0),
+    ]
+    # Only the last two points are inside the window, so the mean reduces
+    # to the final segment's velocity.
+    v = mean_velocity(pts, 150.0, 200)
+    assert v == segment_velocity(pts[1], pts[2])
+
+
+def test_mean_velocity_window_boundary_is_inclusive():
+    pts = [AisRecord(1, 100, 0.0, 0.0), AisRecord(1, 200, 0.001, 0.0)]
+    assert mean_velocity(pts, 100.0, 200) is not None
+
+
+def test_mean_velocity_needs_two_points_in_window():
+    pts = [AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 200, 0.001, 0.0)]
+    assert mean_velocity(pts, 100.0, 200) is None
+    assert mean_velocity(pts[:1], 3600.0, 0) is None
+    assert mean_velocity([], 3600.0, 0) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cap=st.integers(2, 50),
+    window=st.floats(30.0, 5000.0),
+    steps=st.lists(
+        st.tuples(st.integers(1, 900), st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+        max_size=60,
+    ),
+)
+def test_buffer_mean_velocity_matches_oracle(cap, window, steps):
+    """The running-sum mean equals a from-scratch mean over the last ``cap`` pushes.
+
+    The detector drops expired entries for good, so the oracle sees every
+    push instead.  Only rounding may differ: a vector error of at most
+    1e-9 kn, which turns the heading by at most asin(1e-9 / speed).
+    """
     state = VesselState()
+    pushed = []
     t, east, north = 0, 0.0, 0.0
-    for _ in range(40):
-        t += rng.randrange(30, 900)
-        east += rng.uniform(-400.0, 400.0)
-        north += rng.uniform(-400.0, 400.0)
-        S._buffer_push(state, rec(1, t, east, north), cap=12)
-        records = [entry.record for entry in state.buffer]
-        for window in (60.0, 600.0, 3600.0):
-            expected = mean_velocity(records, window, records[-1].timestamp)
-            actual = S._buffer_mean_velocity(state, window, records[-1].timestamp)
-            assert actual == expected, f"window {window} at t={t}"
+    for dt, de, dn in steps:
+        t += dt
+        east += de
+        north += dn
+        pushed.append(rec(1, t, east, north))
+        S._buffer_push(state, pushed[-1], cap)
+        now = pushed[-1].timestamp
+        expected = mean_velocity(pushed[-cap:], window, now)
+        actual = S._buffer_mean_velocity(state, window, now)
+        if expected is None:
+            assert actual is None
+            continue
+        assert math.isclose(actual.speed_knots, expected.speed_knots, rel_tol=1e-9, abs_tol=1e-9)
+        if expected.speed_knots > 1e-6:
+            turn = abs(heading_difference_deg(actual.heading_deg, expected.heading_deg))
+            assert turn <= math.degrees(1e-9 / expected.speed_knots) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), cfg=_configs)
+@example(seed=13, cfg=SynopsisConfig())
+def test_running_sum_mean_makes_the_oracle_decisions(seed, cfg):
+    """The detector decides as it would with a from-scratch buffer mean.
+
+    The oracle replaces the running sums inside the detector and sums the
+    buffered records' segments afresh on every report.
+    """
+
+    def oracle(state, timespan_s, now_ts):
+        return mean_velocity([e.record for e in state.buffer], timespan_s, now_ts)
+
+    fleet = make_fleet(1500, 3, seed=seed)
+    running = [compress_track(track, cfg) for track in fleet]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_buffer_mean_velocity", oracle)
+        assert [compress_track(track, cfg) for track in fleet] == running
 
 
 # ---------------------------------------------------------------------------
