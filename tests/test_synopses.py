@@ -500,9 +500,10 @@ def test_mean_velocity_needs_two_points_in_window():
 def test_buffer_mean_velocity_matches_oracle(cap, window, steps):
     """The running-sum mean equals a from-scratch mean over the last ``cap`` pushes.
 
-    The detector drops expired entries for good, so the oracle sees every
-    push instead.  Only rounding may differ: a vector error of at most
-    1e-9 kn, which turns the heading by at most asin(1e-9 / speed).
+    The detector drops expired entries from its buffer for good, so the
+    oracle is handed the pushes themselves.  Only rounding may differ: a
+    vector error of at most 1e-9 kn, which turns the heading by at most
+    about 1e-9 / speed radians.
     """
     state = VesselState()
     pushed = []
@@ -531,8 +532,9 @@ def test_buffer_mean_velocity_matches_oracle(cap, window, steps):
 def test_running_sum_mean_makes_the_oracle_decisions(seed, cfg):
     """The detector decides as it would with a from-scratch buffer mean.
 
-    The oracle replaces the running sums inside the detector and sums the
-    buffered records' segments afresh on every report.
+    The oracle replaces the running sums inside the detector: it sums the
+    buffered records' segments afresh on every report and, never evicting,
+    leaves expired entries in the buffer for the window filter to skip.
     """
 
     def oracle(state, timespan_s, now_ts):
