@@ -28,7 +28,7 @@ import numpy as np
 
 from .evaluation import Metrics, evaluate_config
 from .geo import EARTH_RADIUS_M
-from .ingest import VesselTrack
+from .ingest import VesselTrack, split_k_folds
 from .synopses import SynopsisConfig, track_segments
 
 
@@ -349,8 +349,6 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     configuration with the lowest score on its own held-out data (lowest
     fold index on ties).
     """
-    from .ingest import split_k_folds
-
     folds = split_k_folds(tracks, k)
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):

@@ -1,16 +1,14 @@
-"""Reading AIS position reports from delimited text and grouping them into tracks.
+"""Reading AIS position reports from CSV text and grouping them into tracks.
 
-The expected wire format is one position report per line: mmsi, timestamp
-(seconds since the Unix epoch), longitude, latitude and an optional vessel
-type label.  Column positions are configurable through :class:`ColumnMap`,
-either by index or, when a header row is present, by column name.
+The input has one layout, one report per line: ``mmsi,timestamp,lon,lat``
+and an optional vessel type, with the timestamp in integer seconds since the
+Unix epoch and the coordinates in decimal degrees.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence, TextIO
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,23 +42,6 @@ class VesselTrack:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ColumnMap:
-    """Where to find each field in a delimited row.
-
-    Each entry is either a 0-based column index or, when parsing input with a
-    header row, a column name.  ``vessel_type`` may be ``None`` for inputs
-    that carry no type column; rows shorter than its index simply leave the
-    type as "unknown".
-    """
-
-    mmsi: int | str = 0
-    timestamp: int | str = 1
-    lon: int | str = 2
-    lat: int | str = 3
-    vessel_type: int | str | None = 4
-
-
 @dataclass(frozen=True, slots=True)
 class ParseIssue:
     line_no: int
@@ -80,127 +61,69 @@ class ParseReport:
         return len(self.issues)
 
 
-def _resolve_mapping(mapping: ColumnMap, header: Sequence[str]) -> ColumnMap:
-    """Translate name-based entries into indices using the header row."""
-    resolved = {}
-    for name in ("mmsi", "timestamp", "lon", "lat", "vessel_type"):
-        spec = getattr(mapping, name)
-        if isinstance(spec, str):
-            try:
-                resolved[name] = header.index(spec)
-            except ValueError:
-                if name == "vessel_type":
-                    resolved[name] = None
-                else:
-                    raise ValueError(f"column {spec!r} not found in header {list(header)}")
-    return replace(mapping, **resolved) if resolved else mapping
-
-
-def _parse_row(fields: Sequence[str], mapping: ColumnMap) -> AisRecord:
-    def pick(index: int, what: str) -> str:
-        if index >= len(fields):
-            raise ValueError(f"row has {len(fields)} columns, {what} expects column {index}")
-        return fields[index].strip()
-
-    mmsi = int(pick(mapping.mmsi, "mmsi"))
-    timestamp = int(pick(mapping.timestamp, "timestamp"))
+def _parse_row(fields: Sequence[str]) -> AisRecord:
+    if len(fields) < 4:
+        raise ValueError(f"row has {len(fields)} fields, expected at least 4")
+    mmsi = int(fields[0].strip())
+    timestamp = int(fields[1].strip())
     # Downstream code holds timestamps as floats and int64 arrays.
     if not 0 <= timestamp < 2**63:
         raise ValueError(f"timestamp {timestamp} outside [0, 2**63)")
-    lon = float(pick(mapping.lon, "lon"))
-    lat = float(pick(mapping.lat, "lat"))
+    lon = float(fields[2].strip())
+    lat = float(fields[3].strip())
     # Written so that NaN fails the containment test and is rejected.
     if not (-180.0 <= lon <= 180.0):
         raise ValueError(f"longitude {lon} out of range")
     if not (-90.0 <= lat <= 90.0):
         raise ValueError(f"latitude {lat} out of range")
-    vessel_type = "unknown"
-    if mapping.vessel_type is not None and mapping.vessel_type < len(fields):
-        label = fields[mapping.vessel_type].strip().lower()
-        if label:
-            vessel_type = label
-    return AisRecord(mmsi, timestamp, lon, lat, vessel_type)
+    label = fields[4].strip().lower() if len(fields) > 4 else ""
+    return AisRecord(mmsi, timestamp, lon, lat, label or "unknown")
 
 
 def parse_records(
-    lines: Iterable[str] | TextIO,
-    mapping: ColumnMap | None = None,
-    *,
-    delimiter: str = ",",
-    has_header: bool = False,
+    lines: Iterable[str] | TextIO, *, has_header: bool = False
 ) -> tuple[list[AisRecord], ParseReport]:
-    """Parse delimited text into position records, tallying bad rows.
+    """Parse ``mmsi,timestamp,lon,lat[,vessel_type]`` lines, tallying bad rows.
 
-    Malformed rows (wrong field count, unparseable numbers, out-of-range
-    coordinates) are skipped and recorded in the report with their 1-based
-    line number; they never abort the run.  A missing mandatory column in the
-    header, by contrast, is a configuration error and raises.
-
-    Args:
-        lines: an open text file or any iterable of lines.
-        mapping: column layout; defaults to ``mmsi,timestamp,lon,lat[,type]``.
-        delimiter: field separator.
-        has_header: skip the first row, resolving any name-based mapping
-            entries against it.
+    Malformed rows (fewer than four fields, unparseable numbers,
+    out-of-range coordinates) are skipped and recorded in the report with
+    their 1-based line number; they never abort the run.  Fields past the
+    fifth are ignored.  ``has_header`` skips the first line unread.
 
     Returns:
         The accepted records in input order and a :class:`ParseReport`.
 
     Raises:
-        ValueError: name-based mapping without a header, or a mandatory
-            named column missing from the header.
+        ValueError: ``has_header`` is set and the input is empty.
     """
-    mapping = mapping or ColumnMap()
-    names_used = any(
-        isinstance(getattr(mapping, f), str)
-        for f in ("mmsi", "timestamp", "lon", "lat", "vessel_type")
-    )
-    if names_used and not has_header:
-        raise ValueError("name-based column mapping requires has_header=True")
-
     records: list[AisRecord] = []
     report = ParseReport()
-    iterator: Iterator[str] = iter(lines)
-    line_no = 0
-    if has_header:
-        try:
-            header_line = next(iterator)
-        except StopIteration:
-            raise ValueError("input is empty, expected a header row")
-        line_no = 1
-        header = [h.strip() for h in header_line.rstrip("\r\n").split(delimiter)]
-        mapping = _resolve_mapping(mapping, header)
-
-    for raw in iterator:
-        line_no += 1
+    lines = iter(lines)
+    if has_header and next(lines, None) is None:
+        raise ValueError("input is empty, expected a header row")
+    for line_no, raw in enumerate(lines, start=2 if has_header else 1):
         line = raw.strip()
         if not line:
             continue
         report.rows_seen += 1
         try:
-            records.append(_parse_row(line.split(delimiter), mapping))
+            records.append(_parse_row(line.split(",")))
             report.records_parsed += 1
         except ValueError as exc:
             report.issues.append(ParseIssue(line_no, str(exc)))
     return records, report
 
 
-def load_records(
-    path: str,
-    mapping: ColumnMap | None = None,
-    *,
-    delimiter: str = ",",
-    has_header: bool = False,
-) -> tuple[list[AisRecord], ParseReport]:
+def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], ParseReport]:
     """Open ``path`` and parse it with :func:`parse_records`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_records(fh, mapping, delimiter=delimiter, has_header=has_header)
+        return parse_records(fh, has_header=has_header)
 
 
-def write_records(records: Iterable[AisRecord], out: TextIO | io.StringIO, *, delimiter: str = ",") -> None:
-    """Serialize records back to the default column layout."""
+def write_records(records: Iterable[AisRecord], out: TextIO) -> None:
+    """Serialize records in the layout :func:`parse_records` reads."""
     for r in records:
-        out.write(delimiter.join((str(r.mmsi), str(r.timestamp), repr(r.lon), repr(r.lat), r.vessel_type)))
+        out.write(",".join((str(r.mmsi), str(r.timestamp), repr(r.lon), repr(r.lat), r.vessel_type)))
         out.write("\n")
 
 

@@ -1,10 +1,10 @@
 """Single-pass rejection of physically impossible position reports.
 
 The filter walks each track once and drops reports that a real vessel could
-not have produced: positions outside an optional bounding region, implied
-speeds beyond a ceiling, sudden coordinate jumps within seconds, and
-timestamps that do not advance.  Decisions are made against the last
-*accepted* point, so one bad report cannot poison the points after it.
+not have produced, by three rules: timestamps that do not advance, sudden
+coordinate jumps within seconds, and implied speeds beyond a ceiling.
+Decisions are made against the last *accepted* point, so one bad report
+cannot poison the points after it.
 """
 
 from __future__ import annotations
@@ -30,53 +30,33 @@ class NoiseFilterConfig:
         max_coord_jump_deg: largest allowed per-message change in lat, or in
             lon measured the short way round (so 179.9 to -179.9 is 0.2),
             when the reports are less than :data:`COORD_JUMP_MAX_DT_S` apart.
-        bounding_region: optional ``(lon_min, lat_min, lon_max, lat_max)``
-            rectangle; reports outside it are dropped.  ``lon_min > lon_max``
-            means the rectangle that wraps through the antimeridian, so
-            ``(170, -10, -170, 10)`` spans 20 degrees of longitude.
     """
 
     max_speed_knots: float = 50.0
     max_coord_jump_deg: float = 0.5
-    bounding_region: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.max_speed_knots > 0.0:
             raise ValueError("max_speed_knots must be positive")
         if not self.max_coord_jump_deg > 0.0:
             raise ValueError("max_coord_jump_deg must be positive")
-        if self.bounding_region is not None:
-            lon_min, lat_min, lon_max, lat_max = self.bounding_region
-            if lon_min == lon_max or lat_min >= lat_max:
-                raise ValueError(f"degenerate bounding region {self.bounding_region}")
 
     @classmethod
     def disabled(cls) -> "NoiseFilterConfig":
         """A configuration that accepts everything (for controlled experiments)."""
-        return cls(max_speed_knots=math.inf, max_coord_jump_deg=math.inf, bounding_region=None)
-
-
-def _in_region(rec: AisRecord, region: tuple[float, float, float, float]) -> bool:
-    lon_min, lat_min, lon_max, lat_max = region
-    if lon_min < lon_max:
-        in_lon = lon_min <= rec.lon <= lon_max
-    else:  # wraps through the antimeridian
-        in_lon = rec.lon >= lon_min or rec.lon <= lon_max
-    return in_lon and lat_min <= rec.lat <= lat_max
+        return cls(max_speed_knots=math.inf, max_coord_jump_deg=math.inf)
 
 
 def filter_track(track: VesselTrack, cfg: NoiseFilterConfig | None = None) -> tuple[VesselTrack, int]:
     """Drop implausible reports from one track.
 
     Returns a new track whose points are a subsequence of the input, plus the
-    number of rejected reports.  The first in-region point is always accepted
-    since there is no predecessor to test against.
+    number of rejected reports.  The first point is always accepted since
+    there is no predecessor to test against.
     """
     cfg = cfg or NoiseFilterConfig()
     kept: list[AisRecord] = []
     for rec in track.points:
-        if cfg.bounding_region is not None and not _in_region(rec, cfg.bounding_region):
-            continue
         if kept:
             prev = kept[-1]
             dt = rec.timestamp - prev.timestamp
@@ -100,7 +80,7 @@ def filter_track(track: VesselTrack, cfg: NoiseFilterConfig | None = None) -> tu
 def filter_dataset(
     tracks: list[VesselTrack], cfg: NoiseFilterConfig | None = None
 ) -> tuple[list[VesselTrack], int]:
-    """Apply :func:`filter_track` to every track, dropping emptied ones."""
+    """Apply :func:`filter_track` to every track, dropping empty ones."""
     clean: list[VesselTrack] = []
     total_rejected = 0
     for track in tracks:

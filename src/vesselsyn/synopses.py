@@ -55,9 +55,6 @@ class Annotation(str, enum.Enum):
     TRACK_START = "trackStart"
     TRACK_END = "trackEnd"
 
-    def __str__(self) -> str:  # so "|".join(...) uses the wire label
-        return self.value
-
 
 @dataclass(frozen=True)
 class SynopsisConfig:
@@ -92,13 +89,32 @@ class SynopsisConfig:
     speed_ratio: float = 0.25
     distance_threshold_m: float = 50.0
 
-    def validate(self) -> None:
-        """Reject configurations the engine cannot run with."""
+    def __post_init__(self) -> None:
+        """Reject configurations the engine cannot run with.
+
+        Every value must be a finite, positive int or float (booleans and
+        numeric strings are not numbers here), and ``buffer_size`` an int of
+        at least 2.  Integer values of the float fields are stored as floats.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
+            try:
+                finite = (
+                    isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                    and math.isfinite(value)
+                )
+            except OverflowError:  # ints beyond float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if not value > 0:
                 raise ValueError(f"{f.name} must be positive, got {value!r}")
-        if int(self.buffer_size) != self.buffer_size or self.buffer_size < 2:
+            if f.name != "buffer_size":
+                object.__setattr__(self, f.name, float(value))
+        if not isinstance(self.buffer_size, int):
+            raise ValueError(f"buffer_size must be an integer, got {self.buffer_size!r}")
+        if self.buffer_size < 2:
             raise ValueError(f"buffer_size must be an integer >= 2, got {self.buffer_size!r}")
 
     def to_dict(self) -> dict[str, float | int]:
@@ -109,29 +125,19 @@ class SynopsisConfig:
         """Build a config from a flat mapping, rejecting unknown keys.
 
         Missing keys keep their defaults; unknown keys raise so that a typoed
-        parameter name cannot silently fall back to the default.  Values must
-        be finite ints or floats (booleans and numeric strings are not), and
-        ``buffer_size`` must be integral: 7.0 becomes 7, while 7.9 raises.
+        parameter name cannot silently fall back to the default.  An integral
+        float ``buffer_size``, as JSON may spell it, becomes an int: 7.0
+        becomes 7, while 7.9 raises.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}; expected a subset of {sorted(known)}")
-        kwargs: dict[str, float | int] = {}
-        for key, value in data.items():
-            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            try:
-                number = float(value) if is_number else math.nan
-            except OverflowError:  # ints beyond float range
-                number = math.nan
-            if not math.isfinite(number):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-            if key == "buffer_size" and not number.is_integer():
-                raise ValueError(f"buffer_size must be an integer, got {value!r}")
-            kwargs[key] = int(value) if key == "buffer_size" else number
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        kwargs = dict(data)
+        size = kwargs.get("buffer_size")
+        if isinstance(size, float) and size.is_integer():
+            kwargs["buffer_size"] = int(size)
+        return cls(**kwargs)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -274,8 +275,14 @@ def test_no_cli_input_produces_a_traceback(rows, r, n, population, generations):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
         out = ["--out", os.path.join(tmp, "out")]
+        compare = [
+            "compare",
+            "--config-a", write_config(Path(tmp) / "a.json", {}),
+            "--config-b", write_config(Path(tmp) / "b.json", {"angle_threshold_deg": 10.0, "buffer_size": 7}),
+            *out,
+        ]
         for noise_flag in ([], ["--no-noise-filter"]):
-            for command in (["compress", *out], ["eval"], [*tune, *out]):
+            for command in (["compress", *out], ["eval"], compare, [*tune, *out]):
                 assert main([*command, "--input", path, *noise_flag]) in (0, 1, 2)
         assert_strict_json_files(tmp)
 

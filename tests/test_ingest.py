@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from vesselsyn.ingest import (
     AisRecord,
-    ColumnMap,
     VesselTrack,
     parse_records,
     load_records,
@@ -80,38 +79,11 @@ def test_parse_accepts_boundary_coordinates():
     assert report.rejected_count == 0
 
 
-def test_parse_header_with_named_columns():
-    lines = [
-        "ship_type,lat,lon,t,id",
-        "tanker,48.39,-4.49,100,42",
-    ]
-    mapping = ColumnMap(mmsi="id", timestamp="t", lon="lon", lat="lat", vessel_type="ship_type")
-    records, report = parse_records(lines, mapping, has_header=True)
-    assert records == [AisRecord(42, 100, -4.49, 48.39, "tanker")]
-    assert report.rows_seen == 1
-
-
-def test_parse_header_missing_mandatory_column_raises():
-    mapping = ColumnMap(mmsi="id", timestamp="t", lon="lon", lat="lat")
-    with pytest.raises(ValueError, match="not found in header"):
-        parse_records(["a,b,c", "1,2,3"], mapping, has_header=True)
-
-
-def test_parse_named_mapping_without_header_raises():
-    with pytest.raises(ValueError, match="has_header"):
-        parse_records(["1,2,3,4"], ColumnMap(mmsi="id"))
-
-
 def test_parse_header_row_skipped_with_index_mapping():
     lines = ["mmsi,timestamp,lon,lat,vessel_type", "7,100,0.5,50.25,tug"]
     records, report = parse_records(lines, has_header=True)
     assert records == [AisRecord(7, 100, 0.5, 50.25, "tug")]
     assert report.rows_seen == 1
-
-
-def test_parse_alternative_delimiter():
-    records, _ = parse_records(["1;100;0.5;50.25;ferry"], delimiter=";")
-    assert records == [AisRecord(1, 100, 0.5, 50.25, "ferry")]
 
 
 def test_write_then_parse_roundtrip_preserves_floats():

@@ -99,26 +99,6 @@ def test_speed_ceiling_brackets():
     assert rejected == 1
 
 
-def test_bounding_region_drops_outsiders_including_first_point():
-    cfg = NoiseFilterConfig(bounding_region=(-10.0, 45.0, 0.0, 50.0))
-    outside = AisRecord(1, 0, 20.0, 48.0)
-    inside1 = AisRecord(1, 60, -4.49, 48.39)
-    inside2 = AisRecord(1, 120, -4.4899, 48.39)
-    filtered, rejected = filter_track(track_of([outside, inside1, inside2]), cfg)
-    assert rejected == 1
-    assert filtered.points == [inside1, inside2]
-
-
-def test_bounding_region_can_span_the_antimeridian():
-    cfg = NoiseFilterConfig(max_speed_knots=math.inf, bounding_region=(170.0, -10.0, -170.0, 10.0))
-    east = AisRecord(1, 0, 179.9, 0.0)
-    far = AisRecord(1, 60, 0.0, 0.0)
-    west = AisRecord(1, 120, -179.9, 0.0)
-    filtered, rejected = filter_track(track_of([east, far, west]), cfg)
-    assert rejected == 1
-    assert filtered.points == [east, west]
-
-
 def test_disabled_config_keeps_any_plausible_ordering():
     cfg = NoiseFilterConfig.disabled()
     a = AisRecord(1, 0, 0.0, 0.0)
@@ -163,12 +143,11 @@ def test_filter_decisions_are_prefix_stable():
 
 
 def test_filter_dataset_drops_emptied_tracks():
-    cfg = NoiseFilterConfig(bounding_region=(-10.0, 45.0, 0.0, 50.0))
-    gone = VesselTrack(1, "unknown", [AisRecord(1, 0, 100.0, 0.0), AisRecord(1, 60, 101.0, 0.0)])
-    kept = VesselTrack(2, "unknown", [AisRecord(2, 0, -4.49, 48.39)])
-    clean, rejected = filter_dataset([gone, kept], cfg)
+    gone = VesselTrack(1, "unknown", [])
+    kept = VesselTrack(2, "unknown", [AisRecord(2, 0, -4.49, 48.39), AisRecord(2, 5, -4.49, 49.39)])
+    clean, rejected = filter_dataset([gone, kept])
     assert [t.mmsi for t in clean] == [2]
-    assert rejected == 2
+    assert rejected == 1
 
 
 def test_config_validation():
@@ -176,7 +155,3 @@ def test_config_validation():
         NoiseFilterConfig(max_speed_knots=0.0)
     with pytest.raises(ValueError):
         NoiseFilterConfig(max_coord_jump_deg=-1.0)
-    with pytest.raises(ValueError):
-        NoiseFilterConfig(bounding_region=(0.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        NoiseFilterConfig(bounding_region=(0.0, 1.0, 1.0, 1.0))

@@ -575,11 +575,30 @@ def test_config_from_dict_coerces_buffer_size_to_int():
 
 def test_config_validation_rejects_degenerate_values():
     with pytest.raises(ValueError):
-        SynopsisConfig(buffer_size=1).validate()
+        SynopsisConfig(buffer_size=1)
     with pytest.raises(ValueError):
-        SynopsisConfig(gap_period_s=0.0).validate()
+        SynopsisConfig(gap_period_s=0.0)
     with pytest.raises(ValueError):
-        SynopsisConfig(speed_ratio=-0.1).validate()
+        SynopsisConfig(speed_ratio=-0.1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("speed_ratio", math.nan, "speed_ratio must be a finite number"),
+    ("historical_timespan_s", math.inf, "historical_timespan_s must be a finite number"),
+    ("gap_period_s", 10**400, "gap_period_s must be a finite number"),
+    ("angle_threshold_deg", True, "angle_threshold_deg must be a finite number"),
+    ("distance_threshold_m", "50", "distance_threshold_m must be a finite number"),
+    ("buffer_size", 7.0, "buffer_size must be an integer"),
+], ids=["nan", "inf", "huge_int", "bool", "str", "float_buffer_size"])
+def test_config_construction_rejects_unusable_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SynopsisConfig(**{field: value})
+
+
+def test_config_stores_integer_thresholds_as_floats():
+    cfg = SynopsisConfig(gap_period_s=900, buffer_size=7)
+    assert isinstance(cfg.gap_period_s, float) and cfg.gap_period_s == 900.0
+    assert isinstance(cfg.buffer_size, int)
 
 
 # ---------------------------------------------------------------------------
