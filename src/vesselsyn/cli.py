@@ -72,6 +72,9 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], ParseRep
     if report.rejected_count:
         print(f"note: rejected {report.rejected_count} malformed input rows", file=sys.stderr)
     tracks = partition_tracks(records)
+    repeated = len(records) - sum(len(t.points) for t in tracks)
+    if repeated:
+        print(f"note: dropped {repeated} reports with a repeated timestamp", file=sys.stderr)
     noise_cfg = NoiseFilterConfig.disabled() if args.no_noise_filter else NoiseFilterConfig()
     clean, dropped = filter_dataset(tracks, noise_cfg)
     if dropped:

@@ -27,9 +27,15 @@ class PositionedSample(Protocol):
     lat: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Velocity:
-    """A speed/heading pair describing motion along one or more segments."""
+    """A speed/heading pair describing motion along one or more segments.
+
+    The pipeline treats instances as read-only values.  The class is not
+    ``frozen`` because a frozen constructor sets each field through
+    ``object.__setattr__``, which made building one cost about 3x, and the
+    detector builds two per report.
+    """
 
     speed_knots: float
     heading_deg: float
@@ -68,20 +74,6 @@ def haversine_m_vec(
     return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
 
 
-def bearing_deg(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-    """Initial great-circle bearing from the first point to the second.
-
-    Returns compass degrees in [0, 360): 0 points north, 90 east.  The value
-    is undefined for coincident points and callers must guard that case.
-    """
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dlam = math.radians(lon2 - lon1)
-    y = math.sin(dlam) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
-    return math.degrees(math.atan2(y, x)) % 360.0
-
-
 def heading_difference_deg(a: float, b: float) -> float:
     """Signed circular difference a - b mapped into (-180, 180]."""
     d = (a - b + 180.0) % 360.0 - 180.0
@@ -94,9 +86,14 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
     """Instantaneous velocity implied by two consecutive reports.
 
     Speed is the haversine distance over the elapsed time, converted to
-    knots.  For coincident positions the speed is 0 and the heading is
-    reported as 0.0; consumers that need a heading must treat a zero-speed
-    velocity as directionless.
+    knots; the heading is the initial great-circle bearing from ``a`` to
+    ``b`` in compass degrees.  For coincident positions the speed is 0 and
+    the heading is reported as 0.0; consumers that need a heading must treat
+    a zero-speed velocity as directionless.
+
+    Distance and bearing come from one pass over their shared terms.  The
+    distance keeps :func:`haversine_m`'s operation order, so it is the same
+    value bit for bit.
 
     Raises:
         ValueError: if ``b`` does not strictly follow ``a`` in time.
@@ -104,11 +101,20 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
     dt = b.timestamp - a.timestamp
     if dt <= 0:
         raise ValueError(f"non-increasing timestamps: {a.timestamp} -> {b.timestamp}")
-    dist_m = haversine_m(a.lon, a.lat, b.lon, b.lat)
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dlam = math.radians(b.lon - a.lon)
+    cos_phi1 = math.cos(phi1)
+    cos_phi2 = math.cos(phi2)
+    h = math.sin(math.radians(b.lat - a.lat) / 2.0) ** 2 + cos_phi1 * cos_phi2 * math.sin(dlam / 2.0) ** 2
+    if h > 1.0:  # rounding overshoot on near-antipodal pairs
+        h = 1.0
+    dist_m = 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
     if dist_m == 0.0:
         return Velocity(0.0, 0.0)
-    speed_knots = dist_m / dt / KNOT_MS
-    return Velocity(speed_knots, bearing_deg(a.lon, a.lat, b.lon, b.lat))
+    y = math.sin(dlam) * cos_phi2
+    x = cos_phi1 * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam)
+    return Velocity(dist_m / dt / KNOT_MS, math.degrees(math.atan2(y, x)) % 360.0)
 
 
 def velocity_components(v: Velocity) -> tuple[float, float]:

@@ -11,9 +11,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AisRecord:
     """One received position report.
+
+    The pipeline treats instances as read-only values.  The class is not
+    ``frozen`` because a frozen constructor sets each field through
+    ``object.__setattr__``, which made building one cost about 3x, and one
+    is built per input row.
 
     Attributes:
         mmsi: vessel identifier.

@@ -17,10 +17,20 @@ import pytest
 
 from vesselsyn.cli import main
 from vesselsyn.evaluation import Metrics, compute_metrics, evaluate_config
-from vesselsyn.ga import GaHyperParams, fitness, run_ga
+from vesselsyn.ga import GaHyperParams, cross_validate, fitness, run_ga
 from vesselsyn.geo import haversine_m
-from vesselsyn.ingest import split_k_folds, write_records
-from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track, speed_change_exceeds
+from vesselsyn.ingest import partition_tracks, split_k_folds, write_records
+from vesselsyn.noise import filter_dataset
+from vesselsyn.synopses import (
+    Annotation,
+    CriticalPoint,
+    SynopsisConfig,
+    VesselState,
+    compress_track,
+    finalize_track,
+    ingest_point,
+    speed_change_exceeds,
+)
 from vesselsyn.synthetic import (
     make_corner_track,
     make_curve_track,
@@ -233,6 +243,32 @@ def test_09_cross_validation_fold_hygiene():
         assert sorted(flat) == sorted(t.mmsi for t in tracks)
         sizes = [sum(len(t) for t in fold) for fold in folds]
         assert max(sizes) - min(sizes) <= max(len(t) for t in tracks)
+
+
+def test_10_pipeline_never_mutates_its_input_records():
+    with criterion(10, "no stage writes to the reports it is given"), time_budget(30.0):
+        records = [p for t in make_fleet(600, 4, seed=9) for p in t.points]
+        records.append(replace(records[10], lon=records[10].lon + 1.0))  # repeated timestamp
+        records.append(replace(records[20], timestamp=records[20].timestamp + 1, lat=records[20].lat + 0.5))
+        random.Random(3).shuffle(records)
+
+        def snapshot():
+            return [(r.mmsi, r.timestamp, r.lon, r.lat, r.vessel_type) for r in records]
+
+        before = snapshot()
+
+        clean, rejected = filter_dataset(partition_tracks(records))
+        assert rejected >= 1
+        cfg = SynopsisConfig()
+        compute_metrics(clean, {t.mmsi: compress_track(t, cfg) for t in clean})
+        states = {t.mmsi: VesselState() for t in clean}
+        for p in sorted((p for t in clean for p in t.points), key=lambda p: (p.timestamp, p.mmsi)):
+            ingest_point(states[p.mmsi], p, cfg)
+        for state in states.values():
+            finalize_track(state)
+        cross_validate(clean, 2, GaHyperParams(population_size=4, max_generations=2, rng_seed=1))
+
+        assert snapshot() == before
 
 
 BREST_ENV = "VESSELSYN_BREST_CSV"

@@ -220,6 +220,17 @@ def test_parse_rejections_are_noted_on_stderr(tmp_path, capsys):
     assert "rejected 1 malformed" in capsys.readouterr().err
 
 
+def test_repeated_timestamps_are_noted_on_stderr(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    first = "1,100,10.0,50.0,cargo\n"
+    path.write_text(first + first + "1,160,10.001,50.0,cargo\n1,220,10.002,50.0,cargo\n", encoding="utf-8")
+    rc = main(["eval", "--input", str(path)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["noiseless_count"] == 3
+    assert "note: dropped 1 reports with a repeated timestamp" in captured.err
+
+
 @pytest.mark.parametrize("noise_flag", [[], ["--no-noise-filter"]])
 def test_antipodal_reports_compress_cleanly(tmp_path, capsys, noise_flag):
     path = tmp_path / "antipodal.csv"

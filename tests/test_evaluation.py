@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vesselsyn.evaluation import (
     Metrics,
@@ -14,10 +15,12 @@ from vesselsyn.evaluation import (
 )
 from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
 from vesselsyn.ingest import AisRecord, VesselTrack
+from vesselsyn.noise import filter_dataset
 from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track
 from vesselsyn.synthetic import (
     make_corner_track,
     make_curve_track,
+    make_fleet,
     make_slow_motion_track,
     make_stop_track,
     make_straight_track,
@@ -200,3 +203,54 @@ def test_metrics_to_dict():
         "noiseless_count": 400,
         "critical_count": 100,
     }
+
+
+# ---------------------------------------------------------------------------
+# whole-globe invariance
+
+
+def _run_pipeline(tracks, cfg):
+    """Noise filter, compress and measure: each synopsis as (timestamp, labels), and the metrics."""
+    clean, _ = filter_dataset(tracks)
+    synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
+    layout = {mmsi: [(cp.timestamp, cp.annotations) for cp in cps] for mmsi, cps in synopses.items()}
+    return layout, compute_metrics(clean, synopses)
+
+
+def _moved(tracks, move):
+    """``tracks`` with every report's position passed through ``move(lon, lat)``."""
+    moved = []
+    for t in tracks:
+        points = []
+        for p in t.points:
+            lon, lat = move(p.lon, p.lat)
+            points.append(replace(p, lon=lon, lat=lat))
+        moved.append(VesselTrack(t.mmsi, t.vessel_type, points))
+    return moved
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+@example(seed=11)
+def test_mirroring_across_the_equator_keeps_the_synopsis(seed):
+    """Mirrored headings come from other trig calls, so only the RMSE may round differently."""
+    fleet = make_fleet(500, 3, seed=seed)
+    layout, metrics = _run_pipeline(fleet, SynopsisConfig())
+    mirrored_layout, mirrored = _run_pipeline(_moved(fleet, lambda lon, lat: (lon, -lat)), SynopsisConfig())
+    assert mirrored_layout == layout
+    assert mirrored.ratio == metrics.ratio
+    assert mirrored.rmse_m == pytest.approx(metrics.rmse_m, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), offset=st.floats(-180.0, 180.0))
+@example(seed=11, offset=-175.5)  # the fleet straddles the antimeridian
+@example(seed=11, offset=180.0)
+def test_rotating_in_longitude_keeps_the_ratio(seed, offset):
+    """Wrapped longitudes round differently, so the RMSE holds to 1e-6 relative."""
+    fleet = make_fleet(500, 3, seed=seed)
+    _, metrics = _run_pipeline(fleet, SynopsisConfig())
+    rotated = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))
+    _, turned = _run_pipeline(rotated, SynopsisConfig())
+    assert turned.ratio == metrics.ratio
+    assert turned.rmse_m == pytest.approx(metrics.rmse_m, rel=1e-6)

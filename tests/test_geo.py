@@ -5,14 +5,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
     KNOT_MS,
     Velocity,
-    bearing_deg,
     haversine_m,
     haversine_m_vec,
     heading_difference_deg,
@@ -39,6 +38,26 @@ def great_circle_atan2_m(lon1, lat1, lon2, lat2):
     )
     x = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
     return EARTH_RADIUS_M * math.atan2(y, x)
+
+
+def bearing_deg(lon1, lat1, lon2, lat2):
+    """Initial great-circle bearing from the first point to the second.
+
+    Used as an oracle for the heading of ``segment_velocity``, which computes
+    it in one pass with the distance.  Compass degrees in [0, 360): 0 points
+    north, 90 east; undefined for coincident points.
+    """
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dlam = math.radians(lon2 - lon1)
+    y = math.sin(dlam) * math.cos(phi2)
+    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
+    return math.degrees(math.atan2(y, x)) % 360.0
+
+
+def heading_deg(lon1, lat1, lon2, lat2):
+    """The heading ``segment_velocity`` gives the segment between two points."""
+    return segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, 60, lon2, lat2)).heading_deg
 
 
 def test_haversine_zero_distance_is_exactly_zero():
@@ -114,20 +133,38 @@ def test_haversine_antipodal_pair_is_finite_and_symmetric():
 
 
 def test_bearing_cardinal_directions():
-    assert bearing_deg(0.0, 0.0, 1.0, 0.0) == pytest.approx(90.0, abs=1e-9)
-    assert bearing_deg(0.0, 0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
-    assert bearing_deg(0.0, 1.0, 0.0, 0.0) == pytest.approx(180.0, abs=1e-9)
-    assert bearing_deg(1.0, 0.0, 0.0, 0.0) == pytest.approx(270.0, abs=1e-9)
+    assert heading_deg(0.0, 0.0, 1.0, 0.0) == pytest.approx(90.0, abs=1e-9)
+    assert heading_deg(0.0, 0.0, 0.0, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert heading_deg(0.0, 1.0, 0.0, 0.0) == pytest.approx(180.0, abs=1e-9)
+    assert heading_deg(1.0, 0.0, 0.0, 0.0) == pytest.approx(270.0, abs=1e-9)
 
 
 def test_bearing_always_in_compass_range():
     rng = random.Random(23)
     for _ in range(500):
-        b = bearing_deg(
+        b = heading_deg(
             rng.uniform(-180, 180), rng.uniform(-89, 89),
             rng.uniform(-180, 180), rng.uniform(-89, 89),
         )
         assert 0.0 <= b < 360.0
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LONS, LATS, LONS, LATS, st.integers(1, 10**6))
+@example(-88.6, 69.3, 91.4, -69.3, 60)  # antipodal: the haversine term rounds above 1
+@example(0.0, 0.0, 180.0, 0.0, 60)  # antipodal on the equator
+@example(179.9, 10.0, -179.9, 10.0, 60)  # across the antimeridian
+@example(180.0, 10.0, -180.0, 10.0, 60)  # the same point named by both longitudes
+@example(-180.0, -45.0, 180.0, 45.0, 3600)  # between the two ends of the longitude range
+@example(0.0, 90.0, 90.0, 90.0, 60)  # both points on the north pole
+@example(0.0, -90.0, 45.0, 89.0, 60)  # from the south pole
+@example(12.5, 45.0, 12.5, 45.0, 60)  # coincident
+def test_segment_velocity_is_haversine_and_bearing_bit_for_bit(lon1, lat1, lon2, lat2, dt):
+    """The one-pass geometry gives exactly the two-function values."""
+    v = segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2))
+    dist_m = haversine_m(lon1, lat1, lon2, lat2)
+    assert v.speed_knots == dist_m / dt / KNOT_MS
+    assert v.heading_deg == (bearing_deg(lon1, lat1, lon2, lat2) if dist_m else 0.0)
 
 
 @pytest.mark.parametrize(
