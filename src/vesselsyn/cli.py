@@ -17,7 +17,7 @@ from typing import Sequence
 from .evaluation import Metrics, compute_metrics, evaluate_config
 from .ga import GaHyperParams, cross_validate
 from .ingest import ParseReport, VesselTrack, load_records, partition_tracks
-from .noise import NoiseFilterConfig, filter_dataset
+from .noise import filter_dataset
 from .presets import FITNESS_PRESETS
 from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
 
@@ -75,8 +75,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], ParseRep
     repeated = len(records) - sum(len(t.points) for t in tracks)
     if repeated:
         print(f"note: dropped {repeated} reports with a repeated timestamp", file=sys.stderr)
-    noise_cfg = NoiseFilterConfig.disabled() if args.no_noise_filter else NoiseFilterConfig()
-    clean, dropped = filter_dataset(tracks, noise_cfg)
+    clean, dropped = (tracks, 0) if args.no_noise_filter else filter_dataset(tracks)
     if dropped:
         print(f"note: noise filter dropped {dropped} reports", file=sys.stderr)
     if not clean:
@@ -175,12 +174,6 @@ _TUNE_FLAGS = {
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    clean, _, _ = _load_dataset(args)
-    wanted = args.type.lower()
-    selected = [t for t in clean if t.vessel_type == wanted]
-    if not selected:
-        available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
-        raise CliError(f"no tracks of vessel type {wanted!r} in input (available: {available})")
     preset_name, r, n = _resolve_scoring(args)
     try:
         hp = GaHyperParams(
@@ -194,6 +187,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     except ValueError as exc:
         field = str(exc).split()[0]
         raise CliError(f"{_TUNE_FLAGS[field]}: {exc}")
+    clean, _, _ = _load_dataset(args)
+    wanted = args.type.lower()
+    selected = [t for t in clean if t.vessel_type == wanted]
+    if not selected:
+        available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
+        raise CliError(f"no tracks of vessel type {wanted!r} in input (available: {available})")
     try:
         result = cross_validate(selected, args.k, hp)
     except ValueError as exc:

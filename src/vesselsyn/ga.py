@@ -58,6 +58,16 @@ GENE_SPEC: tuple[Gene, ...] = (
     Gene("distance_threshold_m", 2.0, 100.0),
 )
 
+#: Operator settings, fixed for every run: contestants per tournament, the
+#: chances that a parent pair is crossed and that a child is mutated, the
+#: chance that mutation perturbs each gene, and the mutation noise scale as a
+#: fraction of the gene's range.
+TOURNAMENT_SIZE = 3
+CROSSOVER_PROB = 0.4
+MUTATION_PROB = 0.8
+PER_GENE_PROB = 0.5
+SIGMA_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -80,8 +90,6 @@ class GaHyperParams:
     population_size: int = 50
     max_generations: int = 30
     stagnation_limit: int = 10
-    crossover_prob: float = 0.4
-    mutation_prob: float = 0.8
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -108,9 +116,6 @@ class GaHyperParams:
         ):
             if not getattr(self, name) >= lowest:
                 raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)!r}")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -144,10 +149,10 @@ def config_to_genes(cfg: SynopsisConfig) -> list[float]:
     return [float(getattr(cfg, gene.name)) for gene in GENE_SPEC]
 
 
-def uniform_individual(gene_spec: Sequence[Gene], rng: np.random.Generator) -> Individual:
-    """Sample one individual uniformly within the gene bounds."""
+def uniform_individual(rng: np.random.Generator) -> Individual:
+    """Sample one individual uniformly within the :data:`GENE_SPEC` bounds."""
     genes: list[float] = []
-    for gene in gene_spec:
+    for gene in GENE_SPEC:
         if gene.integer:
             genes.append(float(rng.integers(int(gene.lower), int(gene.upper) + 1)))
         else:
@@ -155,10 +160,8 @@ def uniform_individual(gene_spec: Sequence[Gene], rng: np.random.Generator) -> I
     return Individual(genes)
 
 
-def tournament_select(
-    population: Sequence[Individual], rng: np.random.Generator, size: int = 3
-) -> Individual:
-    """Pick the fittest of ``size`` distinct uniformly drawn individuals.
+def tournament_select(population: Sequence[Individual], rng: np.random.Generator) -> Individual:
+    """Pick the fittest of :data:`TOURNAMENT_SIZE` distinct uniformly drawn individuals.
 
     Contestants are drawn without replacement within one tournament (capped
     at the population size); separate tournaments draw independently.
@@ -171,7 +174,7 @@ def tournament_select(
     for ind in population:
         if ind.fitness is None:
             raise ValueError("population contains an unevaluated individual")
-    k = min(size, len(population))
+    k = min(TOURNAMENT_SIZE, len(population))
     picks = rng.choice(len(population), size=k, replace=False)
     best = min((population[int(i)] for i in picks), key=lambda ind: ind.fitness)
     return best
@@ -192,25 +195,18 @@ def single_point_crossover(
     return child1, child2
 
 
-def gaussian_mutate(
-    ind: Individual,
-    gene_spec: Sequence[Gene],
-    rng: np.random.Generator,
-    *,
-    per_gene_prob: float = 0.5,
-    sigma_fraction: float = 0.1,
-) -> Individual:
-    """Perturb each gene with the given probability by bounded Gaussian noise.
+def gaussian_mutate(ind: Individual, rng: np.random.Generator) -> Individual:
+    """Perturb each gene with probability :data:`PER_GENE_PROB` by bounded Gaussian noise.
 
-    The noise scale is ``sigma_fraction`` of the gene's range.  Results are
-    clamped to the bounds; integer genes are rounded after clamping, so they
-    stay both integral and in range.
+    The noise scale is :data:`SIGMA_FRACTION` of the gene's range.  Results
+    are clamped to the :data:`GENE_SPEC` bounds; integer genes are rounded
+    after clamping, so they stay both integral and in range.
     """
     genes = list(ind.genes)
-    for i, gene in enumerate(gene_spec):
-        if rng.random() >= per_gene_prob:
+    for i, gene in enumerate(GENE_SPEC):
+        if rng.random() >= PER_GENE_PROB:
             continue
-        sigma = sigma_fraction * (gene.upper - gene.lower)
+        sigma = SIGMA_FRACTION * (gene.upper - gene.lower)
         value = genes[i] + rng.normal(0.0, sigma)
         value = min(max(value, gene.lower), gene.upper)
         if gene.integer:
@@ -229,10 +225,9 @@ def run_ga(
 
     Generation 0 is sampled uniformly within the :data:`GENE_SPEC` bounds.
     Each later generation selects parents by tournament, pairs them, applies
-    crossover with probability ``hp.crossover_prob`` (copies otherwise) and
-    mutation with probability ``hp.mutation_prob``, then re-inserts the
-    previous best unchanged (elitism of one).  Tournament and mutation run
-    with their operators' default settings.  The run stops after
+    crossover with probability :data:`CROSSOVER_PROB` (copies otherwise) and
+    mutation with probability :data:`MUTATION_PROB`, then re-inserts the
+    previous best unchanged (elitism of one).  The run stops after
     ``hp.max_generations`` generations or once the best score has not
     improved for ``hp.stagnation_limit`` consecutive generations.
 
@@ -264,7 +259,7 @@ def run_ga(
             hit = cache[key] = (fitness(metrics, hp.r, hp.n), metrics)
         return Individual(ind.genes, hit[0])
 
-    population = [scored(uniform_individual(GENE_SPEC, rng)) for _ in range(hp.population_size)]
+    population = [scored(uniform_individual(rng)) for _ in range(hp.population_size)]
 
     history: list[GenerationStats] = []
 
@@ -292,14 +287,14 @@ def run_ga(
         offspring: list[Individual] = []
         for i in range(0, len(parents) - 1, 2):
             a, b = parents[i], parents[i + 1]
-            if rng.random() < hp.crossover_prob:
+            if rng.random() < CROSSOVER_PROB:
                 a, b = single_point_crossover(a, b, rng)
             offspring.extend((a, b))
         if len(parents) % 2 == 1:
             offspring.append(parents[-1])
         for i, child in enumerate(offspring):
-            if rng.random() < hp.mutation_prob:
-                offspring[i] = gaussian_mutate(child, GENE_SPEC, rng)
+            if rng.random() < MUTATION_PROB:
+                offspring[i] = gaussian_mutate(child, rng)
         population = [scored(ind) for ind in [best_overall] + offspring[: hp.population_size - 1]]
 
         best = record(generation)

@@ -397,11 +397,24 @@ def test_tune_with_explicit_scoring_knobs(tmp_path, passenger_csv):
 
 
 def test_tune_unknown_type_lists_available(tmp_path, passenger_csv, capsys):
-    rc = main(["tune", "--input", passenger_csv, "--type", "hovercraft", "--out", str(tmp_path / "x")] + TUNE_FAST)
+    rc = main(
+        ["tune", "--input", passenger_csv, "--type", "hovercraft", "--r", "10", "--n", "1", "--out", str(tmp_path / "x")]
+        + TUNE_FAST
+    )
     assert rc == 2
     err = capsys.readouterr().err
     assert "hovercraft" in err
     assert "passenger" in err  # the available types are named
+
+
+def test_tune_without_a_preset_for_the_type_lists_known_presets(tmp_path, capsys):
+    # Scoring is resolved before any input is read.
+    missing = str(tmp_path / "missing.csv")
+    rc = main(["tune", "--input", missing, "--type", "hovercraft", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hovercraft" in err and "cargo" in err
+    assert "not found" not in err
 
 
 def test_tune_unknown_preset_lists_known(tmp_path, passenger_csv, capsys):
@@ -463,3 +476,10 @@ def test_tune_rejects_out_of_range_flags(tmp_path, passenger_csv, capsys, flags,
     assert rc == 2
     assert f"error: {named}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tune_checks_its_flags_before_reading_the_input(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    rc = main(["tune", "--input", missing, "--type", "fishing", "--population", "0", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error: --population: " in capsys.readouterr().err

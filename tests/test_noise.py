@@ -4,15 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
 from vesselsyn.ingest import AisRecord, VesselTrack
-from vesselsyn.noise import (
-    COORD_JUMP_MAX_DT_S,
-    NoiseFilterConfig,
-    filter_dataset,
-    filter_track,
-)
+from vesselsyn.noise import MAX_SPEED_KNOTS, filter_dataset, filter_track
 from vesselsyn.synthetic import make_straight_track
 
 DEG_PER_M = 1.0 / (EARTH_RADIUS_M * math.pi / 180.0)
@@ -65,58 +61,64 @@ def test_duplicate_and_regressing_timestamps_rejected():
     assert rejected == 2
 
 
-def test_coordinate_jump_rule_applies_only_to_fast_repeats():
-    # Disable the speed ceiling so the jump rule is observed in isolation.
-    cfg = NoiseFilterConfig(max_speed_knots=math.inf, max_coord_jump_deg=0.5)
-    a = AisRecord(1, 0, 0.0, 50.0)
-    fast_jump = AisRecord(1, 5, 0.6, 50.0)
-    filtered, rejected = filter_track(track_of([a, fast_jump]), cfg)
-    assert rejected == 1 and filtered.points == [a]
-
-    slow_jump = AisRecord(1, 15, 0.6, 50.0)
-    filtered, rejected = filter_track(track_of([a, slow_jump]), cfg)
-    assert rejected == 0 and filtered.points == [a, slow_jump]
-
-    at_boundary = AisRecord(1, int(COORD_JUMP_MAX_DT_S), 0.6, 50.0)
-    filtered, rejected = filter_track(track_of([a, at_boundary]), cfg)
-    assert rejected == 0  # the window is strict: dt == limit is not a repeat
-
-    # 22 m apart across the antimeridian: the longitude change is 0.0002 deg.
-    east = AisRecord(1, 0, 179.9999, 0.0)
-    west = AisRecord(1, 5, -179.9999, 0.0)
-    filtered, rejected = filter_track(track_of([east, west]), cfg)
-    assert rejected == 0 and filtered.points == [east, west]
-
-
 def test_speed_ceiling_brackets():
-    cfg = NoiseFilterConfig(max_speed_knots=50.0)
+    assert MAX_SPEED_KNOTS == 50.0
     a = AisRecord(1, 0, 0.0, 0.0)
     under = AisRecord(1, 100, 49.9 * KNOT_MS * 100 * DEG_PER_M, 0.0)
     over = AisRecord(1, 100, 50.1 * KNOT_MS * 100 * DEG_PER_M, 0.0)
-    _, rejected = filter_track(track_of([a, under]), cfg)
+    _, rejected = filter_track(track_of([a, under]))
     assert rejected == 0
-    _, rejected = filter_track(track_of([a, over]), cfg)
+    _, rejected = filter_track(track_of([a, over]))
     assert rejected == 1
 
 
-def test_disabled_config_keeps_any_plausible_ordering():
-    cfg = NoiseFilterConfig.disabled()
-    a = AisRecord(1, 0, 0.0, 0.0)
-    teleport = AisRecord(1, 10, 10.0, 10.0)
-    filtered, rejected = filter_track(track_of([a, teleport]), cfg)
-    assert rejected == 0
-    assert filtered.points == [a, teleport]
+@pytest.mark.parametrize(
+    "a, b, knots",
+    [
+        # 22 m apart across the antimeridian, 5 s apart: the change in
+        # longitude is 0.0002 deg the short way round.
+        (AisRecord(1, 0, 179.9999, 0.0), AisRecord(1, 5, -179.9999, 0.0), 8.6),
+        # At 89.95 N, 0.6 deg of longitude is 58 m: 22.6 kn over 5 s.
+        (AisRecord(1, 0, 0.0, 89.95), AisRecord(1, 5, 0.6, 89.95), 22.6),
+    ],
+    ids=["antimeridian", "pole"],
+)
+def test_slow_moves_are_kept_where_degrees_mislead(a, b, knots):
+    assert implied_speed_knots(a, b) == pytest.approx(knots, abs=0.05)
+    filtered, rejected = filter_track(track_of([a, b]))
+    assert rejected == 0 and filtered.points == [a, b]
 
 
-def test_disabled_config_still_requires_advancing_time():
-    # Downstream processing relies on strictly increasing timestamps, so
-    # even the permissive configuration drops non-advancing reports.
-    cfg = NoiseFilterConfig.disabled()
-    a = AisRecord(1, 100, 0.0, 0.0)
-    b = AisRecord(1, 100, 0.1, 0.0)
-    filtered, rejected = filter_track(track_of([a, b]), cfg)
-    assert filtered.points == [a]
-    assert rejected == 1
+def _wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lon=st.floats(-180.0, 180.0),
+    lat=st.floats(-89.7, 89.7),
+    dlon=st.one_of(st.floats(-1.0, 1.0), st.floats(-180.0, 180.0)),
+    dlat=st.floats(-1.0, 1.0),
+    dt=st.integers(1, 9),
+)
+@example(lon=179.8, lat=0.0, dlon=0.51, dlat=0.0, dt=9)
+@example(lon=-179.8, lat=0.0, dlon=-0.51, dlat=0.0, dt=9)
+@example(lon=0.0, lat=89.7, dlon=0.51, dlat=0.0, dt=9)
+@example(lon=0.0, lat=-89.7, dlon=-0.51, dlat=0.0, dt=9)
+@example(lon=179.9, lat=89.7, dlon=0.51, dlat=0.0, dt=9)
+@example(lon=0.0, lat=89.19, dlon=0.0, dlat=0.51, dt=9)
+def test_a_half_degree_jump_within_seconds_is_over_the_ceiling(lon, lat, dlon, dlat, dt):
+    # Away from the poles, more than 0.5 deg of latitude, or of longitude the
+    # short way round, is at least 291 m; over at most 9 s that exceeds the
+    # ceiling, so the speed rule alone rejects every such jump.
+    lat2 = lat + dlat
+    assume(abs(lat2) <= 89.7)
+    a = AisRecord(1, 1000, lon, lat)
+    b = AisRecord(1, 1000 + dt, _wrap_lon(lon + dlon), lat2)
+    lon_change = abs(b.lon - a.lon)
+    assume(abs(b.lat - a.lat) > 0.5 or min(lon_change, 360.0 - lon_change) > 0.5)
+    filtered, rejected = filter_track(track_of([a, b]))
+    assert rejected == 1 and filtered.points == [a]
 
 
 def test_filter_decisions_are_prefix_stable():
@@ -148,10 +150,3 @@ def test_filter_dataset_drops_emptied_tracks():
     clean, rejected = filter_dataset([gone, kept])
     assert [t.mmsi for t in clean] == [2]
     assert rejected == 1
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        NoiseFilterConfig(max_speed_knots=0.0)
-    with pytest.raises(ValueError):
-        NoiseFilterConfig(max_coord_jump_deg=-1.0)

@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import vesselsyn
+from vesselsyn import ga, noise
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +52,19 @@ def test_package_root_exports_exactly_the_documented_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == ROOT_NAMES
+
+
+def test_readme_states_the_fixed_filter_and_operator_settings():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+
+    def figure(pattern):
+        match = re.search(pattern, text)
+        assert match, f"README no longer states {pattern!r}"
+        return float(match.group(1))
+
+    assert figure(r"implies more than ([\d.]+) knots") == noise.MAX_SPEED_KNOTS
+    assert figure(r"tournament selection \((\d+) contestants\)") == ga.TOURNAMENT_SIZE
+    assert figure(r"crossover \(probability ([\d.]+) per parent pair\)") == ga.CROSSOVER_PROB
+    assert figure(r"mutation \(probability ([\d.]+) per child") == ga.MUTATION_PROB
+    assert figure(r"each gene then changes with probability ([\d.]+)") == ga.PER_GENE_PROB
+    assert figure(r"σ = (\d+)% of its range") / 100 == ga.SIGMA_FRACTION
