@@ -144,22 +144,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _resolve_scoring(args: argparse.Namespace) -> tuple[str | None, float, float]:
-    explicit = args.r is not None or args.n is not None
-    if args.preset and explicit:
-        raise CliError("pass either --preset or --r/--n, not both")
-    if explicit:
+    """``(None, r, n)`` from ``--r``/``--n`` when given, else the ``--type`` preset's."""
+    if args.r is not None or args.n is not None:
         if args.r is None or args.n is None:
             raise CliError("--r and --n must be given together")
         return None, args.r, args.n
-    preset_name = args.preset or args.type
-    preset = FITNESS_PRESETS.get(preset_name)
+    preset = FITNESS_PRESETS.get(args.type)
     if preset is None:
         known = ", ".join(sorted(FITNESS_PRESETS))
         raise CliError(
-            f"no scoring preset named {preset_name!r} (known: {known}); "
-            "pick one with --preset or give --r and --n explicitly"
+            f"no scoring preset for vessel type {args.type!r} (known: {known}); "
+            "give --r and --n explicitly"
         )
-    return preset.name, preset.r, preset.n
+    return args.type, preset.r, preset.n
 
 
 #: The ``tune`` flag that sets each range-checked :class:`GaHyperParams` field.
@@ -187,12 +184,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     except ValueError as exc:
         field = str(exc).split()[0]
         raise CliError(f"{_TUNE_FLAGS[field]}: {exc}")
+    if args.k < 2:
+        raise CliError(f"--k: need at least 2 folds, got {args.k}")
     clean, _, _ = _load_dataset(args)
-    wanted = args.type.lower()
-    selected = [t for t in clean if t.vessel_type == wanted]
+    selected = [t for t in clean if t.vessel_type == args.type]
     if not selected:
         available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
-        raise CliError(f"no tracks of vessel type {wanted!r} in input (available: {available})")
+        raise CliError(f"no tracks of vessel type {args.type!r} in input (available: {available})")
     try:
         result = cross_validate(selected, args.k, hp)
     except ValueError as exc:
@@ -204,7 +202,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         {
             "command": "tune",
             "input": args.input,
-            "vessel_type": wanted,
+            "vessel_type": args.type,
             "preset": preset_name,
             "r": _round6(r),
             "n": _round6(n),
@@ -258,7 +256,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     chosen = result.chosen
     print(
-        f"tuned {wanted} over {args.k} folds: fold {chosen.index} wins "
+        f"tuned {args.type} over {args.k} folds: fold {chosen.index} wins "
         f"(test score {chosen.test_score:.6f}, rmse {chosen.test_metrics.rmse_m:.6f} m, "
         f"ratio {chosen.test_metrics.ratio:.6f})"
     )
@@ -300,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="evolve a config for one vessel type with k-fold validation")
     _add_common_io(p)
-    p.add_argument("--type", required=True, help="vessel type to tune for")
-    p.add_argument("--preset", help="scoring preset name (defaults to the vessel type's)")
+    p.add_argument("--type", type=str.lower, required=True, help="vessel type to tune for (any case)")
     p.add_argument("--r", type=float, help="scoring offset in metres")
     p.add_argument("--n", type=float, help="scoring exponent")
     p.add_argument("--k", type=int, default=6, help="number of folds (default 6)")

@@ -9,13 +9,16 @@ minimization target::
 The offset ``r`` (metres) keeps worthless "keep everything" solutions from
 winning on error alone, and the exponent ``n`` trades error against
 compression: more aggressive compression needs a larger ``n`` to stay
-attractive.  Sensible ``(r, n)`` pairs per vessel category live in
-:mod:`vesselsyn.presets`.
+attractive.  The caller picks ``(r, n)``; ``vesselsyn tune`` takes the
+vessel type's pair from :data:`vesselsyn.presets.FITNESS_PRESETS` unless
+``--r``/``--n`` are given.
 
 The search itself is a plain generational GA: tournament selection,
 single-point crossover, per-gene Gaussian mutation, one elite survivor, and
 early stopping when the best score stops improving.  All randomness flows
 from one seeded generator, so runs are exactly reproducible.
+:func:`cross_validate` runs one GA per held-out fold and keeps the
+configuration that tested best.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class Gene:
     lower: float
     upper: float
     integer: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"gene {self.name}: lower {self.lower} must be < upper {self.upper}")
 
 
 #: The search space: the eight detection parameters with their bounds.
@@ -142,11 +141,6 @@ def genes_to_config(genes: Sequence[float]) -> SynopsisConfig:
     for gene, value in zip(GENE_SPEC, genes):
         kwargs[gene.name] = int(round(value)) if gene.integer else float(value)
     return SynopsisConfig(**kwargs)
-
-
-def config_to_genes(cfg: SynopsisConfig) -> list[float]:
-    """Inverse of :func:`genes_to_config`."""
-    return [float(getattr(cfg, gene.name)) for gene in GENE_SPEC]
 
 
 def uniform_individual(rng: np.random.Generator) -> Individual:
@@ -365,45 +359,3 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
         )
     chosen = min(range(k), key=lambda i: (results[i].test_score, i))
     return CrossValidationResult(folds=tuple(results), chosen_index=chosen)
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    r: float
-    n: float
-    config: SynopsisConfig
-    metrics: Metrics
-    satisfied: bool
-
-
-def search_fitness_hyperparams(
-    tracks: Sequence[VesselTrack],
-    rmse_threshold_m: float,
-    ratio_threshold: float,
-    hp: GaHyperParams,
-    *,
-    r_candidates: Sequence[float] = (1, 2, 5, 10, 13, 17, 20),
-    n_candidates: Sequence[float] = (0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6),
-) -> GridSearchResult:
-    """Pick ``(r, n)`` by grid search against quality thresholds.
-
-    Runs one GA per candidate pair, in grid order, and returns the first pair
-    whose best configuration meets both thresholds (RMSE and ratio at or
-    below them).  If no pair qualifies, the pair with the smallest worst-case
-    threshold excess is returned with ``satisfied=False``.
-    """
-    fallback: GridSearchResult | None = None
-    fallback_excess = math.inf
-    for r in r_candidates:
-        for n in n_candidates:
-            best, _ = run_ga(tracks, replace(hp, r=float(r), n=float(n)))
-            cfg = genes_to_config(best.genes)
-            metrics = evaluate_config(tracks, cfg)
-            if metrics.rmse_m <= rmse_threshold_m and metrics.ratio <= ratio_threshold:
-                return GridSearchResult(float(r), float(n), cfg, metrics, True)
-            excess = max(metrics.rmse_m / rmse_threshold_m, metrics.ratio / ratio_threshold)
-            if excess < fallback_excess:
-                fallback_excess = excess
-                fallback = GridSearchResult(float(r), float(n), cfg, metrics, False)
-    assert fallback is not None
-    return fallback

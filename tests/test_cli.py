@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from vesselsyn.cli import main
 from vesselsyn.ingest import write_records
-from vesselsyn.presets import TUNED_CONFIGS
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import (
     make_mixed_voyage,
@@ -80,7 +80,10 @@ def test_compare_emits_both_configs_and_plot_rows(tmp_path, capsys):
     data = tmp_path / "fishing.csv"
     write_tracks_csv(data, [make_slow_motion_track()], vessel_type="fishing")
     cfg_a = write_config(tmp_path / "a.json", {})
-    cfg_b = write_config(tmp_path / "b.json", TUNED_CONFIGS["fishing"].to_dict())
+    cfg_b = write_config(
+        tmp_path / "b.json",
+        {"angle_threshold_deg": 18.99, "buffer_size": 3, "gap_period_s": 200.0, "speed_ratio": 0.01},
+    )
     out = tmp_path / "cmp"
     rc = main([
         "compare",
@@ -417,29 +420,6 @@ def test_tune_without_a_preset_for_the_type_lists_known_presets(tmp_path, capsys
     assert "not found" not in err
 
 
-def test_tune_unknown_preset_lists_known(tmp_path, passenger_csv, capsys):
-    rc = main(
-        ["tune", "--input", passenger_csv, "--type", "passenger", "--preset", "zeppelin", "--out", str(tmp_path / "x")]
-        + TUNE_FAST
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "zeppelin" in err
-    assert "cargo" in err
-
-
-def test_tune_rejects_preset_combined_with_explicit_knobs(tmp_path, passenger_csv, capsys):
-    rc = main(
-        [
-            "tune", "--input", passenger_csv, "--type", "passenger",
-            "--preset", "cargo", "--r", "5", "--n", "1.0", "--out", str(tmp_path / "x"),
-        ]
-        + TUNE_FAST
-    )
-    assert rc == 2
-    assert "not both" in capsys.readouterr().err
-
-
 def test_tune_rejects_half_of_the_scoring_pair(tmp_path, passenger_csv, capsys):
     rc = main(
         ["tune", "--input", passenger_csv, "--type", "passenger", "--r", "5", "--out", str(tmp_path / "x")]
@@ -480,6 +460,27 @@ def test_tune_rejects_out_of_range_flags(tmp_path, passenger_csv, capsys, flags,
 
 def test_tune_checks_its_flags_before_reading_the_input(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
-    rc = main(["tune", "--input", missing, "--type", "fishing", "--population", "0", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "error: --population: " in capsys.readouterr().err
+    for flag, value in (("--population", "0"), ("--k", "1")):
+        rc = main(["tune", "--input", missing, "--type", "fishing", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+
+
+def test_tune_type_is_case_insensitive(tmp_path):
+    data = tmp_path / "fishing.csv"
+    write_tracks_csv(
+        data,
+        [make_mixed_voyage(120, mmsi=111, seed=3), make_mixed_voyage(130, mmsi=222, seed=4)],
+        vessel_type="fishing",
+    )
+    out = tmp_path / "tuned"
+
+    def tune(vessel_type):
+        assert main(["tune", "--input", str(data), "--type", vessel_type, "--out", str(out)] + TUNE_FAST) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        shutil.rmtree(out)
+        return files
+
+    lower = tune("fishing")
+    assert json.loads(lower[Path("manifest.json")])["preset"] == "fishing"
+    assert tune("FISHING") == lower

@@ -12,15 +12,12 @@ from vesselsyn.ga import (
     GENE_SPEC,
     CrossValidationResult,
     GaHyperParams,
-    Gene,
     Individual,
-    config_to_genes,
     cross_validate,
     fitness,
     gaussian_mutate,
     genes_to_config,
     run_ga,
-    search_fitness_hyperparams,
     single_point_crossover,
     tournament_select,
     uniform_individual,
@@ -124,12 +121,14 @@ def test_gene_spec_matches_config_fields():
 
 
 def test_genes_config_roundtrip():
-    cfg = SynopsisConfig(angle_threshold_deg=7.25, buffer_size=11)
-    assert genes_to_config(config_to_genes(cfg)) == cfg
+    genes = [7.25, 11.0, 1800.0, 3600.0, 0.5, 5.0, 0.25, 50.0]
+    cfg = genes_to_config(genes)
+    assert cfg == SynopsisConfig(angle_threshold_deg=7.25, buffer_size=11)
+    assert [float(getattr(cfg, gene.name)) for gene in GENE_SPEC] == genes
 
 
 def test_genes_to_config_rounds_integer_genes():
-    genes = config_to_genes(SynopsisConfig())
+    genes = [4.0, 5.0, 1800.0, 3600.0, 0.5, 5.0, 0.25, 50.0]
     genes[1] = 5.4
     assert genes_to_config(genes).buffer_size == 5
     genes[1] = 5.6
@@ -149,11 +148,6 @@ def test_uniform_individual_respects_bounds():
             assert gene.lower <= value <= gene.upper
             if gene.integer:
                 assert value == int(value)
-
-
-def test_gene_validates_bounds():
-    with pytest.raises(ValueError):
-        Gene("x", 5.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,37 +339,3 @@ def test_cross_validate_propagates_split_errors():
     data = tiny_dataset()
     with pytest.raises(ValueError):
         cross_validate(data, len(data) + 1, TINY_HP)
-
-
-# ---------------------------------------------------------------------------
-# scoring-hyperparameter grid search
-
-
-def test_grid_search_returns_first_satisfying_pair():
-    hp = GaHyperParams(population_size=6, max_generations=2, stagnation_limit=2, rng_seed=21)
-    result = search_fitness_hyperparams(
-        tiny_dataset(),
-        rmse_threshold_m=1e9,
-        ratio_threshold=1.0,
-        hp=hp,
-        r_candidates=(5.0, 10.0),
-        n_candidates=(0.8, 1.2),
-    )
-    assert result.satisfied
-    assert (result.r, result.n) == (5.0, 0.8)
-    assert result.metrics.rmse_m <= 1e9
-
-
-def test_grid_search_falls_back_to_least_bad_pair():
-    hp = GaHyperParams(population_size=6, max_generations=2, stagnation_limit=2, rng_seed=21)
-    result = search_fitness_hyperparams(
-        tiny_dataset(),
-        rmse_threshold_m=1e-12,
-        ratio_threshold=1e-12,
-        hp=hp,
-        r_candidates=(5.0, 10.0),
-        n_candidates=(0.8,),
-    )
-    assert not result.satisfied
-    assert result.r in (5.0, 10.0)
-    assert result.n == 0.8

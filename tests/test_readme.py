@@ -1,5 +1,6 @@
-"""The README's code must import names that exist where it says they live."""
+"""The README must match the code: its imports resolve, its figures and CLI flags are current."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import vesselsyn
 from vesselsyn import ga, noise
+from vesselsyn.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,3 +70,20 @@ def test_readme_states_the_fixed_filter_and_operator_settings():
     assert figure(r"mutation \(probability ([\d.]+) per child") == ga.MUTATION_PROB
     assert figure(r"each gene then changes with probability ([\d.]+)") == ga.PER_GENE_PROB
     assert figure(r"σ = (\d+)% of its range") / 100 == ga.SIGMA_FRACTION
+
+
+def test_readme_cli_section_names_exactly_the_accepted_flags():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Command-line interface\n(.*?)^## ", text, re.S | re.M).group(1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subcommands = next(
+        action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == accepted
