@@ -14,18 +14,21 @@ points bracketing the query time, taking the shorter way round in longitude
 synopsis time range clamp to the nearest end, which only matters for
 degenerate synopses since a complete one always retains a track's first and
 last report.
+
+Summation rule: each track's squared distances are summed with
+``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
+result does not depend on track order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .geo import haversine_m_vec
+from .geo import haversine_m
 from .ingest import VesselTrack
 from .synopses import CriticalPoint, Segment, SynopsisConfig, compress_track
 
@@ -55,45 +58,50 @@ def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[
     """
     if not synopsis:
         raise ValueError("cannot reconstruct from an empty synopsis")
-    lon, lat = _reconstruct_track(synopsis, np.array([tau]))
-    return float(lon[0]), float(lat[0])
+    return _position(synopsis, bisect_left(synopsis, tau, key=lambda cp: cp.timestamp), tau)
 
 
-def _reconstruct_track(
-    synopsis: Sequence[CriticalPoint], times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruction of lon/lat arrays at the given times.
+def _position(synopsis: Sequence[CriticalPoint], i: int, tau: int) -> tuple[float, float]:
+    """Reconstructed lon/lat at ``tau``; ``synopsis[i]`` is the first knot not earlier than it.
 
-    The one interpolation path, behind both :func:`synchronized_position`
-    and :func:`compute_metrics`.  Retained timestamps are copied bit-for-bit
-    so that a full-retention synopsis reconstructs with exactly zero error.
+    The one reconstruction rule, behind :func:`synchronized_position` and
+    :func:`compute_metrics`.  Longitude is wrapped only where it leaves
+    [-180, 180], so a track that never crosses the antimeridian gets plain
+    linear interpolation, bit for bit.
     """
-    knot_t = np.array([cp.timestamp for cp in synopsis], dtype=np.int64)
-    knot_lon = np.array([cp.lon for cp in synopsis])
-    knot_lat = np.array([cp.lat for cp in synopsis])
+    if i == len(synopsis):
+        return synopsis[-1].lon, synopsis[-1].lat
+    b = synopsis[i]
+    if i == 0 or b.timestamp == tau:
+        return b.lon, b.lat
+    a = synopsis[i - 1]
+    f = (tau - a.timestamp) / (b.timestamp - a.timestamp)
+    dlon = b.lon - a.lon
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    lon = a.lon + f * dlon
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
+    return lon, a.lat + f * (b.lat - a.lat)
 
-    idx = np.searchsorted(knot_t, times, side="left")
-    idx_clipped = np.minimum(idx, len(knot_t) - 1)
-    exact = knot_t[idx_clipped] == times
 
-    lo = np.clip(idx - 1, 0, len(knot_t) - 1)
-    hi = np.clip(idx, 0, len(knot_t) - 1)
-    t_lo = knot_t[lo]
-    t_hi = knot_t[hi]
-    span = np.where(t_hi > t_lo, t_hi - t_lo, 1)
-    f = np.clip((times - t_lo) / span, 0.0, 1.0)
-    # Longitude goes the short way round, across the antimeridian when that is
-    # shorter.  Only out-of-range values are touched, so a track that never
-    # crosses it gets plain linear interpolation, bit for bit.
-    dlon = knot_lon[hi] - knot_lon[lo]
-    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
-    lon = knot_lon[lo] + f * dlon
-    lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
-    lat = knot_lat[lo] + f * (knot_lat[hi] - knot_lat[lo])
-
-    lon = np.where(exact, knot_lon[idx_clipped], lon)
-    lat = np.where(exact, knot_lat[idx_clipped], lat)
-    return lon, lat
+def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
+    """``math.fsum`` of each report's squared distance to its reconstruction, in one merge pass."""
+    squares = []
+    n = len(synopsis)
+    i = 0  # the first knot not earlier than the current report
+    for p in track.points:
+        tau = p.timestamp
+        while i < n and synopsis[i].timestamp < tau:
+            i += 1
+        lon, lat = _position(synopsis, i, tau)
+        d = haversine_m(p.lon, p.lat, lon, lat)
+        squares.append(d * d)
+    return math.fsum(squares)
 
 
 def compute_metrics(
@@ -104,8 +112,7 @@ def compute_metrics(
 
     Every clean point of every track enters the error sum, including the
     retained ones (at zero error), and the denominator of the ratio.  The
-    per-track square sums come from numpy's pairwise summation and are folded
-    with exact ``math.fsum``, so results do not depend on track order.
+    sums follow the module's summation rule.
 
     Synopses are keyed by MMSI, so each track must have its own.
 
@@ -130,12 +137,7 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        times = np.array([p.timestamp for p in track.points], dtype=np.int64)
-        lon = np.array([p.lon for p in track.points])
-        lat = np.array([p.lat for p in track.points])
-        rec_lon, rec_lat = _reconstruct_track(synopsis, times)
-        d = haversine_m_vec(lon, lat, rec_lon, rec_lat)
-        square_sums.append(float(np.sum(d * d)))
+        square_sums.append(_square_sum(track, synopsis))
         total_points += len(track.points)
         total_critical += len(synopsis)
     if total_points == 0:

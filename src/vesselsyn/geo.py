@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 EARTH_RADIUS_M = 6_371_000.0
 
 #: Metres per second in one knot.
@@ -59,19 +57,6 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     if a > 1.0:  # rounding overshoot on near-antipodal pairs
         a = 1.0
     return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
-
-
-def haversine_m_vec(
-    lon1: np.ndarray, lat1: np.ndarray, lon2: np.ndarray, lat2: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`haversine_m` over numpy arrays of coordinates."""
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(lat2 - lat1)
-    dlam = np.radians(lon2 - lon1)
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    a = np.minimum(a, 1.0)  # rounding overshoot on near-antipodal pairs
-    return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
 
 
 def heading_difference_deg(a: float, b: float) -> float:

@@ -71,7 +71,8 @@ def _parse_row(fields: Sequence[str]) -> AisRecord:
         raise ValueError(f"row has {len(fields)} fields, expected at least 4")
     mmsi = int(fields[0].strip())
     timestamp = int(fields[1].strip())
-    # Downstream code holds timestamps as floats and int64 arrays.
+    # Speeds divide by time differences, which must convert to float; the
+    # signed 64-bit range is a safe bound that Unix-second clocks never reach.
     if not 0 <= timestamp < 2**63:
         raise ValueError(f"timestamp {timestamp} outside [0, 2**63)")
     lon = float(fields[2].strip())

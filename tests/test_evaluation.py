@@ -2,17 +2,24 @@
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vesselsyn
 from vesselsyn.evaluation import (
     Metrics,
     compute_metrics,
     evaluate_config,
     synchronized_position,
 )
+from vesselsyn.ga import GENE_SPEC, genes_to_config
 from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.noise import filter_dataset
@@ -65,6 +72,59 @@ def rmse_oracle_m(track, synopsis):
     return math.sqrt(total / len(track.points))
 
 
+def haversine_m_vec(lon1, lat1, lon2, lat2):
+    """The library's former vectorized haversine, kept as an oracle."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    a = np.minimum(a, 1.0)  # rounding overshoot on near-antipodal pairs
+    return 2.0 * EARTH_RADIUS_M * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
+
+
+def reconstruct_track_vec(synopsis, times):
+    """The library's former numpy reconstruction of lon/lat at ``times``, kept as an oracle."""
+    knot_t = np.array([cp.timestamp for cp in synopsis], dtype=np.int64)
+    knot_lon = np.array([cp.lon for cp in synopsis])
+    knot_lat = np.array([cp.lat for cp in synopsis])
+
+    idx = np.searchsorted(knot_t, times, side="left")
+    idx_clipped = np.minimum(idx, len(knot_t) - 1)
+    exact = knot_t[idx_clipped] == times
+
+    lo = np.clip(idx - 1, 0, len(knot_t) - 1)
+    hi = np.clip(idx, 0, len(knot_t) - 1)
+    t_lo = knot_t[lo]
+    t_hi = knot_t[hi]
+    span = np.where(t_hi > t_lo, t_hi - t_lo, 1)
+    f = np.clip((times - t_lo) / span, 0.0, 1.0)
+    dlon = knot_lon[hi] - knot_lon[lo]
+    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    lon = knot_lon[lo] + f * dlon
+    lon = np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
+    lat = knot_lat[lo] + f * (knot_lat[hi] - knot_lat[lo])
+
+    lon = np.where(exact, knot_lon[idx_clipped], lon)
+    lat = np.where(exact, knot_lat[idx_clipped], lat)
+    return lon, lat
+
+
+def metrics_vec_oracle(tracks, synopses):
+    """``(rmse_m, ratio)`` as the former numpy ``compute_metrics`` gave them."""
+    square_sums = []
+    for track in tracks:
+        times = np.array([p.timestamp for p in track.points], dtype=np.int64)
+        lon = np.array([p.lon for p in track.points])
+        lat = np.array([p.lat for p in track.points])
+        rec_lon, rec_lat = reconstruct_track_vec(synopses[track.mmsi], times)
+        d = haversine_m_vec(lon, lat, rec_lon, rec_lat)
+        square_sums.append(float(np.sum(d * d)))
+    total = sum(len(t.points) for t in tracks)
+    critical = sum(len(synopses[t.mmsi]) for t in tracks)
+    return math.sqrt(math.fsum(square_sums) / total), critical / total
+
+
 ALL_FIXTURES = (
     make_straight_track,
     make_stop_track,
@@ -108,6 +168,28 @@ def test_synchronized_position_clamps_outside_the_synopsis():
     ]
     assert synchronized_position(synopsis, 50) == (1.0, 2.0)
     assert synchronized_position(synopsis, 250) == (3.0, 4.0)
+
+
+def test_rmse_scores_a_report_against_the_knot_at_its_timestamp():
+    """A knot need not sit where the report at its timestamp does; the gap counts."""
+    points = [AisRecord(1, 60 * i, 0.001 * i, 0.0) for i in range(3)]
+    synopsis = [
+        CriticalPoint(1, 0, 0.0, 0.0, {Annotation.TRACK_START}),
+        CriticalPoint(1, 60, 0.001, 0.01, {Annotation.CHANGE_IN_HEADING}),
+        CriticalPoint(1, 120, 0.002, 0.0, {Annotation.TRACK_END}),
+    ]
+    assert synchronized_position(synopsis, 60) == (0.001, 0.01)
+    metrics = compute_metrics([VesselTrack(1, "unknown", points)], {1: synopsis})
+    gap = distance_oracle_m(0.001, 0.0, 0.001, 0.01)
+    assert gap > 1000.0
+    assert metrics.rmse_m == pytest.approx(math.sqrt(gap**2 / 3), rel=1e-9)
+
+
+def test_importing_the_package_does_not_load_numpy():
+    """Only the GA's random generator needs numpy; the streaming names must not pull it in."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
+    code = "import sys, vesselsyn; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_synchronized_position_rejects_empty_synopsis():
@@ -254,3 +336,34 @@ def test_rotating_in_longitude_keeps_the_ratio(seed, offset):
     _, turned = _run_pipeline(rotated, SynopsisConfig())
     assert turned.ratio == metrics.ratio
     assert turned.rmse_m == pytest.approx(metrics.rmse_m, rel=1e-6)
+
+
+gene_vectors = st.tuples(
+    *(
+        st.integers(int(g.lower), int(g.upper)).map(float) if g.integer else st.floats(g.lower, g.upper)
+        for g in GENE_SPEC
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0))
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0)
+def test_compute_metrics_matches_the_numpy_oracle(seed, genes, offset):
+    """The scalar merge pass gives the former numpy path's ratio, and its RMSE to 1e-12.
+
+    Trimming each synopsis to its interior also scores reports outside it,
+    which clamp to its ends.
+    """
+    fleet = make_fleet(500, 3, seed=seed)
+    rotated = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))
+    clean, _ = filter_dataset(rotated)
+    cfg = genes_to_config(genes)
+    synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
+    trimmed = {mmsi: cps[1:-1] or cps for mmsi, cps in synopses.items()}
+    for scored in (synopses, trimmed):
+        metrics = compute_metrics(clean, scored)
+        rmse, ratio = metrics_vec_oracle(clean, scored)
+        assert metrics.ratio == ratio
+        assert metrics.rmse_m == pytest.approx(rmse, rel=1e-12)

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from vesselsyn.geo import (
     KNOT_MS,
     Velocity,
     haversine_m,
-    haversine_m_vec,
     heading_difference_deg,
     segment_velocity,
     velocity_components,
@@ -107,17 +105,6 @@ def test_haversine_triangle_inequality():
         assert d_ac <= d_via_b * (1 + 1e-6) + 1e-9
 
 
-def test_haversine_vectorized_matches_scalar():
-    rng = random.Random(19)
-    lon1 = np.array([rng.uniform(-180, 180) for _ in range(50)])
-    lat1 = np.array([rng.uniform(-89, 89) for _ in range(50)])
-    lon2 = lon1 + np.array([rng.uniform(-1, 1) for _ in range(50)])
-    lat2 = lat1 + np.array([rng.uniform(-1, 1) for _ in range(50)])
-    vec = haversine_m_vec(lon1, lat1, lon2, lat2)
-    for i in range(50):
-        assert vec[i] == pytest.approx(haversine_m(lon1[i], lat1[i], lon2[i], lat2[i]), rel=1e-12)
-
-
 def test_haversine_antipodal_pair_is_finite_and_symmetric():
     # Rounding puts the haversine term a hair above 1 for this exact pair.
     pair = (-88.6, 69.3, 91.4, -69.3)
@@ -125,11 +112,6 @@ def test_haversine_antipodal_pair_is_finite_and_symmetric():
     d_ab = haversine_m(*pair)
     d_ba = haversine_m(*pair[2:], *pair[:2])
     assert d_ab == d_ba == pytest.approx(half_circumference, rel=1e-12)
-    lon = np.array([pair[0], pair[2]])
-    lat = np.array([pair[1], pair[3]])
-    vec = haversine_m_vec(lon, lat, lon[::-1], lat[::-1])
-    assert np.all(np.isfinite(vec))
-    assert vec[0] == vec[1] == pytest.approx(half_circumference, rel=1e-12)
 
 
 def test_bearing_cardinal_directions():
