@@ -13,7 +13,13 @@ points bracketing the query time, taking the shorter way round in longitude
 (across the antimeridian when the knots straddle it); queries outside the
 synopsis time range clamp to the nearest end, which only matters for
 degenerate synopses since a complete one always retains a track's first and
-last report.
+last report.  A query at a critical point's timestamp returns that point.
+
+Scoring walks each track knot interval by knot interval: the reports
+strictly between two consecutive critical points are measured against the
+line between them (:func:`_interval_squares`), and the report at a critical
+point's timestamp against that point.  A report whose coordinates equal that
+point's contributes exactly 0.0, so it is not measured at all.
 
 Summation rule: each track's squared distances are summed with
 ``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
@@ -26,11 +32,15 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .geo import haversine_m
-from .ingest import VesselTrack
+from .ingest import AisRecord, VesselTrack
 from .synopses import CriticalPoint, Segment, SynopsisConfig, compress_track
+
+
+_timestamp = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -49,57 +59,96 @@ class Metrics:
 def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[float, float]:
     """Reconstructed lon/lat of the vessel at time ``tau``.
 
-    Exact critical timestamps return the stored coordinates verbatim; times
-    between two critical points interpolate linearly; times outside the
-    synopsis range clamp to the first or last retained position.
+    Exact critical timestamps return the stored coordinates verbatim (the
+    first of several sharing one); times between two critical points
+    interpolate linearly; times outside the synopsis range clamp to the first
+    or last retained position.  The knots must be in time order.
 
     Raises:
         ValueError: for an empty synopsis.
     """
     if not synopsis:
         raise ValueError("cannot reconstruct from an empty synopsis")
-    return _position(synopsis, bisect_left(synopsis, tau, key=lambda cp: cp.timestamp), tau)
-
-
-def _position(synopsis: Sequence[CriticalPoint], i: int, tau: int) -> tuple[float, float]:
-    """Reconstructed lon/lat at ``tau``; ``synopsis[i]`` is the first knot not earlier than it.
-
-    The one reconstruction rule, behind :func:`synchronized_position` and
-    :func:`compute_metrics`.  Longitude is wrapped only where it leaves
-    [-180, 180], so a track that never crosses the antimeridian gets plain
-    linear interpolation, bit for bit.
-    """
+    i = bisect_left(synopsis, tau, key=_timestamp)
     if i == len(synopsis):
         return synopsis[-1].lon, synopsis[-1].lat
     b = synopsis[i]
     if i == 0 or b.timestamp == tau:
         return b.lon, b.lat
-    a = synopsis[i - 1]
-    f = (tau - a.timestamp) / (b.timestamp - a.timestamp)
-    dlon = b.lon - a.lon
+    return next(_interpolated(synopsis[i - 1], b, (tau,)))
+
+
+def _interpolated(a: CriticalPoint, b: CriticalPoint, times: Iterable[int]) -> Iterator[tuple[float, float]]:
+    """Reconstructed lon/lat at each of ``times``, all strictly between knots ``a`` and ``b``.
+
+    The one interpolation rule, behind :func:`synchronized_position` and
+    :func:`_interval_squares`.  The pair's constants are computed once.
+    Longitude is wrapped only where it leaves [-180, 180], so a track that
+    never crosses the antimeridian gets plain linear interpolation, bit for
+    bit.
+    """
+    t0 = a.timestamp
+    span = b.timestamp - t0
+    lon0 = a.lon
+    lat0 = a.lat
+    dlon = b.lon - lon0
     if dlon > 180.0:
         dlon -= 360.0
     elif dlon < -180.0:
         dlon += 360.0
-    lon = a.lon + f * dlon
-    if lon > 180.0:
-        lon -= 360.0
-    elif lon < -180.0:
-        lon += 360.0
-    return lon, a.lat + f * (b.lat - a.lat)
+    dlat = b.lat - lat0
+    for tau in times:
+        f = (tau - t0) / span
+        lon = lon0 + f * dlon
+        if lon > 180.0:
+            lon -= 360.0
+        elif lon < -180.0:
+            lon += 360.0
+        yield lon, lat0 + f * dlat
+
+
+def _interval_squares(
+    a: CriticalPoint, b: CriticalPoint, inside: Sequence[AisRecord], squares: list[float]
+) -> None:
+    """Append the squared distance of each report in ``inside``, all strictly between ``a`` and ``b``.
+
+    Scores one knot interval; a caller that emits ``b`` may call it as soon
+    as it does.
+    """
+    for p, (lon, lat) in zip(inside, _interpolated(a, b, map(_timestamp, inside))):
+        d = haversine_m(p.lon, p.lat, lon, lat)
+        squares.append(d * d)
 
 
 def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
-    """``math.fsum`` of each report's squared distance to its reconstruction, in one merge pass."""
-    squares = []
-    n = len(synopsis)
-    i = 0  # the first knot not earlier than the current report
-    for p in track.points:
-        tau = p.timestamp
-        while i < n and synopsis[i].timestamp < tau:
-            i += 1
-        lon, lat = _position(synopsis, i, tau)
-        d = haversine_m(p.lon, p.lat, lon, lat)
+    """``math.fsum`` of each report's squared distance to its reconstruction, interval by interval.
+
+    Raises:
+        ValueError: the synopsis goes back in time.
+    """
+    points = track.points
+    squares: list[float] = []
+    a = synopsis[0]
+    j = bisect_left(points, a.timestamp, key=_timestamp)
+    for p in points[:j]:  # before the synopsis: clamped to its first knot
+        d = haversine_m(p.lon, p.lat, a.lon, a.lat)
+        squares.append(d * d)
+    for b in synopsis:
+        if b.timestamp < a.timestamp:
+            raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
+        k = bisect_left(points, b.timestamp, j, key=_timestamp)
+        if k > j:
+            _interval_squares(a, b, points[j:k], squares)
+        if k < len(points) and points[k].timestamp == b.timestamp:
+            p = points[k]
+            k += 1
+            if p.lon != b.lon or p.lat != b.lat:
+                d = haversine_m(p.lon, p.lat, b.lon, b.lat)
+                squares.append(d * d)
+        j = k
+        a = b
+    for p in points[j:]:  # after the synopsis: clamped to its last knot
+        d = haversine_m(p.lon, p.lat, a.lon, a.lat)
         squares.append(d * d)
     return math.fsum(squares)
 
@@ -118,15 +167,25 @@ def compute_metrics(
 
     Raises:
         ValueError: empty dataset, two tracks with the same MMSI, a track
-            without a synopsis, or an empty synopsis for a nonempty track.
+            without a synopsis, an empty synopsis for a nonempty track, or a
+            synopsis that goes back in time.
     """
+    return _measure(clean_tracks, synopses, None)
+
+
+def _measure(
+    clean_tracks: Sequence[VesselTrack],
+    synopses: Mapping[int, Sequence[CriticalPoint]],
+    square_sums: dict[tuple[int, tuple[int, ...]], float] | None,
+) -> Metrics:
+    """:func:`compute_metrics`, with the square-sum memo of :func:`evaluate_config`."""
     if not clean_tracks:
         raise ValueError("empty dataset: no clean tracks to evaluate")
     total_points = 0
     total_critical = 0
-    square_sums: list[float] = []
+    track_sums: list[float] = []
     seen: set[int] = set()
-    for track in clean_tracks:
+    for index, track in enumerate(clean_tracks):
         if track.mmsi in seen:
             raise ValueError(f"two tracks share vessel {track.mmsi}; each needs its own synopsis")
         seen.add(track.mmsi)
@@ -137,12 +196,19 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        square_sums.append(_square_sum(track, synopsis))
+        if square_sums is None:
+            track_sums.append(_square_sum(track, synopsis))
+        else:
+            key = (index, tuple(map(_timestamp, synopsis)))
+            track_sum = square_sums.get(key)
+            if track_sum is None:
+                track_sum = square_sums[key] = _square_sum(track, synopsis)
+            track_sums.append(track_sum)
         total_points += len(track.points)
         total_critical += len(synopsis)
     if total_points == 0:
         raise ValueError("empty dataset: tracks contain no points")
-    rmse = math.sqrt(math.fsum(square_sums) / total_points)
+    rmse = math.sqrt(math.fsum(track_sums) / total_points)
     return Metrics(
         rmse_m=rmse,
         ratio=total_critical / total_points,
@@ -155,6 +221,7 @@ def evaluate_config(
     clean_tracks: Sequence[VesselTrack],
     cfg: SynopsisConfig,
     segments: Sequence[Sequence[Segment]] | None = None,
+    square_sums: dict[tuple[int, tuple[int, ...]], float] | None = None,
 ) -> Metrics:
     """Compress every clean track with ``cfg`` and measure the result.
 
@@ -162,10 +229,17 @@ def evaluate_config(
     callers that evaluate many configurations on the same tracks pass it so
     that each track's geometry is computed once (see
     :func:`vesselsyn.synopses.compress_track`).
+
+    ``square_sums`` is a memo that such callers keep for one list of tracks
+    and pass to every call: it maps (track index, the synopsis's knot
+    timestamps) to that track's ``math.fsum`` of squares, so a synopsis
+    another configuration already produced is not measured again.  The key
+    is exact: every knot is one of the track's own reports, whose timestamps
+    are unique, and each track is summed on its own.
     """
     per_track = repeat(None) if segments is None else segments
     synopses = {
         track.mmsi: compress_track(track, cfg, geometry)
         for track, geometry in zip(clean_tracks, per_track)
     }
-    return compute_metrics(clean_tracks, synopses)
+    return _measure(clean_tracks, synopses, square_sums)

@@ -228,7 +228,11 @@ def run_ga(
     Identical inputs, hyper-parameters and seed reproduce the run exactly;
     fitness evaluation itself is deterministic and memoized per gene vector.
     Each track's segment geometry does not depend on the genes, so it is
-    computed once per run and reused by every evaluation.
+    computed once per run and reused by every evaluation.  Different genes
+    often give a track the same synopsis, so each track's square sum is
+    memoized per run by its synopsis's knot timestamps (see
+    :func:`vesselsyn.evaluation.evaluate_config`); the metrics are the same
+    bit for bit.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
@@ -244,12 +248,13 @@ def run_ga(
     rng = np.random.default_rng(hp.rng_seed)
     cache: dict[tuple[float, ...], tuple[float, Metrics]] = {}
     segments = [track_segments(track) for track in clean_tracks]
+    square_sums: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def scored(ind: Individual) -> Individual:
         key = tuple(ind.genes)
         hit = cache.get(key)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes), segments)
+            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes), segments, square_sums)
             hit = cache[key] = (fitness(metrics, hp.r, hp.n), metrics)
         return Individual(ind.genes, hit[0])
 

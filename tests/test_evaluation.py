@@ -20,10 +20,10 @@ from vesselsyn.evaluation import (
     synchronized_position,
 )
 from vesselsyn.ga import GENE_SPEC, genes_to_config
-from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
+from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS, haversine_m
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.noise import filter_dataset
-from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track
+from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track, track_segments
 from vesselsyn.synthetic import (
     make_corner_track,
     make_curve_track,
@@ -70,6 +70,43 @@ def rmse_oracle_m(track, synopsis):
             lat = a.lat + w * (b.lat - a.lat)
         total += distance_oracle_m(p.lon, p.lat, lon, lat) ** 2
     return math.sqrt(total / len(track.points))
+
+
+def position_oracle(synopsis, i, tau):
+    """The library's former per-report reconstruction; ``synopsis[i]`` is the first knot not earlier than ``tau``."""
+    if i == len(synopsis):
+        return synopsis[-1].lon, synopsis[-1].lat
+    b = synopsis[i]
+    if i == 0 or b.timestamp == tau:
+        return b.lon, b.lat
+    a = synopsis[i - 1]
+    f = (tau - a.timestamp) / (b.timestamp - a.timestamp)
+    dlon = b.lon - a.lon
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    lon = a.lon + f * dlon
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
+    return lon, a.lat + f * (b.lat - a.lat)
+
+
+def square_sum_oracle(track, synopsis):
+    """The library's former merge walk: every report reconstructed and measured, knots included."""
+    squares = []
+    n = len(synopsis)
+    i = 0  # the first knot not earlier than the current report
+    for p in track.points:
+        tau = p.timestamp
+        while i < n and synopsis[i].timestamp < tau:
+            i += 1
+        lon, lat = position_oracle(synopsis, i, tau)
+        d = haversine_m(p.lon, p.lat, lon, lat)
+        squares.append(d * d)
+    return math.fsum(squares)
 
 
 def haversine_m_vec(lon1, lat1, lon2, lat2):
@@ -367,3 +404,100 @@ def test_compute_metrics_matches_the_numpy_oracle(seed, genes, offset):
         rmse, ratio = metrics_vec_oracle(clean, scored)
         assert metrics.ratio == ratio
         assert metrics.rmse_m == pytest.approx(rmse, rel=1e-12)
+
+
+def _odd_synopses(track, synopsis, pick):
+    """``synopsis`` and the odd variants the interval walk must score like the merge walk.
+
+    ``pick`` chooses the knot and the report gap each variant alters.  Every
+    variant keeps its knots in time order.
+    """
+
+    def moved(cp, dlon, dlat):
+        lon = (cp.lon + dlon + 180.0) % 360.0 - 180.0
+        return CriticalPoint(cp.mmsi, cp.timestamp, lon, min(max(cp.lat + dlat, -90.0), 90.0), set())
+
+    k = pick % len(synopsis)
+    displaced = list(synopsis)
+    displaced[k] = moved(synopsis[k], 0.0, -0.02)
+    shared = list(synopsis)
+    shared.insert(k + 1, moved(synopsis[k], -0.03, 0.01))
+    variants = [synopsis, synopsis[1:-1] or synopsis, displaced, shared]
+    points = track.points
+    gaps = [m for m in range(len(points) - 1) if points[m + 1].timestamp - points[m].timestamp > 1]
+    if gaps:
+        p = points[gaps[pick % len(gaps)]]
+        extra = moved(CriticalPoint(p.mmsi, p.timestamp + 1, p.lon, p.lat, set()), 0.005, 0.005)
+        i = bisect.bisect_left([cp.timestamp for cp in synopsis], extra.timestamp)
+        variants.append(list(synopsis[:i]) + [extra] + list(synopsis[i:]))
+    return variants
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0), pick=st.integers(0, 10_000))
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0, pick=0)
+def test_compute_metrics_equals_the_merge_walk_oracle(seed, genes, offset, pick):
+    """The interval walk gives the former merge walk's RMSE bit for bit, on odd synopses too."""
+    fleet = make_fleet(500, 3, seed=seed)
+    rotated = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))
+    clean, _ = filter_dataset(rotated)
+    cfg = genes_to_config(genes)
+    per_track = [_odd_synopses(t, compress_track(t, cfg), pick) for t in clean]
+    total = sum(len(t.points) for t in clean)
+    for v in range(min(len(variants) for variants in per_track)):
+        scored = {t.mmsi: variants[v] for t, variants in zip(clean, per_track)}
+        expected = math.sqrt(math.fsum(square_sum_oracle(t, scored[t.mmsi]) for t in clean) / total)
+        assert compute_metrics(clean, scored).rmse_m == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0), pick=st.integers(0, 10_000))
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3)
+def test_synchronized_position_equals_the_oracle(seed, genes, offset, pick):
+    """At in-range, knot and clamped times, on odd synopses too."""
+    track = _moved(make_fleet(300, 1, seed=seed), lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))[0]
+    for synopsis in _odd_synopses(track, compress_track(track, genes_to_config(genes)), pick):
+        times = [cp.timestamp for cp in synopsis]
+        queries = [p.timestamp for p in track.points] + times + [times[0] - 7, times[-1] + 7]
+        for tau in queries:
+            assert synchronized_position(synopsis, tau) == position_oracle(synopsis, bisect.bisect_left(times, tau), tau)
+
+
+def test_compute_metrics_rejects_a_synopsis_that_goes_back_in_time():
+    points = [AisRecord(7, 60 * i, 0.001 * i, 0.001 * (i % 2)) for i in range(4)]
+    track = VesselTrack(7, "unknown", points)
+    knots = [CriticalPoint.from_record(points[i], ()) for i in (0, 2, 1, 3)]
+    with pytest.raises(ValueError, match="vessel 7"):
+        compute_metrics([track], {7: knots})
+    shared = [CriticalPoint.from_record(points[i], ()) for i in (0, 2, 2, 3)]
+    assert compute_metrics([track], {7: shared}).rmse_m > 0.0  # equal timestamps stay allowed
+
+
+def test_a_shared_square_sum_memo_changes_no_metrics():
+    """Calls sharing one memo match memo-free calls, with repeated synopses among them.
+
+    The memo is keyed by track as well as by knot timestamps: the last
+    track has the first one's timestamps and synopsis but one report moved.
+    """
+    clean, _ = filter_dataset(make_fleet(900, 3, seed=7))
+    base = SynopsisConfig()
+    first = clean[0]
+    kept = {cp.timestamp for cp in compress_track(first, base)}
+    m = next(i for i, p in enumerate(first.points) if p.timestamp not in kept)
+    moved = [replace(p, mmsi=p.mmsi + 1000) for p in first.points]
+    moved[m] = replace(moved[m], lat=moved[m].lat + 1e-6)
+    twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
+    assert {cp.timestamp for cp in compress_track(twin, base)} == kept
+    tracks = clean + [twin]
+    segments = [track_segments(t) for t in tracks]
+    # The pair (base, gap 1900 s) gives some track the same synopsis, so the memo hits.
+    cfgs = [base, replace(base, angle_threshold_deg=12.0), replace(base, gap_period_s=1900.0), replace(base, buffer_size=9)]
+    assert any(
+        [cp.timestamp for cp in compress_track(t, base)] == [cp.timestamp for cp in compress_track(t, cfgs[2])]
+        for t in clean
+    )
+    square_sums = {}
+    for cfg in cfgs:
+        assert evaluate_config(tracks, cfg, segments, square_sums) == evaluate_config(tracks, cfg)
+    assert len(square_sums) < len(cfgs) * len(tracks)

@@ -258,11 +258,11 @@ def test_run_ga_is_deterministic_for_a_seed(monkeypatch):
     assert best1.fitness == best2.fitness
     assert history1 == history2
 
-    # The geometry run_ga computes once per track scores every individual
-    # exactly as plain per-report evaluation does.
+    # The geometry and the square sums run_ga caches per run score every
+    # individual exactly as plain evaluation does.
     fleet = make_fleet(600, 3, seed=7)
     reused = run_ga(fleet, TINY_HP)
-    monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments: evaluate_config(tracks, cfg))
+    monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments, _sums: evaluate_config(tracks, cfg))
     plain = run_ga(fleet, TINY_HP)
     assert (plain[0].genes, plain[0].fitness, plain[1]) == (reused[0].genes, reused[0].fitness, reused[1])
 
