@@ -2,9 +2,9 @@
 
 A seeded genetic algorithm searches the eight-dimensional parameter space
 for a configuration that beats the defaults on the combined score
-``(rmse + r)^n * ratio``.  An observer prints the population's progress each
-generation; at the end we compare the evolved configuration against the
-defaults on the same data.
+``(rmse + r)^n * ratio``.  The run's history gives the population's best and
+mean score after each generation; at the end we compare the evolved
+configuration against the defaults on the same data.
 
 Run:  python demos/03_tune_fleet.py          (takes a few seconds)
 """
@@ -28,12 +28,9 @@ def main() -> None:
     print(f"tuning on {sum(len(t) for t in fleet)} reports from {len(fleet)} vessels")
     print(f"score = (rmse + {hp.r})^{hp.n} * ratio, lower is better\n")
 
-    def report(generation, population):
-        best = min(population, key=lambda ind: ind.fitness)
-        mean = sum(ind.fitness for ind in population) / len(population)
-        print(f"  generation {generation:2d}: best {best.fitness:8.4f}   mean {mean:9.4f}")
-
-    best, history = run_ga(fleet, hp, observer=report)
+    best, history = run_ga(fleet, hp)
+    for row in history:
+        print(f"  generation {row.generation:2d}: best {row.best_fitness:8.4f}   mean {row.mean_fitness:9.4f}")
     evolved = genes_to_config(best.genes)
 
     default_metrics = evaluate_config(fleet, SynopsisConfig())

@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .geo import haversine_m
+from .geo import Velocity, haversine_m
 from .ingest import AisRecord, VesselTrack
-from .synopses import CriticalPoint, Segment, SynopsisConfig, compress_track
+from .synopses import CriticalPoint, SynopsisConfig, compress_track
 
 
 _timestamp = attrgetter("timestamp")
@@ -62,13 +62,16 @@ def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[
     Exact critical timestamps return the stored coordinates verbatim (the
     first of several sharing one); times between two critical points
     interpolate linearly; times outside the synopsis range clamp to the first
-    or last retained position.  The knots must be in time order.
+    or last retained position.
 
     Raises:
-        ValueError: for an empty synopsis.
+        ValueError: for an empty synopsis, or one that goes back in time.
     """
     if not synopsis:
         raise ValueError("cannot reconstruct from an empty synopsis")
+    for a, b in pairwise(synopsis):
+        if b.timestamp < a.timestamp:
+            raise ValueError(f"synopsis of vessel {b.mmsi} goes back in time at {b.timestamp}")
     i = bisect_left(synopsis, tau, key=_timestamp)
     if i == len(synopsis):
         return synopsis[-1].lon, synopsis[-1].lat
@@ -220,7 +223,7 @@ def _measure(
 def evaluate_config(
     clean_tracks: Sequence[VesselTrack],
     cfg: SynopsisConfig,
-    segments: Sequence[Sequence[Segment]] | None = None,
+    segments: Sequence[Sequence[Velocity]] | None = None,
     square_sums: dict[tuple[int, tuple[int, ...]], float] | None = None,
 ) -> Metrics:
     """Compress every clean track with ``cfg`` and measure the result.

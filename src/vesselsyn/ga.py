@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,12 +209,7 @@ def gaussian_mutate(ind: Individual, rng: np.random.Generator) -> Individual:
     return Individual(genes)
 
 
-def run_ga(
-    clean_tracks: Sequence[VesselTrack],
-    hp: GaHyperParams,
-    *,
-    observer: Callable[[int, list[Individual]], None] | None = None,
-) -> tuple[Individual, list[GenerationStats]]:
+def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Individual, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
 
     Generation 0 is sampled uniformly within the :data:`GENE_SPEC` bounds.
@@ -227,7 +222,7 @@ def run_ga(
 
     Identical inputs, hyper-parameters and seed reproduce the run exactly;
     fitness evaluation itself is deterministic and memoized per gene vector.
-    Each track's segment geometry does not depend on the genes, so it is
+    Each track's segment velocities do not depend on the genes, so they are
     computed once per run and reused by every evaluation.  Different genes
     often give a track the same synopsis, so each track's square sum is
     memoized per run by its synopsis's knot timestamps (see
@@ -237,8 +232,6 @@ def run_ga(
     Args:
         clean_tracks: the training dataset, already noise-filtered.
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
-        observer: optional callback invoked as ``observer(generation,
-            population)`` after each generation is evaluated.
 
     Returns:
         The best individual found and the per-generation history.
@@ -277,8 +270,6 @@ def run_ga(
         return best
 
     best_overall = record(0)
-    if observer is not None:
-        observer(0, population)
     stagnant = 0
 
     for generation in range(1, hp.max_generations + 1):
@@ -297,8 +288,6 @@ def run_ga(
         population = [scored(ind) for ind in [best_overall] + offspring[: hp.population_size - 1]]
 
         best = record(generation)
-        if observer is not None:
-            observer(generation, population)
         if best.fitness < best_overall.fitness:
             best_overall = best
             stagnant = 0

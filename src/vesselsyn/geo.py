@@ -27,7 +27,10 @@ class PositionedSample(Protocol):
 
 @dataclass(slots=True)
 class Velocity:
-    """A speed/heading pair describing motion along one or more segments.
+    """Motion along one or more segments, as speed/heading and as components.
+
+    ``east_knots`` and ``north_knots`` are the (east, north) components of
+    the same velocity, the form a vector mean sums.
 
     The pipeline treats instances as read-only values.  The class is not
     ``frozen`` because a frozen constructor sets each field through
@@ -37,6 +40,8 @@ class Velocity:
 
     speed_knots: float
     heading_deg: float
+    east_knots: float
+    north_knots: float
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -72,9 +77,10 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
 
     Speed is the haversine distance over the elapsed time, converted to
     knots; the heading is the initial great-circle bearing from ``a`` to
-    ``b`` in compass degrees.  For coincident positions the speed is 0 and
-    the heading is reported as 0.0; consumers that need a heading must treat
-    a zero-speed velocity as directionless.
+    ``b`` in compass degrees; the components decompose that speed along that
+    heading.  For coincident positions the speed, the heading and both
+    components are 0.0; consumers that need a heading must treat a
+    zero-speed velocity as directionless.
 
     Distance and bearing come from one pass over their shared terms.  The
     distance keeps :func:`haversine_m`'s operation order, so it is the same
@@ -96,13 +102,10 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
         h = 1.0
     dist_m = 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
     if dist_m == 0.0:
-        return Velocity(0.0, 0.0)
+        return Velocity(0.0, 0.0, 0.0, 0.0)
     y = math.sin(dlam) * cos_phi2
     x = cos_phi1 * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam)
-    return Velocity(dist_m / dt / KNOT_MS, math.degrees(math.atan2(y, x)) % 360.0)
-
-
-def velocity_components(v: Velocity) -> tuple[float, float]:
-    """Decompose a velocity into (east, north) speed components in knots."""
-    h = math.radians(v.heading_deg)
-    return v.speed_knots * math.sin(h), v.speed_knots * math.cos(h)
+    speed = dist_m / dt / KNOT_MS
+    heading = math.degrees(math.atan2(y, x)) % 360.0
+    h = math.radians(heading)
+    return Velocity(speed, heading, speed * math.sin(h), speed * math.cos(h))

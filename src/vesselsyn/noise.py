@@ -3,7 +3,10 @@
 The filter walks each track once and drops reports that a real vessel could
 not have produced, by two rules: timestamps that do not advance, and implied
 speeds beyond :data:`MAX_SPEED_KNOTS`.  Decisions are made against the last
-*accepted* point, so one bad report cannot poison the points after it.
+*accepted* point, so one bad report after the first cannot poison the points
+after it.  A bad *first* report does: it is always accepted, and every later
+report is judged against it, so a first report far from the rest of the
+track rejects them all.
 """
 
 from __future__ import annotations

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from typing import Iterable, Sequence, TextIO
 
-from .geo import (
-    Velocity,
-    haversine_m,
-    heading_difference_deg,
-    segment_velocity,
-    velocity_components,
-)
+from .geo import Velocity, haversine_m, heading_difference_deg, segment_velocity
 from .ingest import AisRecord, VesselTrack
 
 
@@ -157,7 +151,7 @@ class CriticalPoint:
 
 @dataclass(slots=True)
 class _BufferEntry:
-    """A buffered report plus the cached velocity of the segment reaching it.
+    """A buffered report plus the components of the segment reaching it.
 
     ``east``/``north`` are the knot components of the velocity from the
     previous buffer entry; they are meaningless for the first entry and are
@@ -203,19 +197,8 @@ class VesselState:
     in_speed_change: bool = False
 
 
-#: The segment reaching a report from its predecessor: the segment's velocity
-#: and that velocity's (east, north) components in knots.
-Segment = tuple[Velocity, float, float]
-
-
-def _segment(a: AisRecord, b: AisRecord) -> Segment:
-    v = segment_velocity(a, b)
-    east, north = velocity_components(v)
-    return v, east, north
-
-
-def track_segments(track: VesselTrack) -> list[Segment]:
-    """The segment reaching each report of ``track`` after the first.
+def track_segments(track: VesselTrack) -> list[Velocity]:
+    """The velocity of the segment reaching each report of ``track`` after the first.
 
     Entry ``i`` joins ``track.points[i]`` to ``track.points[i + 1]``.  The
     geometry of consecutive reports does not depend on the detection
@@ -227,7 +210,7 @@ def track_segments(track: VesselTrack) -> list[Segment]:
         ValueError: if the timestamps do not increase.
     """
     points = track.points
-    return [_segment(a, b) for a, b in zip(points, points[1:])]
+    return [segment_velocity(a, b) for a, b in zip(points, points[1:])]
 
 
 def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) -> bool:
@@ -248,21 +231,21 @@ def _buffer_clear(state: VesselState) -> None:
     state.east_sum = state.north_sum = 0.0
 
 
-def _buffer_push(state: VesselState, rec: AisRecord, cap: int, segment: Segment | None = None) -> None:
+def _buffer_push(state: VesselState, rec: AisRecord, cap: int, v: Velocity | None = None) -> None:
     """Append ``rec`` to the buffer, with the velocity of the segment reaching it.
 
-    ``segment`` is the segment from ``state.last_point`` to ``rec``.  It is
-    reused when that report ends the buffer; after absorbed stop reports the
-    buffer ends at an earlier report, and that segment is computed here.
+    ``v`` is the velocity from ``state.last_point`` to ``rec``.  It is reused
+    when that report ends the buffer; after absorbed stop reports the buffer
+    ends at an earlier report, and that segment's velocity is computed here.
     """
     buffer = state.buffer
     if buffer:
         last = buffer[-1].record
-        if segment is None or last is not state.last_point:
-            segment = _segment(last, rec)
-        buffer.append(_BufferEntry(rec, segment[1], segment[2]))
-        state.east_sum += segment[1]
-        state.north_sum += segment[2]
+        if v is None or last is not state.last_point:
+            v = segment_velocity(last, rec)
+        buffer.append(_BufferEntry(rec, v.east_knots, v.north_knots))
+        state.east_sum += v.east_knots
+        state.north_sum += v.north_knots
     else:
         buffer.append(_BufferEntry(rec))
     while len(buffer) > cap:
@@ -306,11 +289,11 @@ def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) ->
     north = state.north_sum / n_segments
     speed = math.hypot(east, north)
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading)
+    return Velocity(speed, heading, east, north)
 
 
 def ingest_point(
-    state: VesselState, point: AisRecord, cfg: SynopsisConfig, segment: Segment | None = None
+    state: VesselState, point: AisRecord, cfg: SynopsisConfig, v_now: Velocity | None = None
 ) -> list[CriticalPoint]:
     """Feed one clean report through the detector, mutating ``state``.
 
@@ -323,11 +306,11 @@ def ingest_point(
     need no merge.
 
     Args:
-        segment: the segment from the previous report of this vessel to
-            ``point``, as built by :func:`track_segments`; ignored for the
-            first report.  Online callers leave it out and the segment is
+        v_now: the velocity of the segment from the previous report of this
+            vessel to ``point``, as built by :func:`track_segments`; ignored
+            for the first report.  Online callers leave it out and it is
             computed here, once.  A caller that passes it must pass the
-            segment of exactly these two reports, or the detector decides
+            velocity of exactly these two reports, or the detector decides
             on wrong geometry.
 
     Raises:
@@ -353,9 +336,8 @@ def ingest_point(
         _buffer_push(state, point, cfg.buffer_size)
         return _advance(state, point, {Annotation.GAP_END})
 
-    if segment is None:
-        segment = _segment(prev, point)
-    v_now = segment[0]
+    if v_now is None:
+        v_now = segment_velocity(prev, point)
     labels: set[Annotation] = set()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
@@ -420,7 +402,7 @@ def ingest_point(
         _buffer_clear(state)
         state.buffer.append(_BufferEntry(prev))
 
-    _buffer_push(state, point, cfg.buffer_size, segment)
+    _buffer_push(state, point, cfg.buffer_size, v_now)
     return _advance(state, point, labels)
 
 
@@ -458,7 +440,7 @@ def finalize_track(state: VesselState) -> list[CriticalPoint]:
 
 
 def compress_track(
-    track: VesselTrack, cfg: SynopsisConfig, segments: Sequence[Segment] | None = None
+    track: VesselTrack, cfg: SynopsisConfig, segments: Sequence[Velocity] | None = None
 ) -> list[CriticalPoint]:
     """Compress a clean track into its synopsis of critical points.
 
@@ -468,20 +450,20 @@ def compress_track(
 
     ``segments`` is ``track_segments(track)``, for a caller that compresses
     the same track under many configurations; each report after the first
-    gets its segment from there instead of computing it.  The synopsis is the
-    same either way.  Single-pass callers leave it out, so no geometry is
+    gets its segment's velocity from there instead of computing it.  The
+    synopsis is the same either way.  Single-pass callers leave it out, so no geometry is
     held beyond the report being ingested.
     """
     if segments is None:
-        incoming: Iterable[Segment | None] = repeat(None)
+        incoming: Iterable[Velocity | None] = repeat(None)
     elif len(segments) == max(len(track.points) - 1, 0):
         incoming = chain((None,), segments)
     else:
         raise ValueError(f"{len(segments)} segments for a track of {len(track.points)} reports")
     state = VesselState()
     synopsis: list[CriticalPoint] = []
-    for point, segment in zip(track.points, incoming):
-        synopsis.extend(ingest_point(state, point, cfg, segment))
+    for point, v_now in zip(track.points, incoming):
+        synopsis.extend(ingest_point(state, point, cfg, v_now))
     synopsis.extend(finalize_track(state))
     return synopsis
 

@@ -234,6 +234,17 @@ def test_synchronized_position_rejects_empty_synopsis():
         synchronized_position([], 100)
 
 
+def test_synchronized_position_rejects_a_synopsis_that_goes_back_in_time():
+    """Bisecting these knots would interpolate 0 -> 120 at t=60 and miss the knot there."""
+    synopsis = [
+        CriticalPoint(7, 0, 0.0, 0.0, {Annotation.TRACK_START}),
+        CriticalPoint(7, 120, 2.0, 0.0, {Annotation.CHANGE_IN_HEADING}),
+        CriticalPoint(7, 60, 1.0, 1.0, {Annotation.TRACK_END}),
+    ]
+    with pytest.raises(ValueError, match="vessel 7 goes back in time at 60"):
+        synchronized_position(synopsis, 60)
+
+
 def equatorial_run_across_antimeridian(n_points=20, start_lon=179.97):
     """A 10-kn due-east run along the equator that crosses 180 deg midway."""
     step_deg = 10.0 * KNOT_MS * 60 / (EARTH_RADIUS_M * math.pi / 180.0)

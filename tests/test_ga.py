@@ -278,18 +278,22 @@ def test_run_ga_best_is_monotone_and_evaluated():
     assert best.fitness == fits[-1]
 
 
-def test_run_ga_population_stays_within_bounds():
-    spec = GENE_SPEC
+def test_run_ga_population_stays_within_bounds(monkeypatch):
+    # Every gene vector the run scores passes through genes_to_config.
     seen = []
-    run_ga(tiny_dataset(), TINY_HP, observer=lambda gen, pop: seen.append((gen, [list(i.genes) for i in pop])))
-    assert seen, "observer was never called"
-    for _, population in seen:
-        assert len(population) == TINY_HP.population_size
-        for genes in population:
-            for gene, value in zip(spec, genes):
-                assert gene.lower <= value <= gene.upper
-                if gene.integer:
-                    assert value == int(value)
+
+    def recording(genes):
+        seen.append(list(genes))
+        return genes_to_config(genes)
+
+    monkeypatch.setattr(ga, "genes_to_config", recording)
+    run_ga(tiny_dataset(), TINY_HP)
+    assert len(seen) > TINY_HP.population_size, "offspring were never scored"
+    for genes in seen:
+        for gene, value in zip(GENE_SPEC, genes):
+            assert gene.lower <= value <= gene.upper
+            if gene.integer:
+                assert value == int(value)
 
 
 def test_run_ga_stops_on_stagnation():

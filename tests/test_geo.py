@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
     KNOT_MS,
-    Velocity,
     haversine_m,
     heading_difference_deg,
     segment_velocity,
-    velocity_components,
 )
 from vesselsyn.ingest import AisRecord
 
@@ -142,11 +140,17 @@ def test_bearing_always_in_compass_range():
 @example(0.0, -90.0, 45.0, 89.0, 60)  # from the south pole
 @example(12.5, 45.0, 12.5, 45.0, 60)  # coincident
 def test_segment_velocity_is_haversine_and_bearing_bit_for_bit(lon1, lat1, lon2, lat2, dt):
-    """The one-pass geometry gives exactly the two-function values."""
+    """The one-pass geometry gives exactly the two-function values.
+
+    The components are held to the decomposition of speed and heading, so a
+    coincident pair has components (0.0, 0.0).
+    """
     v = segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2))
     dist_m = haversine_m(lon1, lat1, lon2, lat2)
     assert v.speed_knots == dist_m / dt / KNOT_MS
     assert v.heading_deg == (bearing_deg(lon1, lat1, lon2, lat2) if dist_m else 0.0)
+    assert v.east_knots == v.speed_knots * math.sin(math.radians(v.heading_deg))
+    assert v.north_knots == v.speed_knots * math.cos(math.radians(v.heading_deg))
 
 
 @pytest.mark.parametrize(
@@ -205,12 +209,13 @@ def test_segment_velocity_rejects_non_advancing_time():
 
 
 def test_velocity_components_cardinal():
-    east, north = velocity_components(Velocity(10.0, 90.0))
-    assert east == pytest.approx(10.0, abs=1e-9)
-    assert north == pytest.approx(0.0, abs=1e-9)
-    east, north = velocity_components(Velocity(10.0, 0.0))
-    assert east == pytest.approx(0.0, abs=1e-9)
-    assert north == pytest.approx(10.0, abs=1e-9)
+    # One nautical mile in an hour, due east along the equator and due north.
+    east = segment_velocity(AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 3600, 1852.0 * DEG_PER_M_EQUATOR, 0.0))
+    assert east.east_knots == pytest.approx(1.0, abs=1e-6)
+    assert east.north_knots == pytest.approx(0.0, abs=1e-9)
+    north = segment_velocity(AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 3600, 0.0, 1852.0 * DEG_PER_M_EQUATOR))
+    assert north.east_knots == pytest.approx(0.0, abs=1e-9)
+    assert north.north_knots == pytest.approx(1.0, abs=1e-6)
 
 
 def test_knot_constant_matches_nautical_mile():

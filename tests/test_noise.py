@@ -51,6 +51,14 @@ def test_teleport_is_rejected_and_does_not_poison_the_rest():
     assert filtered.points == [a, c]
 
 
+@pytest.mark.xfail(strict=True, reason="the first report is always accepted, so a bad one rejects the rest")
+def test_a_bad_first_report_does_not_poison_the_rest():
+    track = make_straight_track(20)
+    bad = AisRecord(track.mmsi, track.points[0].timestamp - 60, 0.0, 0.0)
+    filtered, _ = filter_track(track_of([bad, *track.points]))
+    assert filtered.points[-len(track.points):] == track.points
+
+
 def test_duplicate_and_regressing_timestamps_rejected():
     a = AisRecord(1, 100, 0.0, 50.0)
     same = AisRecord(1, 100, 0.0001, 50.0)

@@ -21,7 +21,6 @@ from vesselsyn.geo import (
     Velocity,
     heading_difference_deg,
     segment_velocity,
-    velocity_components,
 )
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
@@ -435,14 +434,14 @@ def mean_velocity(points, timespan_s, now_ts):
     east = 0.0
     north = 0.0
     for prev, cur in zip(recent, recent[1:]):
-        e, n = velocity_components(segment_velocity(prev, cur))
-        east += e
-        north += n
+        v = segment_velocity(prev, cur)
+        east += v.east_knots
+        north += v.north_knots
     east /= len(recent) - 1
     north /= len(recent) - 1
     speed = math.hypot(east, north)
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading)
+    return Velocity(speed, heading, east, north)
 
 
 # Degrees of longitude at the equator covering exactly one metre of arc.
