@@ -10,7 +10,7 @@ Run:  python demos/03_tune_fleet.py          (takes a few seconds)
 """
 
 from vesselsyn.evaluation import evaluate_config
-from vesselsyn.ga import GaHyperParams, fitness, genes_to_config, run_ga
+from vesselsyn.ga import GaHyperParams, fitness, run_ga
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_fleet
 
@@ -28,10 +28,9 @@ def main() -> None:
     print(f"tuning on {sum(len(t) for t in fleet)} reports from {len(fleet)} vessels")
     print(f"score = (rmse + {hp.r})^{hp.n} * ratio, lower is better\n")
 
-    best, history = run_ga(fleet, hp)
+    evolved, history = run_ga(fleet, hp)
     for row in history:
         print(f"  generation {row.generation:2d}: best {row.best_fitness:8.4f}   mean {row.mean_fitness:9.4f}")
-    evolved = genes_to_config(best.genes)
 
     default_metrics = evaluate_config(fleet, SynopsisConfig())
     evolved_metrics = evaluate_config(fleet, evolved)
@@ -40,7 +39,7 @@ def main() -> None:
     print(f"\nstopped after {len(history)} generations")
     print(f"defaults: score {default_score:8.4f}  "
           f"(rmse {default_metrics.rmse_m:7.2f} m, ratio {default_metrics.ratio:.3f})")
-    print(f"evolved:  score {best.fitness:8.4f}  "
+    print(f"evolved:  score {history[-1].best_fitness:8.4f}  "
           f"(rmse {evolved_metrics.rmse_m:7.2f} m, ratio {evolved_metrics.ratio:.3f})")
     print("\nevolved configuration:")
     for key, value in evolved.to_dict().items():

@@ -215,20 +215,25 @@ def cmd_tune(args: argparse.Namespace) -> int:
             "out": args.out,
         },
     )
+    fold_scores = []
     for fold in result.folds:
+        scores = {
+            "fold": fold.index,
+            "test_score": _round6(fold.test_score),
+            "test_rmse_m": _round6(fold.test_metrics.rmse_m),
+            "test_ratio": _round6(fold.test_metrics.ratio),
+        }
+        fold_scores.append(scores)
         fold_dir = os.path.join(args.out, f"fold_{fold.index}")
         os.makedirs(fold_dir, exist_ok=True)
         _write_json(os.path.join(fold_dir, "best_config.json"), _rounded(fold.config))
         _write_json(
             os.path.join(fold_dir, "report.json"),
             {
-                "fold": fold.index,
+                **scores,
                 "train_mmsis": sorted(fold.train_mmsis),
                 "test_mmsis": sorted(fold.test_mmsis),
                 "train_fitness": _round6(fold.train_fitness),
-                "test_rmse_m": _round6(fold.test_metrics.rmse_m),
-                "test_ratio": _round6(fold.test_metrics.ratio),
-                "test_score": _round6(fold.test_score),
             },
         )
         with open(os.path.join(fold_dir, "history.csv"), "w", encoding="utf-8") as fh:
@@ -243,15 +248,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         {
             "chosen_fold": result.chosen_index,
             "config": _rounded(result.chosen.config),
-            "folds": [
-                {
-                    "fold": fold.index,
-                    "test_score": _round6(fold.test_score),
-                    "test_rmse_m": _round6(fold.test_metrics.rmse_m),
-                    "test_ratio": _round6(fold.test_metrics.ratio),
-                }
-                for fold in result.folds
-            ],
+            "folds": fold_scores,
         },
     )
     chosen = result.chosen

@@ -159,6 +159,7 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
 def compute_metrics(
     clean_tracks: Sequence[VesselTrack],
     synopses: Mapping[int, Sequence[CriticalPoint]],
+    square_sums: dict[tuple[int, tuple[int, ...]], float] | None = None,
 ) -> Metrics:
     """Aggregate ratio and RMSE of a set of synopses over their clean tracks.
 
@@ -167,21 +168,14 @@ def compute_metrics(
     sums follow the module's summation rule.
 
     Synopses are keyed by MMSI, so each track must have its own.
+    ``square_sums`` is the optional per-track memo described at
+    :func:`evaluate_config`.
 
     Raises:
         ValueError: empty dataset, two tracks with the same MMSI, a track
             without a synopsis, an empty synopsis for a nonempty track, or a
             synopsis that goes back in time.
     """
-    return _measure(clean_tracks, synopses, None)
-
-
-def _measure(
-    clean_tracks: Sequence[VesselTrack],
-    synopses: Mapping[int, Sequence[CriticalPoint]],
-    square_sums: dict[tuple[int, tuple[int, ...]], float] | None,
-) -> Metrics:
-    """:func:`compute_metrics`, with the square-sum memo of :func:`evaluate_config`."""
     if not clean_tracks:
         raise ValueError("empty dataset: no clean tracks to evaluate")
     total_points = 0
@@ -245,4 +239,4 @@ def evaluate_config(
         track.mmsi: compress_track(track, cfg, geometry)
         for track, geometry in zip(clean_tracks, per_track)
     }
-    return _measure(clean_tracks, synopses, square_sums)
+    return compute_metrics(clean_tracks, synopses, square_sums)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,16 +68,10 @@ PER_GENE_PROB = 0.5
 SIGMA_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One candidate parameter vector, genes in :data:`GENE_SPEC` order.
-
-    Immutable, so one individual may sit in several population slots; the
-    operators build new individuals and never change a gene list in place.
-    """
-
-    genes: list[float]
-    fitness: float | None = None
+#: A candidate parameter vector, genes in :data:`GENE_SPEC` order.  Tuples are
+#: immutable, so one genome may sit in several population slots; the
+#: operators build new genomes.  Scores live in :func:`run_ga`'s memo.
+Genome = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -143,60 +137,54 @@ def genes_to_config(genes: Sequence[float]) -> SynopsisConfig:
     return SynopsisConfig(**kwargs)
 
 
-def uniform_individual(rng: np.random.Generator) -> Individual:
-    """Sample one individual uniformly within the :data:`GENE_SPEC` bounds."""
-    genes: list[float] = []
-    for gene in GENE_SPEC:
-        if gene.integer:
-            genes.append(float(rng.integers(int(gene.lower), int(gene.upper) + 1)))
-        else:
-            genes.append(float(rng.uniform(gene.lower, gene.upper)))
-    return Individual(genes)
+def uniform_genome(rng: np.random.Generator) -> Genome:
+    """Sample one genome uniformly within the :data:`GENE_SPEC` bounds."""
+    return tuple(
+        float(rng.integers(int(gene.lower), int(gene.upper) + 1))
+        if gene.integer
+        else float(rng.uniform(gene.lower, gene.upper))
+        for gene in GENE_SPEC
+    )
 
 
-def tournament_select(population: Sequence[Individual], rng: np.random.Generator) -> Individual:
-    """Pick the fittest of :data:`TOURNAMENT_SIZE` distinct uniformly drawn individuals.
+def tournament_select(
+    population: Sequence[Genome], score: Callable[[Genome], float], rng: np.random.Generator
+) -> Genome:
+    """Pick the lowest-scoring of :data:`TOURNAMENT_SIZE` distinct uniformly drawn genomes.
 
     Contestants are drawn without replacement within one tournament (capped
-    at the population size); separate tournaments draw independently.
+    at the population size); separate tournaments draw independently.  The
+    first drawn of several equal scores wins.
 
     Raises:
-        ValueError: empty population or any unevaluated individual.
+        ValueError: empty population.
     """
     if not population:
         raise ValueError("cannot select from an empty population")
-    for ind in population:
-        if ind.fitness is None:
-            raise ValueError("population contains an unevaluated individual")
     k = min(TOURNAMENT_SIZE, len(population))
     picks = rng.choice(len(population), size=k, replace=False)
-    best = min((population[int(i)] for i in picks), key=lambda ind: ind.fitness)
-    return best
+    return min((population[int(i)] for i in picks), key=score)
 
 
-def single_point_crossover(
-    a: Individual, b: Individual, rng: np.random.Generator
-) -> tuple[Individual, Individual]:
+def single_point_crossover(a: Genome, b: Genome, rng: np.random.Generator) -> tuple[Genome, Genome]:
     """Swap gene tails at one uniformly chosen interior cut point."""
-    n_genes = len(a.genes)
-    if len(b.genes) != n_genes:
+    n_genes = len(a)
+    if len(b) != n_genes:
         raise ValueError("parents must have the same gene count")
     if n_genes < 2:
         raise ValueError("crossover needs at least 2 genes")
     cut = int(rng.integers(1, n_genes))
-    child1 = Individual(a.genes[:cut] + b.genes[cut:])
-    child2 = Individual(b.genes[:cut] + a.genes[cut:])
-    return child1, child2
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
-def gaussian_mutate(ind: Individual, rng: np.random.Generator) -> Individual:
+def gaussian_mutate(genome: Genome, rng: np.random.Generator) -> Genome:
     """Perturb each gene with probability :data:`PER_GENE_PROB` by bounded Gaussian noise.
 
     The noise scale is :data:`SIGMA_FRACTION` of the gene's range.  Results
     are clamped to the :data:`GENE_SPEC` bounds; integer genes are rounded
     after clamping, so they stay both integral and in range.
     """
-    genes = list(ind.genes)
+    genes = list(genome)
     for i, gene in enumerate(GENE_SPEC):
         if rng.random() >= PER_GENE_PROB:
             continue
@@ -206,10 +194,10 @@ def gaussian_mutate(ind: Individual, rng: np.random.Generator) -> Individual:
         if gene.integer:
             value = float(round(value))
         genes[i] = value
-    return Individual(genes)
+    return tuple(genes)
 
 
-def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Individual, list[GenerationStats]]:
+def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[SynopsisConfig, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
 
     Generation 0 is sampled uniformly within the :data:`GENE_SPEC` bounds.
@@ -220,11 +208,11 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Indi
     ``hp.max_generations`` generations or once the best score has not
     improved for ``hp.stagnation_limit`` consecutive generations.
 
-    Identical inputs, hyper-parameters and seed reproduce the run exactly;
-    fitness evaluation itself is deterministic and memoized per gene vector.
-    Each track's segment velocities do not depend on the genes, so they are
-    computed once per run and reused by every evaluation.  Different genes
-    often give a track the same synopsis, so each track's square sum is
+    Identical inputs, hyper-parameters and seed reproduce the run exactly.
+    Each genome's score and metrics are held once, in a memo kept for the
+    run.  Each track's segment velocities do not depend on the genes, so they
+    are computed once per run and reused by every evaluation.  Different
+    genes often give a track the same synopsis, so each track's square sum is
     memoized per run by its synopsis's knot timestamps (see
     :func:`vesselsyn.evaluation.evaluate_config`); the metrics are the same
     bit for bit.
@@ -234,47 +222,50 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Indi
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
 
     Returns:
-        The best individual found and the per-generation history.
+        The best configuration found and the per-generation history.  The
+        elite carries the best genome into every generation, so its score is
+        ``history[-1].best_fitness``.
     """
     if not clean_tracks:
         raise ValueError("empty training set")
     rng = np.random.default_rng(hp.rng_seed)
-    cache: dict[tuple[float, ...], tuple[float, Metrics]] = {}
+    memo: dict[Genome, tuple[float, Metrics]] = {}
     segments = [track_segments(track) for track in clean_tracks]
     square_sums: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    def scored(ind: Individual) -> Individual:
-        key = tuple(ind.genes)
-        hit = cache.get(key)
+    def score(genome: Genome) -> float:
+        hit = memo.get(genome)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(ind.genes), segments, square_sums)
-            hit = cache[key] = (fitness(metrics, hp.r, hp.n), metrics)
-        return Individual(ind.genes, hit[0])
+            metrics = evaluate_config(clean_tracks, genes_to_config(genome), segments, square_sums)
+            hit = memo[genome] = (fitness(metrics, hp.r, hp.n), metrics)
+        return hit[0]
 
-    population = [scored(uniform_individual(rng)) for _ in range(hp.population_size)]
-
+    population = [uniform_genome(rng) for _ in range(hp.population_size)]
     history: list[GenerationStats] = []
 
-    def record(generation: int) -> Individual:
-        best = min(population, key=lambda ind: ind.fitness)
-        metrics = cache[tuple(best.genes)][1]
+    def record(generation: int) -> Genome:
+        """Score the population in order and log it; return its first best genome."""
+        scores = [score(genome) for genome in population]
+        best_score = min(scores)
+        best = population[scores.index(best_score)]
+        metrics = memo[best][1]
         history.append(
             GenerationStats(
                 generation=generation,
-                best_fitness=best.fitness,
-                mean_fitness=sum(ind.fitness for ind in population) / len(population),
+                best_fitness=best_score,
+                mean_fitness=sum(scores) / len(scores),
                 best_rmse=metrics.rmse_m,
                 best_ratio=metrics.ratio,
             )
         )
         return best
 
-    best_overall = record(0)
+    elite = record(0)
     stagnant = 0
 
     for generation in range(1, hp.max_generations + 1):
-        parents = [tournament_select(population, rng) for _ in range(hp.population_size)]
-        offspring: list[Individual] = []
+        parents = [tournament_select(population, score, rng) for _ in range(hp.population_size)]
+        offspring: list[Genome] = []
         for i in range(0, len(parents) - 1, 2):
             a, b = parents[i], parents[i + 1]
             if rng.random() < CROSSOVER_PROB:
@@ -285,18 +276,18 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Indi
         for i, child in enumerate(offspring):
             if rng.random() < MUTATION_PROB:
                 offspring[i] = gaussian_mutate(child, rng)
-        population = [scored(ind) for ind in [best_overall] + offspring[: hp.population_size - 1]]
+        population = [elite] + offspring[: hp.population_size - 1]
 
-        best = record(generation)
-        if best.fitness < best_overall.fitness:
-            best_overall = best
+        # The elite comes first, so it stays the best unless a child beats it.
+        elite = record(generation)
+        if history[-1].best_fitness < history[-2].best_fitness:
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= hp.stagnation_limit:
                 break
 
-    return best_overall, history
+    return genes_to_config(elite), history
 
 
 @dataclass(frozen=True)
@@ -307,10 +298,14 @@ class FoldResult:
     train_mmsis: tuple[int, ...]
     test_mmsis: tuple[int, ...]
     config: SynopsisConfig
-    train_fitness: float
     test_metrics: Metrics
     test_score: float
     history: tuple[GenerationStats, ...]
+
+    @property
+    def train_fitness(self) -> float:
+        """The config's score on the training folds: the last generation's best."""
+        return self.history[-1].best_fitness
 
 
 @dataclass(frozen=True)
@@ -330,14 +325,15 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     Fold ``i`` trains with seed ``hp.rng_seed + i`` so folds are independent
     yet the whole procedure stays reproducible.  The winner is the fold
     configuration with the lowest score on its own held-out data (lowest
-    fold index on ties).
+    fold index on ties).  Each fold keeps the configuration :func:`run_ga`
+    returned, its GA history (whose last best score is the fold's
+    ``train_fitness``) and its held-out metrics and score.
     """
     folds = split_k_folds(tracks, k)
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        best, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
-        cfg = genes_to_config(best.genes)
+        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
         test_metrics = evaluate_config(test_fold, cfg)
         results.append(
             FoldResult(
@@ -345,7 +341,6 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
                 train_mmsis=tuple(t.mmsi for t in train),
                 test_mmsis=tuple(t.mmsi for t in test_fold),
                 config=cfg,
-                train_fitness=best.fitness,
                 test_metrics=test_metrics,
                 test_score=fitness(test_metrics, hp.r, hp.n),
                 history=tuple(history),

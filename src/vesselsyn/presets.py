@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class FitnessPreset:
-    """Scoring knobs for one vessel category; see :func:`vesselsyn.ga.fitness`."""
+    """Scoring knobs for one vessel category; see ``fitness`` in :mod:`vesselsyn.ga`."""
 
     r: float
     n: float

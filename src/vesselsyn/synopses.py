@@ -386,7 +386,7 @@ def ingest_point(
             turn_fired = True
 
         # Rule 5: speed change.
-        if v_mean is not None and v_now.speed_knots > 0.0:
+        if v_mean is not None:
             exceeds = speed_change_exceeds(v_now.speed_knots, v_mean.speed_knots, cfg.speed_ratio)
             if exceeds and not state.in_speed_change:
                 labels.add(Annotation.SPEED_CHANGE_START)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vesselsyn
+from vesselsyn import evaluation
 from vesselsyn.evaluation import (
     Metrics,
     compute_metrics,
@@ -310,6 +311,26 @@ def test_evaluate_config_equals_compress_then_measure(default_config):
     synopsis = compress_track(track, default_config)
     manual = compute_metrics([track], {track.mmsi: synopsis})
     assert direct == manual
+
+
+def test_evaluate_config_scores_through_compute_metrics(monkeypatch, default_config):
+    # One scoring entry: every evaluate_config call, with or without the
+    # square-sum memo, goes through the module-level compute_metrics once.
+    calls = []
+    real = evaluation.compute_metrics
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("square_sums"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "compute_metrics", counting)
+    tracks = [make_corner_track(mmsi=1), make_stop_track(mmsi=2)]
+    segments = [track_segments(track) for track in tracks]
+    square_sums = {}
+    plain = evaluate_config(tracks, default_config)
+    memoized = evaluate_config(tracks, default_config, segments, square_sums)
+    assert plain == memoized
+    assert len(calls) == 2 and calls[0] is None and calls[1] is square_sums
 
 
 def test_compute_metrics_rejects_bad_inputs(default_config):

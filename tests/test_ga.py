@@ -12,7 +12,6 @@ from vesselsyn.ga import (
     GENE_SPEC,
     CrossValidationResult,
     GaHyperParams,
-    Individual,
     cross_validate,
     fitness,
     gaussian_mutate,
@@ -20,7 +19,7 @@ from vesselsyn.ga import (
     run_ga,
     single_point_crossover,
     tournament_select,
-    uniform_individual,
+    uniform_genome,
 )
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import (
@@ -143,8 +142,9 @@ def test_genes_to_config_rejects_wrong_length():
 def test_uniform_individual_respects_bounds():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        ind = uniform_individual(rng)
-        for gene, value in zip(GENE_SPEC, ind.genes):
+        genome = uniform_genome(rng)
+        assert isinstance(genome, tuple)
+        for gene, value in zip(GENE_SPEC, genome):
             assert gene.lower <= value <= gene.upper
             if gene.integer:
                 assert value == int(value)
@@ -154,34 +154,31 @@ def test_uniform_individual_respects_bounds():
 # selection
 
 
+def _first_gene(genome):
+    return genome[0]
+
+
 def test_tournament_prefers_low_fitness_at_known_rate():
     # With 3 distinct contestants drawn without replacement from 10, the
-    # single best individual wins 3/10 of all tournaments in expectation.
-    population = [Individual([float(i)], fitness=float(i)) for i in range(1, 11)]
+    # single best genome wins 3/10 of all tournaments in expectation.
+    population = [(float(i),) for i in range(1, 11)]
     rng = np.random.default_rng(123)
     wins = sum(
-        1 for _ in range(10_000) if tournament_select(population, rng).fitness == 1.0
+        1 for _ in range(10_000) if tournament_select(population, _first_gene, rng) == (1.0,)
     )
     assert wins / 10_000 == pytest.approx(0.3, abs=0.02)
 
 
 def test_tournament_of_whole_population_always_returns_best():
-    population = [
-        Individual([1.0], fitness=9.0),
-        Individual([2.0], fitness=3.0),
-        Individual([3.0], fitness=7.0),
-    ]
+    population = [(9.0, 1.0), (3.0, 2.0), (7.0, 3.0)]
     rng = np.random.default_rng(11)
     for _ in range(100):
-        assert tournament_select(population, rng).fitness == 3.0
+        assert tournament_select(population, _first_gene, rng) == (3.0, 2.0)
 
 
 def test_tournament_rejects_bad_populations():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        tournament_select([], rng)
-    with pytest.raises(ValueError):
-        tournament_select([Individual([1.0])], rng)
+        tournament_select([], _first_gene, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +186,23 @@ def test_tournament_rejects_bad_populations():
 
 
 def test_crossover_splices_at_one_interior_point():
-    a = Individual([0.0] * 8)
-    b = Individual([1.0] * 8)
+    a = (0.0,) * 8
+    b = (1.0,) * 8
     rng = np.random.default_rng(17)
     for _ in range(100):
         c1, c2 = single_point_crossover(a, b, rng)
-        assert c1.genes[0] == 0.0 and c2.genes[0] == 1.0  # cut is never 0
-        assert c1.genes[-1] == 1.0 and c2.genes[-1] == 0.0  # nor past the end
-        for g1, g2 in zip(c1.genes, c2.genes):
+        assert len(c1) == len(c2) == 8
+        assert c1[0] == 0.0 and c2[0] == 1.0  # cut is never 0
+        assert c1[-1] == 1.0 and c2[-1] == 0.0  # nor past the end
+        for g1, g2 in zip(c1, c2):
             assert {g1, g2} == {0.0, 1.0}
-        flips = sum(1 for x, y in zip(c1.genes, c1.genes[1:]) if x != y)
+        flips = sum(1 for x, y in zip(c1, c1[1:]) if x != y)
         assert flips == 1
-
-
-def test_crossover_children_are_independent_copies():
-    a = Individual([0.0] * 8)
-    b = Individual([1.0] * 8)
-    c1, _ = single_point_crossover(a, b, np.random.default_rng(3))
-    c1.genes[0] = 99.0
-    assert a.genes[0] == 0.0
 
 
 def test_crossover_requires_matching_lengths():
     with pytest.raises(ValueError):
-        single_point_crossover(Individual([1.0] * 8), Individual([1.0] * 7), np.random.default_rng(0))
+        single_point_crossover((1.0,) * 8, (1.0,) * 7, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +211,11 @@ def test_crossover_requires_matching_lengths():
 
 def test_mutation_clamps_to_bounds_and_keeps_integers_integral():
     rng = np.random.default_rng(29)
-    at_upper = Individual([g.upper for g in GENE_SPEC])
+    at_upper = tuple(float(g.upper) for g in GENE_SPEC)
     for _ in range(500):
         mutated = gaussian_mutate(at_upper, rng)
-        for gene, value in zip(GENE_SPEC, mutated.genes):
+        assert isinstance(mutated, tuple)
+        for gene, value in zip(GENE_SPEC, mutated):
             assert gene.lower <= value <= gene.upper
             if gene.integer:
                 assert value == int(value)
@@ -237,9 +228,9 @@ def test_mutation_noise_is_centred():
     # its change has standard deviation sigma / sqrt(2).
     centres = [(g.lower + g.upper) / 2.0 for g in GENE_SPEC]
     rng = np.random.default_rng(77)
-    ind = Individual(centres)
+    genome = tuple(centres)
     n = 20_000
-    changes = np.array([gaussian_mutate(ind, rng).genes for _ in range(n)]) - centres
+    changes = np.array([gaussian_mutate(genome, rng) for _ in range(n)]) - centres
     assert np.mean(changes != 0.0) == pytest.approx(0.5, abs=0.01)
     for gene, column in zip(GENE_SPEC, changes.T):
         sigma = 0.1 * (gene.upper - gene.lower)
@@ -252,30 +243,36 @@ def test_mutation_noise_is_centred():
 
 def test_run_ga_is_deterministic_for_a_seed(monkeypatch):
     data = tiny_dataset()
-    best1, history1 = run_ga(data, TINY_HP)
-    best2, history2 = run_ga(data, TINY_HP)
-    assert best1.genes == best2.genes
-    assert best1.fitness == best2.fitness
+    config1, history1 = run_ga(data, TINY_HP)
+    config2, history2 = run_ga(data, TINY_HP)
+    assert config1 == config2
     assert history1 == history2
 
     # The geometry and the square sums run_ga caches per run score every
-    # individual exactly as plain evaluation does.
+    # genome exactly as plain evaluation does.
     fleet = make_fleet(600, 3, seed=7)
     reused = run_ga(fleet, TINY_HP)
     monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments, _sums: evaluate_config(tracks, cfg))
     plain = run_ga(fleet, TINY_HP)
-    assert (plain[0].genes, plain[0].fitness, plain[1]) == (reused[0].genes, reused[0].fitness, reused[1])
+    assert plain == reused
 
 
 def test_run_ga_best_is_monotone_and_evaluated():
-    data = tiny_dataset()
-    best, history = run_ga(data, TINY_HP)
-    assert best.fitness is not None
+    config, history = run_ga(tiny_dataset(), TINY_HP)
+    assert isinstance(config, SynopsisConfig)
     fits = [row.best_fitness for row in history]
     assert all(b <= a + 1e-12 for a, b in zip(fits, fits[1:]))
     assert history[0].generation == 0
     assert [row.generation for row in history] == list(range(len(history)))
-    assert best.fitness == fits[-1]
+
+
+def test_run_ga_config_rescores_to_the_last_best():
+    # The returned config, scored afresh on the training tracks without the
+    # run's memos, gives exactly the history's final best score.
+    fleet = make_fleet(600, 3, seed=7)
+    config, history = run_ga(fleet, TINY_HP)
+    rescored = fitness(evaluate_config(fleet, config), TINY_HP.r, TINY_HP.n)
+    assert rescored == history[-1].best_fitness
 
 
 def test_run_ga_population_stays_within_bounds(monkeypatch):
