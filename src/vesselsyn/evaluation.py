@@ -233,7 +233,12 @@ def evaluate_config(
     another configuration already produced is not measured again.  The key
     is exact: every knot is one of the track's own reports, whose timestamps
     are unique, and each track is summed on its own.
+
+    Raises:
+        ValueError: if ``segments`` does not hold one list per track.
     """
+    if segments is not None and len(segments) != len(clean_tracks):
+        raise ValueError(f"{len(segments)} segment lists for {len(clean_tracks)} tracks")
     per_track = repeat(None) if segments is None else segments
     synopses = {
         track.mmsi: compress_track(track, cfg, geometry)

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .evaluation import Metrics, evaluate_config
 from .geo import EARTH_RADIUS_M
 from .ingest import VesselTrack, split_k_folds
 from .synopses import SynopsisConfig, track_segments
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,9 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Syno
     """
     if not clean_tracks:
         raise ValueError("empty training set")
+    # Imported here so that the commands that do not tune run without numpy.
+    import numpy as np
+
     rng = np.random.default_rng(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
     segments = [track_segments(track) for track in clean_tracks]

@@ -35,7 +35,7 @@ class Velocity:
     The pipeline treats instances as read-only values.  The class is not
     ``frozen`` because a frozen constructor sets each field through
     ``object.__setattr__``, which made building one cost about 3x, and the
-    detector builds two per report.
+    detector builds one per report.
     """
 
     speed_knots: float

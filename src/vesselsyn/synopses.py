@@ -150,35 +150,24 @@ class CriticalPoint:
 
 
 @dataclass(slots=True)
-class _BufferEntry:
-    """A buffered report plus the components of the segment reaching it.
-
-    ``east``/``north`` are the knot components of the velocity from the
-    previous buffer entry; they are meaningless for the first entry and are
-    never read there.
-    """
-
-    record: AisRecord
-    east: float = 0.0
-    north: float = 0.0
-
-
-@dataclass
 class VesselState:
     """Mutable per-vessel detector state threaded between ingest calls.
 
-    ``buffer`` holds the recent reports the mean velocity is taken over.
-    ``east_sum``/``north_sum`` are the running sums of the cached segment
-    components of ``buffer[1:]``, the segments that join buffered reports:
-    a push adds the new segment, and removing the front entry subtracts the
-    segment of the entry that becomes the new front.  Entries leave only from
-    the front, when the buffer exceeds ``buffer_size`` or when they fall
-    before the time window.  Within a track the window's cutoff only grows,
-    so an entry that has left the window never re-enters it.  A clear, or a
-    removal that leaves fewer than two entries, resets both sums to exactly
-    0.0, so no rounding residue carries forward.  The sums still round
-    differently from a fresh sum over the window, so a detection decision can
-    move only where a threshold comparison lands within that rounding.
+    ``buffer`` holds the recent reports the mean velocity is taken over, each
+    as a ``(record, east, north)`` tuple: ``east``/``north`` are the knot
+    components of the segment from the previous entry, 0.0 for an entry that
+    starts the buffer, where they are never read.  ``east_sum``/``north_sum``
+    are the running sums of those components over ``buffer[1:]``, the
+    segments that join buffered reports: a push adds the new segment, and
+    removing the front entry subtracts the segment of the entry that becomes
+    the new front.  Entries leave only from the front, when the buffer
+    exceeds ``buffer_size`` or when they fall before the time window.  Within
+    a track the window's cutoff only grows, so an entry that has left the
+    window never re-enters it.  A clear, or a removal that leaves fewer than
+    two entries, resets both sums to exactly 0.0, so no rounding residue
+    carries forward.  The sums still round differently from a fresh sum over
+    the window, so a detection decision can move only where a threshold
+    comparison lands within that rounding.
 
     ``labels`` are the annotations ``last_point`` has gathered so far.  The
     next report or :func:`finalize_track` may still add to them, so the
@@ -187,7 +176,7 @@ class VesselState:
     the report an open stop is anchored at, ``None`` outside a stop.
     """
 
-    buffer: deque[_BufferEntry] = field(default_factory=deque)
+    buffer: deque[tuple[AisRecord, float, float]] = field(default_factory=deque)
     east_sum: float = 0.0
     north_sum: float = 0.0
     last_point: AisRecord | None = None
@@ -225,71 +214,22 @@ def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) 
     return abs((v_now_knots - v_mean_knots) / v_now_knots) > ratio
 
 
-def _buffer_clear(state: VesselState) -> None:
-    """Empty the buffer; the sums return to exactly 0.0."""
+def _restart_buffer(state: VesselState, first: AisRecord) -> None:
+    """Make ``first`` the only buffered report; the sums return to exactly 0.0."""
     state.buffer.clear()
+    state.buffer.append((first, 0.0, 0.0))
     state.east_sum = state.north_sum = 0.0
 
 
-def _buffer_push(state: VesselState, rec: AisRecord, cap: int, v: Velocity | None = None) -> None:
-    """Append ``rec`` to the buffer, with the velocity of the segment reaching it.
-
-    ``v`` is the velocity from ``state.last_point`` to ``rec``.  It is reused
-    when that report ends the buffer; after absorbed stop reports the buffer
-    ends at an earlier report, and that segment's velocity is computed here.
-    """
-    buffer = state.buffer
-    if buffer:
-        last = buffer[-1].record
-        if v is None or last is not state.last_point:
-            v = segment_velocity(last, rec)
-        buffer.append(_BufferEntry(rec, v.east_knots, v.north_knots))
-        state.east_sum += v.east_knots
-        state.north_sum += v.north_knots
-    else:
-        buffer.append(_BufferEntry(rec))
-    while len(buffer) > cap:
-        _buffer_pop_front(state)
-
-
-def _buffer_pop_front(state: VesselState) -> None:
-    """Drop the oldest entry; the segment reaching the new front leaves the sums."""
-    buffer = state.buffer
+def _drop_front(
+    buffer: deque[tuple[AisRecord, float, float]], east_sum: float, north_sum: float
+) -> tuple[float, float]:
+    """Drop the oldest entry; return the sums without the segment reaching the new front."""
     buffer.popleft()
     if len(buffer) < 2:
-        state.east_sum = state.north_sum = 0.0
-    else:
-        front = buffer[0]
-        state.east_sum -= front.east
-        state.north_sum -= front.north
-
-
-def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) -> Velocity | None:
-    """Mean velocity over the buffered points still inside the time window.
-
-    Entries older than ``now_ts - timespan_s`` are removed from the front of
-    the buffer for good: the cutoff only grows within a track, so they could
-    never count again.  The mean is then the running sums of
-    :class:`VesselState` over the remaining segments, O(1) amortized per
-    report.  ``None`` when fewer than two entries remain.
-
-    Running sums round differently from a left-to-right sum over the window,
-    so the mean may differ from a from-scratch sum in the last bits.  A
-    detection decision can therefore move only where one of its threshold
-    comparisons lands within that rounding.
-    """
-    buffer = state.buffer
-    cutoff = now_ts - timespan_s
-    while buffer and buffer[0].record.timestamp < cutoff:
-        _buffer_pop_front(state)
-    n_segments = len(buffer) - 1
-    if n_segments < 1:
-        return None
-    east = state.east_sum / n_segments
-    north = state.north_sum / n_segments
-    speed = math.hypot(east, north)
-    heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading, east, north)
+        return 0.0, 0.0
+    _, east, north = buffer[0]
+    return east_sum - east, north_sum - north
 
 
 def ingest_point(
@@ -305,6 +245,14 @@ def ingest_point(
     every call's result and ``finalize_track`` gives the synopsis; consumers
     need no merge.
 
+    The buffer work is done here, on the running sums of
+    :class:`VesselState`, in O(1) amortized per report: buffered reports that
+    fell before ``now - historical_timespan_s`` are dropped from the front,
+    the mean velocity ``v_mean`` is the sums over the remaining segments
+    (undefined below two entries), and the report is pushed with its
+    segment's components, dropping the front entry beyond ``buffer_size``.
+    The mean heading is computed only where the turn rule reads it.
+
     Args:
         v_now: the velocity of the segment from the previous report of this
             vessel to ``point``, as built by :func:`track_segments`; ignored
@@ -316,28 +264,29 @@ def ingest_point(
     Raises:
         ValueError: if ``point`` does not advance the clock.
     """
-    if state.last_point is None:
-        _buffer_push(state, point, cfg.buffer_size)
+    prev = state.last_point
+    if prev is None:
+        _restart_buffer(state, point)
         return _advance(state, point, {Annotation.TRACK_START})
 
-    prev = state.last_point
-    if point.timestamp <= prev.timestamp:
-        raise ValueError(
-            f"timestamps must increase within a track: {prev.timestamp} -> {point.timestamp}"
-        )
+    now_ts = point.timestamp
+    prev_ts = prev.timestamp
+    if now_ts <= prev_ts:
+        raise ValueError(f"timestamps must increase within a track: {prev_ts} -> {now_ts}")
 
     # Rule 1: communication gap.  A gap invalidates the buffered history and
     # closes any interval left open, because whatever happened during the
     # silence is unknown.
-    if point.timestamp - prev.timestamp > cfg.gap_period_s:
+    if now_ts - prev_ts > cfg.gap_period_s:
         state.labels.add(Annotation.GAP_START)
         _close_intervals(state)
-        _buffer_clear(state)
-        _buffer_push(state, point, cfg.buffer_size)
+        _restart_buffer(state, point)
         return _advance(state, point, {Annotation.GAP_END})
 
     if v_now is None:
         v_now = segment_velocity(prev, point)
+    speed = v_now.speed_knots
+    no_speed_kn = cfg.no_speed_threshold_kn
     labels: set[Annotation] = set()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
@@ -345,64 +294,89 @@ def ingest_point(
     anchor = state.stop_anchor
     if anchor is not None:
         displaced = haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
-        if displaced or v_now.speed_knots >= cfg.no_speed_threshold_kn:
+        if displaced or speed >= no_speed_kn:
             state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
             return _advance(state, point, labels)
 
-    anchored_here = v_now.speed_knots < cfg.no_speed_threshold_kn
-    if anchored_here:
+    buffer = state.buffer
+    east_sum = state.east_sum
+    north_sum = state.north_sum
+    if speed < no_speed_kn:
         labels.add(Annotation.STOP_START)
         state.stop_anchor = point
-
-    # Rules 3 to 5 are suppressed at the point that anchors a stop: around an
-    # anchor, v_now's heading and speed are jitter, not motion.
-    turn_fired = False
-    if not anchored_here:
-        v_mean = _buffer_mean_velocity(state, cfg.historical_timespan_s, point.timestamp)
+    else:
+        # Rules 3 to 5 are suppressed at the point that anchors a stop: around
+        # an anchor, v_now's heading and speed are jitter, not motion.  Here
+        # the buffer forgets the reports that fell before the time window.
+        cutoff = now_ts - cfg.historical_timespan_s
+        while buffer and buffer[0][0].timestamp < cutoff:
+            east_sum, north_sum = _drop_front(buffer, east_sum, north_sum)
 
         # Rule 3: slow motion.
-        if (
-            not state.in_slow_motion
-            and cfg.no_speed_threshold_kn <= v_now.speed_knots < cfg.low_speed_threshold_kn
-        ):
+        low_speed_kn = cfg.low_speed_threshold_kn
+        in_slow_motion = state.in_slow_motion
+        if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
             labels.add(Annotation.SLOW_MOTION_START)
             state.in_slow_motion = True
-        elif state.in_slow_motion and v_now.speed_knots >= cfg.low_speed_threshold_kn:
+        elif in_slow_motion and speed >= low_speed_kn:
             state.labels.add(Annotation.SLOW_MOTION_END)
             state.in_slow_motion = False
 
-        # Rule 4: change in heading.  The deviation became visible with the
-        # segment ending at `point`, so the vertex is the previous report.
-        if (
-            v_mean is not None
-            and v_mean.speed_knots > _MIN_HEADING_SPEED_KN
-            and v_now.speed_knots > _MIN_HEADING_SPEED_KN
-            and abs(heading_difference_deg(v_now.heading_deg, v_mean.heading_deg))
-            > cfg.angle_threshold_deg
-        ):
-            state.labels.add(Annotation.CHANGE_IN_HEADING)
-            turn_fired = True
+        n_segments = len(buffer) - 1
+        if n_segments > 0:
+            mean_east = east_sum / n_segments
+            mean_north = north_sum / n_segments
+            mean_speed = math.hypot(mean_east, mean_north)
 
-        # Rule 5: speed change.
-        if v_mean is not None:
-            exceeds = speed_change_exceeds(v_now.speed_knots, v_mean.speed_knots, cfg.speed_ratio)
-            if exceeds and not state.in_speed_change:
+            # Rule 4: change in heading.  The deviation became visible with
+            # the segment ending at `point`, so the vertex is the previous
+            # report.
+            if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
+                mean_heading = math.degrees(math.atan2(mean_east, mean_north)) % 360.0
+                if abs(heading_difference_deg(v_now.heading_deg, mean_heading)) > cfg.angle_threshold_deg:
+                    state.labels.add(Annotation.CHANGE_IN_HEADING)
+                    # Re-reference the mean velocity at the turn: the retained
+                    # vertex starts a new course, and keeping pre-turn
+                    # segments in the buffer would re-detect the same turn
+                    # for the next buffer_size reports.
+                    _restart_buffer(state, prev)
+                    east_sum = north_sum = 0.0
+
+            # Rule 5: speed change.
+            exceeds = speed_change_exceeds(speed, mean_speed, cfg.speed_ratio)
+            in_speed_change = state.in_speed_change
+            if exceeds and not in_speed_change:
                 labels.add(Annotation.SPEED_CHANGE_START)
                 state.in_speed_change = True
-            elif not exceeds and state.in_speed_change:
+            elif not exceeds and in_speed_change:
                 labels.add(Annotation.SPEED_CHANGE_END)
                 state.in_speed_change = False
 
-    if turn_fired:
-        # Re-reference the mean velocity at the turn: the retained vertex
-        # starts a new course, and keeping pre-turn segments in the buffer
-        # would re-detect the same turn for the next buffer_size reports.
-        _buffer_clear(state)
-        state.buffer.append(_BufferEntry(prev))
-
-    _buffer_push(state, point, cfg.buffer_size, v_now)
+    # Push the report with the segment reaching it from the buffer's last
+    # entry: v_now, unless absorbed stop reports left the buffer ending at an
+    # earlier report.
+    if buffer:
+        last = buffer[-1][0]
+        if last is not prev:
+            v_now = segment_velocity(last, point)
+        east = v_now.east_knots
+        north = v_now.north_knots
+        buffer.append((point, east, north))
+        east_sum += east
+        north_sum += north
+        cap = cfg.buffer_size
+        while len(buffer) > cap:
+            # At least buffer_size >= 2 entries remain, so no reset is due.
+            buffer.popleft()
+            _, east, north = buffer[0]
+            east_sum -= east
+            north_sum -= north
+    else:
+        buffer.append((point, 0.0, 0.0))
+    state.east_sum = east_sum
+    state.north_sum = north_sum
     return _advance(state, point, labels)
 
 

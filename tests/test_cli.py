@@ -4,6 +4,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vesselsyn
 from vesselsyn.cli import main
 from vesselsyn.ingest import write_records
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import (
+    make_fleet,
     make_mixed_voyage,
     make_slow_motion_track,
     make_straight_track,
@@ -484,3 +488,36 @@ def test_tune_type_is_case_insensitive(tmp_path):
     lower = tune("fishing")
     assert json.loads(lower[Path("manifest.json")])["preset"] == "fishing"
     assert tune("FISHING") == lower
+
+
+# ---------------------------------------------------------------------------
+# numpy: only tune needs it
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_only_tune_needs_numpy(tmp_path):
+    data = tmp_path / "fleet.csv"
+    write_tracks_csv(data, make_fleet(600, 3, seed=1), vessel_type="fishing")
+    without_numpy = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from vesselsyn.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    compress = run_python(without_numpy, "compress", "--input", str(data), "--out", str(tmp_path / "c"))
+    assert compress.returncode == 0, compress.stderr
+    tune = run_python(
+        without_numpy,
+        "tune", "--input", str(data), "--type", "fishing", "--out", str(tmp_path / "t"), *TUNE_FAST,
+    )
+    assert tune.returncode == 1
+    assert tune.stderr.startswith("error: ") and "numpy" in tune.stderr
+    assert "Traceback" not in tune.stderr
+    assert not (tmp_path / "t").exists()

@@ -224,9 +224,13 @@ def test_rmse_scores_a_report_against_the_knot_at_its_timestamp():
 
 
 def test_importing_the_package_does_not_load_numpy():
-    """Only the GA's random generator needs numpy; the streaming names must not pull it in."""
+    """Only the GA's random generator needs numpy, imported when a run starts.
+
+    Neither the package's names nor the command-line interface, which every
+    command imports, may pull it in.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
-    code = "import sys, vesselsyn; sys.exit('numpy' in sys.modules)"
+    code = "import sys, vesselsyn, vesselsyn.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -331,6 +335,17 @@ def test_evaluate_config_scores_through_compute_metrics(monkeypatch, default_con
     memoized = evaluate_config(tracks, default_config, segments, square_sums)
     assert plain == memoized
     assert len(calls) == 2 and calls[0] is None and calls[1] is square_sums
+
+
+def test_evaluate_config_rejects_a_segment_list_per_track_mismatch(default_config):
+    # Too many lists used to score silently; too few used to blame the last
+    # track's vessel for a missing synopsis.
+    fleet = make_fleet(600, 3, seed=7)
+    segments = [track_segments(track) for track in fleet]
+    with pytest.raises(ValueError, match="3 segment lists for 2 tracks"):
+        evaluate_config(fleet[:2], default_config, segments)
+    with pytest.raises(ValueError, match="2 segment lists for 3 tracks"):
+        evaluate_config(fleet, default_config, segments[:2])
 
 
 def test_compute_metrics_rejects_bad_inputs(default_config):

@@ -8,25 +8,29 @@ import hashlib
 import io
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vesselsyn import synopses as S
 from vesselsyn.ga import GENE_SPEC, genes_to_config
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
     Velocity,
+    haversine_m,
     heading_difference_deg,
     segment_velocity,
 )
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
+    _MIN_HEADING_SPEED_KN,
     Annotation,
+    CriticalPoint,
     SynopsisConfig,
     VesselState,
+    _advance,
+    _close_intervals,
     compress_track,
     finalize_track,
     ingest_point,
@@ -422,7 +426,7 @@ def test_speed_change_predicate_matches_direct_formula():
 def mean_velocity(points, timespan_s, now_ts):
     """Vector mean of the segment velocities joining the points in the window.
 
-    The from-scratch reference for ``synopses._buffer_mean_velocity``: points
+    The from-scratch reference for the detector's buffer mean: points
     older than ``now_ts - timespan_s`` are dropped, and the velocities of the
     segments joining the rest are summed left to right as (east, north)
     vectors, so opposing headings cancel.  ``None`` when fewer than two
@@ -497,53 +501,295 @@ def test_mean_velocity_needs_two_points_in_window():
     ),
 )
 def test_buffer_mean_velocity_matches_oracle(cap, window, steps):
-    """The running-sum mean equals a from-scratch mean over the last ``cap`` pushes.
+    """After every report, the running sums over the buffer equal a from-scratch mean.
 
-    The detector drops expired entries from its buffer for good, so the
-    oracle is handed the pushes themselves.  Only rounding may differ: a
-    vector error of at most 1e-9 kn, which turns the heading by at most
-    about 1e-9 / speed radians.
+    The detector is driven through its stop, turn and window rules, and the
+    oracle sums the segments joining the records it left in the buffer.
+    Only rounding may differ: a vector error of at most 1e-9 kn, which turns
+    the heading by at most about 1e-9 / speed radians.  Below two entries
+    both sums are exactly 0.0.
     """
+    cfg = SynopsisConfig(buffer_size=cap, historical_timespan_s=window)
     state = VesselState()
-    pushed = []
     t, east, north = 0, 0.0, 0.0
     for dt, de, dn in steps:
         t += dt
         east += de
         north += dn
-        pushed.append(rec(1, t, east, north))
-        S._buffer_push(state, pushed[-1], cap)
-        now = pushed[-1].timestamp
-        expected = mean_velocity(pushed[-cap:], window, now)
-        actual = S._buffer_mean_velocity(state, window, now)
+        ingest_point(state, rec(1, t, east, north), cfg)
+        assert len(state.buffer) <= cap
+        records = [record for record, _, _ in state.buffer]
+        expected = mean_velocity(records, math.inf, t)
+        n_segments = len(state.buffer) - 1
         if expected is None:
-            assert actual is None
+            assert n_segments < 1
+            assert state.east_sum == 0.0 and state.north_sum == 0.0
             continue
-        assert math.isclose(actual.speed_knots, expected.speed_knots, rel_tol=1e-9, abs_tol=1e-9)
+        mean_east = state.east_sum / n_segments
+        mean_north = state.north_sum / n_segments
+        speed = math.hypot(mean_east, mean_north)
+        assert math.isclose(speed, expected.speed_knots, rel_tol=1e-9, abs_tol=1e-9)
         if expected.speed_knots > 1e-6:
-            turn = abs(heading_difference_deg(actual.heading_deg, expected.heading_deg))
+            heading = math.degrees(math.atan2(mean_east, mean_north)) % 360.0
+            turn = abs(heading_difference_deg(heading, expected.heading_deg))
             assert turn <= math.degrees(1e-9 / expected.speed_knots) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# oracle detector: the same rules with the buffer work in separate helpers
+# over _BufferEntry objects.  The buffer mean is a parameter: the running
+# sums of the state, or a mean summed afresh on every report.
+
+
+@dataclass(slots=True)
+class _BufferEntry:
+    """A buffered report plus the components of the segment reaching it.
+
+    ``east``/``north`` are the knot components of the velocity from the
+    previous buffer entry; they are meaningless for the first entry and are
+    never read there.
+    """
+
+    record: AisRecord
+    east: float = 0.0
+    north: float = 0.0
+
+
+def _buffer_clear(state: VesselState) -> None:
+    """Empty the buffer; the sums return to exactly 0.0."""
+    state.buffer.clear()
+    state.east_sum = state.north_sum = 0.0
+
+
+def _buffer_push(state: VesselState, rec: AisRecord, cap: int, v: Velocity | None = None) -> None:
+    """Append ``rec`` to the buffer, with the velocity of the segment reaching it.
+
+    ``v`` is the velocity from ``state.last_point`` to ``rec``.  It is reused
+    when that report ends the buffer; after absorbed stop reports the buffer
+    ends at an earlier report, and that segment's velocity is computed here.
+    """
+    buffer = state.buffer
+    if buffer:
+        last = buffer[-1].record
+        if v is None or last is not state.last_point:
+            v = segment_velocity(last, rec)
+        buffer.append(_BufferEntry(rec, v.east_knots, v.north_knots))
+        state.east_sum += v.east_knots
+        state.north_sum += v.north_knots
+    else:
+        buffer.append(_BufferEntry(rec))
+    while len(buffer) > cap:
+        _buffer_pop_front(state)
+
+
+def _buffer_pop_front(state: VesselState) -> None:
+    """Drop the oldest entry; the segment reaching the new front leaves the sums."""
+    buffer = state.buffer
+    buffer.popleft()
+    if len(buffer) < 2:
+        state.east_sum = state.north_sum = 0.0
+    else:
+        front = buffer[0]
+        state.east_sum -= front.east
+        state.north_sum -= front.north
+
+
+def _buffer_mean_velocity(state: VesselState, timespan_s: float, now_ts: int) -> Velocity | None:
+    """Mean velocity over the buffered points still inside the time window.
+
+    Entries older than ``now_ts - timespan_s`` are removed from the front of
+    the buffer for good: the cutoff only grows within a track, so they could
+    never count again.  The mean is then the running sums of
+    :class:`VesselState` over the remaining segments, O(1) amortized per
+    report.  ``None`` when fewer than two entries remain.
+
+    Running sums round differently from a left-to-right sum over the window,
+    so the mean may differ from a from-scratch sum in the last bits.  A
+    detection decision can therefore move only where one of its threshold
+    comparisons lands within that rounding.
+    """
+    buffer = state.buffer
+    cutoff = now_ts - timespan_s
+    while buffer and buffer[0].record.timestamp < cutoff:
+        _buffer_pop_front(state)
+    n_segments = len(buffer) - 1
+    if n_segments < 1:
+        return None
+    east = state.east_sum / n_segments
+    north = state.north_sum / n_segments
+    speed = math.hypot(east, north)
+    heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
+    return Velocity(speed, heading, east, north)
+
+
+def oracle_ingest_point(
+    state: VesselState,
+    point: AisRecord,
+    cfg: SynopsisConfig,
+    v_now: Velocity | None = None,
+    mean=_buffer_mean_velocity,
+) -> list[CriticalPoint]:
+    """Feed one clean report through the detector, mutating ``state``.
+
+    Each critical point is emitted exactly once, in time order.  Several
+    events are only recognizable one report late, so a report's labels are
+    held in ``state.labels`` until the next report has added its own to
+    them; this call therefore returns at most the previous report's critical
+    point, and :func:`finalize_track` emits the last one.  Concatenating
+    every call's result and ``finalize_track`` gives the synopsis; consumers
+    need no merge.
+
+    Args:
+        v_now: the velocity of the segment from the previous report of this
+            vessel to ``point``, as built by :func:`track_segments`; ignored
+            for the first report.  Online callers leave it out and it is
+            computed here, once.  A caller that passes it must pass the
+            velocity of exactly these two reports, or the detector decides
+            on wrong geometry.
+
+    Raises:
+        ValueError: if ``point`` does not advance the clock.
+    """
+    if state.last_point is None:
+        _buffer_push(state, point, cfg.buffer_size)
+        return _advance(state, point, {Annotation.TRACK_START})
+
+    prev = state.last_point
+    if point.timestamp <= prev.timestamp:
+        raise ValueError(
+            f"timestamps must increase within a track: {prev.timestamp} -> {point.timestamp}"
+        )
+
+    # Rule 1: communication gap.  A gap invalidates the buffered history and
+    # closes any interval left open, because whatever happened during the
+    # silence is unknown.
+    if point.timestamp - prev.timestamp > cfg.gap_period_s:
+        state.labels.add(Annotation.GAP_START)
+        _close_intervals(state)
+        _buffer_clear(state)
+        _buffer_push(state, point, cfg.buffer_size)
+        return _advance(state, point, {Annotation.GAP_END})
+
+    if v_now is None:
+        v_now = segment_velocity(prev, point)
+    labels: set[Annotation] = set()
+
+    # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
+    # the report is neither emitted nor buffered, and no further rule sees it.
+    anchor = state.stop_anchor
+    if anchor is not None:
+        displaced = haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
+        if displaced or v_now.speed_knots >= cfg.no_speed_threshold_kn:
+            state.labels.add(Annotation.STOP_END)
+            state.stop_anchor = None
+        else:
+            return _advance(state, point, labels)
+
+    anchored_here = v_now.speed_knots < cfg.no_speed_threshold_kn
+    if anchored_here:
+        labels.add(Annotation.STOP_START)
+        state.stop_anchor = point
+
+    # Rules 3 to 5 are suppressed at the point that anchors a stop: around an
+    # anchor, v_now's heading and speed are jitter, not motion.
+    turn_fired = False
+    if not anchored_here:
+        v_mean = mean(state, cfg.historical_timespan_s, point.timestamp)
+
+        # Rule 3: slow motion.
+        if (
+            not state.in_slow_motion
+            and cfg.no_speed_threshold_kn <= v_now.speed_knots < cfg.low_speed_threshold_kn
+        ):
+            labels.add(Annotation.SLOW_MOTION_START)
+            state.in_slow_motion = True
+        elif state.in_slow_motion and v_now.speed_knots >= cfg.low_speed_threshold_kn:
+            state.labels.add(Annotation.SLOW_MOTION_END)
+            state.in_slow_motion = False
+
+        # Rule 4: change in heading.  The deviation became visible with the
+        # segment ending at `point`, so the vertex is the previous report.
+        if (
+            v_mean is not None
+            and v_mean.speed_knots > _MIN_HEADING_SPEED_KN
+            and v_now.speed_knots > _MIN_HEADING_SPEED_KN
+            and abs(heading_difference_deg(v_now.heading_deg, v_mean.heading_deg))
+            > cfg.angle_threshold_deg
+        ):
+            state.labels.add(Annotation.CHANGE_IN_HEADING)
+            turn_fired = True
+
+        # Rule 5: speed change.
+        if v_mean is not None:
+            exceeds = speed_change_exceeds(v_now.speed_knots, v_mean.speed_knots, cfg.speed_ratio)
+            if exceeds and not state.in_speed_change:
+                labels.add(Annotation.SPEED_CHANGE_START)
+                state.in_speed_change = True
+            elif not exceeds and state.in_speed_change:
+                labels.add(Annotation.SPEED_CHANGE_END)
+                state.in_speed_change = False
+
+    if turn_fired:
+        # Re-reference the mean velocity at the turn: the retained vertex
+        # starts a new course, and keeping pre-turn segments in the buffer
+        # would re-detect the same turn for the next buffer_size reports.
+        _buffer_clear(state)
+        state.buffer.append(_BufferEntry(prev))
+
+    _buffer_push(state, point, cfg.buffer_size, v_now)
+    return _advance(state, point, labels)
+
+
+def from_scratch_mean(state, timespan_s, now_ts):
+    """The buffer mean summed afresh over the buffered records.
+
+    Nothing is evicted here, so expired entries stay in the buffer for the
+    window filter of :func:`mean_velocity` to skip.
+    """
+    return mean_velocity([e.record for e in state.buffer], timespan_s, now_ts)
+
+
+def oracle_compress_track(track, cfg, segments=None, mean=_buffer_mean_velocity):
+    """:func:`compress_track` with :func:`oracle_ingest_point` as its detector."""
+    incoming = [None] * len(track.points) if segments is None else [None, *segments]
+    state = VesselState()
+    synopsis = []
+    for point, v_now in zip(track.points, incoming):
+        synopsis.extend(oracle_ingest_point(state, point, cfg, v_now, mean))
+    synopsis.extend(finalize_track(state))
+    return synopsis
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), cfg=_configs)
+# Seed 13 at the default config absorbs stop reports, so some pushed
+# segments join reports that are not consecutive.
+@example(seed=13, cfg=SynopsisConfig())
+def test_detector_equals_the_oracle(seed, cfg):
+    """The inline buffer work emits what the helper-based oracle emits, bit for bit.
+
+    After every report both states also buffer the same records under the
+    same running sums, so each rounding step is the oracle's.
+    """
+    for track in make_fleet(1500, 3, seed=seed):
+        for segments in (None, track_segments(track)):
+            assert compress_track(track, cfg, segments) == oracle_compress_track(track, cfg, segments)
+            state, oracle = VesselState(), VesselState()
+            incoming = [None] * len(track.points) if segments is None else [None, *segments]
+            for point, v_now in zip(track.points, incoming):
+                ingest_point(state, point, cfg, v_now)
+                oracle_ingest_point(oracle, point, cfg, v_now)
+                assert [record for record, _, _ in state.buffer] == [e.record for e in oracle.buffer]
+                assert (state.east_sum, state.north_sum) == (oracle.east_sum, oracle.north_sum)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), cfg=_configs)
 @example(seed=13, cfg=SynopsisConfig())
 def test_running_sum_mean_makes_the_oracle_decisions(seed, cfg):
-    """The detector decides as it would with a from-scratch buffer mean.
-
-    The oracle replaces the running sums inside the detector: it sums the
-    buffered records' segments afresh on every report and, never evicting,
-    leaves expired entries in the buffer for the window filter to skip.
-    """
-
-    def oracle(state, timespan_s, now_ts):
-        return mean_velocity([e.record for e in state.buffer], timespan_s, now_ts)
-
-    fleet = make_fleet(1500, 3, seed=seed)
-    running = [compress_track(track, cfg) for track in fleet]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(S, "_buffer_mean_velocity", oracle)
-        assert [compress_track(track, cfg) for track in fleet] == running
+    """The detector decides as the oracle does with a from-scratch buffer mean."""
+    for track in make_fleet(1500, 3, seed=seed):
+        assert compress_track(track, cfg) == oracle_compress_track(track, cfg, mean=from_scratch_mean)
 
 
 # ---------------------------------------------------------------------------
