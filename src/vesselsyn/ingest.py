@@ -66,10 +66,14 @@ class ParseReport:
         return len(self.issues)
 
 
-def _parse_row(fields: Sequence[str]) -> AisRecord:
+def _parse_row(fields: Sequence[str], mmsis: dict[str, int], labels: dict[str, str]) -> AisRecord:
+    """One record from a row's fields, sharing MMSI and type values through the two dicts."""
     if len(fields) < 4:
         raise ValueError(f"row has {len(fields)} fields, expected at least 4")
-    mmsi = int(fields[0].strip())
+    raw_mmsi = fields[0]
+    mmsi = mmsis.get(raw_mmsi)
+    if mmsi is None:
+        mmsi = mmsis[raw_mmsi] = int(raw_mmsi.strip())
     timestamp = int(fields[1].strip())
     # Speeds divide by time differences, which must convert to float; the
     # signed 64-bit range is a safe bound that Unix-second clocks never reach.
@@ -82,8 +86,16 @@ def _parse_row(fields: Sequence[str]) -> AisRecord:
         raise ValueError(f"longitude {lon} out of range")
     if not (-90.0 <= lat <= 90.0):
         raise ValueError(f"latitude {lat} out of range")
-    label = fields[4].strip().lower() if len(fields) > 4 else ""
-    return AisRecord(mmsi, timestamp, lon, lat, label or "unknown")
+    if len(fields) < 5:
+        return AisRecord(mmsi, timestamp, lon, lat)
+    raw_label = fields[4]
+    label = labels.get(raw_label)
+    if label is None:
+        # A parsed label parses to itself, so it also keys the dict: fields
+        # that differ only in case or surrounding spaces share one string.
+        label = raw_label.strip().lower() or "unknown"
+        label = labels[raw_label] = labels.setdefault(label, label)
+    return AisRecord(mmsi, timestamp, lon, lat, label)
 
 
 def parse_records(
@@ -96,6 +108,12 @@ def parse_records(
     their 1-based line number; they never abort the run.  Fields past the
     fifth are ignored.  ``has_header`` skips the first line unread.
 
+    A vessel's reports repeat its MMSI and type fields, so one call parses
+    each distinct raw MMSI field and each distinct raw type field once: the
+    records that spell them alike share one ``int`` and one label ``str``,
+    and type fields that differ only in case or surrounding spaces share one
+    label too.  The sharing lasts for the call only.
+
     Returns:
         The accepted records in input order and a :class:`ParseReport`.
 
@@ -103,7 +121,9 @@ def parse_records(
         ValueError: ``has_header`` is set and the input is empty.
     """
     records: list[AisRecord] = []
-    report = ParseReport()
+    issues: list[ParseIssue] = []
+    mmsis: dict[str, int] = {}
+    labels: dict[str, str] = {}
     lines = iter(lines)
     if has_header and next(lines, None) is None:
         raise ValueError("input is empty, expected a header row")
@@ -111,13 +131,11 @@ def parse_records(
         line = raw.strip()
         if not line:
             continue
-        report.rows_seen += 1
         try:
-            records.append(_parse_row(line.split(",")))
-            report.records_parsed += 1
+            records.append(_parse_row(line.split(","), mmsis, labels))
         except ValueError as exc:
-            report.issues.append(ParseIssue(line_no, str(exc)))
-    return records, report
+            issues.append(ParseIssue(line_no, str(exc)))
+    return records, ParseReport(len(records) + len(issues), len(records), issues)
 
 
 def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], ParseReport]:

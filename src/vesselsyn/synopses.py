@@ -6,7 +6,9 @@ worth keeping: a communication gap, a stop, slow motion, a change in heading
 or a significant speed change.  Everything else is discarded.  The retained
 points, called critical points, carry one or more annotations naming the
 events they witness; together they form a synopsis from which the original
-track can be approximately reconstructed by linear interpolation.
+track can be approximately reconstructed by linear interpolation.  A
+point's annotations are an immutable ``frozenset``, one object shared by
+every point with the same labels.
 
 Detection relies on two velocity estimates: ``v_now``, the instantaneous
 velocity implied by the latest pair of reports, and ``v_mean``, the vector
@@ -134,19 +136,30 @@ class SynopsisConfig:
         return cls(**kwargs)
 
 
-@dataclass
+#: The one frozenset of each label combination emitted so far, keyed by
+#: itself; 11 annotations bound it to 2**11 entries.
+_SHARED_ANNOTATIONS: dict[frozenset[Annotation], frozenset[Annotation]] = {}
+
+
+@dataclass(slots=True)
 class CriticalPoint:
-    """A retained report plus the event annotations that justified keeping it."""
+    """A retained report plus the event annotations that justified keeping it.
+
+    ``annotations`` is immutable: points built by :meth:`from_record` with
+    equal labels share one ``frozenset``.
+    """
 
     mmsi: int
     timestamp: int
     lon: float
     lat: float
-    annotations: set[Annotation]
+    annotations: frozenset[Annotation]
 
     @classmethod
     def from_record(cls, rec: AisRecord, annotations: Iterable[Annotation]) -> "CriticalPoint":
-        return cls(rec.mmsi, rec.timestamp, rec.lon, rec.lat, set(annotations))
+        labels = frozenset(annotations)
+        labels = _SHARED_ANNOTATIONS.setdefault(labels, labels)
+        return cls(rec.mmsi, rec.timestamp, rec.lon, rec.lat, labels)
 
 
 @dataclass(slots=True)
@@ -172,8 +185,10 @@ class VesselState:
     ``labels`` are the annotations ``last_point`` has gathered so far.  The
     next report or :func:`finalize_track` may still add to them, so the
     report is emitted, as a critical point, only when it is replaced as
-    ``last_point`` (or the track is closed) with labels.  ``stop_anchor`` is
-    the report an open stop is anchored at, ``None`` outside a stop.
+    ``last_point`` (or the track is closed) with labels.  It is one set for
+    the life of the state, emptied when its point is emitted.
+    ``stop_anchor`` is the report an open stop is anchored at, ``None``
+    outside a stop.
     """
 
     buffer: deque[tuple[AisRecord, float, float]] = field(default_factory=deque)
@@ -234,7 +249,7 @@ def _drop_front(
 
 def ingest_point(
     state: VesselState, point: AisRecord, cfg: SynopsisConfig, v_now: Velocity | None = None
-) -> list[CriticalPoint]:
+) -> tuple[CriticalPoint, ...]:
     """Feed one clean report through the detector, mutating ``state``.
 
     Each critical point is emitted exactly once, in time order.  Several
@@ -243,7 +258,8 @@ def ingest_point(
     them; this call therefore returns at most the previous report's critical
     point, and :func:`finalize_track` emits the last one.  Concatenating
     every call's result and ``finalize_track`` gives the synopsis; consumers
-    need no merge.
+    need no merge.  A report that gains no label allocates no label
+    container: its labels are a tuple made only when a rule adds one.
 
     The buffer work is done here, on the running sums of
     :class:`VesselState`, in O(1) amortized per report: buffered reports that
@@ -267,7 +283,7 @@ def ingest_point(
     prev = state.last_point
     if prev is None:
         _restart_buffer(state, point)
-        return _advance(state, point, {Annotation.TRACK_START})
+        return _advance(state, point, (Annotation.TRACK_START,))
 
     now_ts = point.timestamp
     prev_ts = prev.timestamp
@@ -281,20 +297,22 @@ def ingest_point(
         state.labels.add(Annotation.GAP_START)
         _close_intervals(state)
         _restart_buffer(state, point)
-        return _advance(state, point, {Annotation.GAP_END})
+        return _advance(state, point, (Annotation.GAP_END,))
 
     if v_now is None:
         v_now = segment_velocity(prev, point)
     speed = v_now.speed_knots
     no_speed_kn = cfg.no_speed_threshold_kn
-    labels: set[Annotation] = set()
+    labels: tuple[Annotation, ...] = ()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
     # the report is neither emitted nor buffered, and no further rule sees it.
+    # The speed is tested first, so the distance is taken only when it decides.
     anchor = state.stop_anchor
     if anchor is not None:
-        displaced = haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
-        if displaced or speed >= no_speed_kn:
+        if speed >= no_speed_kn or (
+            haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
+        ):
             state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
@@ -304,7 +322,7 @@ def ingest_point(
     east_sum = state.east_sum
     north_sum = state.north_sum
     if speed < no_speed_kn:
-        labels.add(Annotation.STOP_START)
+        labels = (Annotation.STOP_START,)
         state.stop_anchor = point
     else:
         # Rules 3 to 5 are suppressed at the point that anchors a stop: around
@@ -318,7 +336,7 @@ def ingest_point(
         low_speed_kn = cfg.low_speed_threshold_kn
         in_slow_motion = state.in_slow_motion
         if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
-            labels.add(Annotation.SLOW_MOTION_START)
+            labels = (Annotation.SLOW_MOTION_START,)
             state.in_slow_motion = True
         elif in_slow_motion and speed >= low_speed_kn:
             state.labels.add(Annotation.SLOW_MOTION_END)
@@ -348,10 +366,10 @@ def ingest_point(
             exceeds = speed_change_exceeds(speed, mean_speed, cfg.speed_ratio)
             in_speed_change = state.in_speed_change
             if exceeds and not in_speed_change:
-                labels.add(Annotation.SPEED_CHANGE_START)
+                labels += (Annotation.SPEED_CHANGE_START,)
                 state.in_speed_change = True
             elif not exceeds and in_speed_change:
-                labels.add(Annotation.SPEED_CHANGE_END)
+                labels += (Annotation.SPEED_CHANGE_END,)
                 state.in_speed_change = False
 
     # Push the report with the segment reaching it from the buffer's last
@@ -393,24 +411,31 @@ def _close_intervals(state: VesselState) -> None:
         state.in_speed_change = False
 
 
-def _advance(state: VesselState, point: AisRecord, labels: set[Annotation]) -> list[CriticalPoint]:
+def _advance(
+    state: VesselState, point: AisRecord, labels: Iterable[Annotation]
+) -> tuple[CriticalPoint, ...]:
     """Emit ``last_point`` if it has labels, now final; ``point`` takes its place with ``labels``."""
-    emitted = [CriticalPoint.from_record(state.last_point, state.labels)] if state.labels else []
+    pending = state.labels
+    emitted: tuple[CriticalPoint, ...] = ()
+    if pending:
+        emitted = (CriticalPoint.from_record(state.last_point, pending),)
+        pending.clear()
+    if labels:
+        pending.update(labels)
     state.last_point = point
-    state.labels = labels
     return emitted
 
 
-def finalize_track(state: VesselState) -> list[CriticalPoint]:
+def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
     """Close the stream: label the last report trackEnd, end any open interval, emit it.
 
     The state keeps its last report, with no labels left to emit.
     """
     if state.last_point is None:
-        return []
+        return ()
     state.labels.add(Annotation.TRACK_END)
     _close_intervals(state)
-    return _advance(state, state.last_point, set())
+    return _advance(state, state.last_point, ())
 
 
 def compress_track(

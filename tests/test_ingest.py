@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vesselsyn.ingest import (
     AisRecord,
+    ParseIssue,
     VesselTrack,
     parse_records,
     load_records,
@@ -39,6 +40,11 @@ def test_parse_row_without_type_column_defaults_to_unknown():
 def test_parse_normalizes_type_case_and_whitespace():
     records, _ = parse_records([" 1 , 100 , 0.5 , 50.25 , Passenger "])
     assert records == [AisRecord(1, 100, 0.5, 50.25, "passenger")]
+    # Spellings that differ only in case or surrounding spaces share one label.
+    lines = ["1,100,0.5,50.25, Passenger", "1,160,0.5,50.25,PASSENGER", "2,100,0.5,50.25,passenger"]
+    records, _ = parse_records(lines)
+    assert [r.vessel_type for r in records] == ["passenger"] * 3
+    assert len({id(r.vessel_type) for r in records}) == 1
 
 
 def test_parse_empty_type_field_defaults_to_unknown():
@@ -63,7 +69,19 @@ def test_parse_rejects_malformed_rows_and_reports_line_numbers():
     assert report.records_parsed == 1
     assert report.rejected_count == 7
     assert [issue.line_no for issue in report.issues] == [2, 3, 4, 5, 6, 7, 8]
-    assert all(issue.reason for issue in report.issues)
+    reasons = [
+        "latitude 91.0 out of range",
+        "longitude -200.0 out of range",
+        "latitude nan out of range",
+        "timestamp -7 outside [0, 2**63)",
+        "timestamp 9223372036854775808 outside [0, 2**63)",
+        "invalid literal for int() with base 10: 'abc'",
+        "row has 2 fields, expected at least 4",
+    ]
+    assert [issue.reason for issue in report.issues] == reasons
+    # Repeated rows meet MMSI fields parsed before and give the same issues.
+    _, twice = parse_records(lines + lines)
+    assert twice.issues == report.issues + [ParseIssue(i.line_no + 8, i.reason) for i in report.issues]
 
 
 def test_parse_skips_blank_lines_without_counting_them():
@@ -88,14 +106,18 @@ def test_parse_header_row_skipped_with_index_mapping():
 
 def test_write_then_parse_roundtrip_preserves_floats():
     original = [
-        AisRecord(1, 100, -4.486123456789, 48.390456789012, "cargo"),
+        AisRecord(227705102, 100, -4.486123456789, 48.390456789012, "cargo"),
         AisRecord(2, 160, 0.1, -0.30000000000000004, "unknown"),
+        AisRecord(227705102, 160, -4.486, 48.39, "cargo"),
     ]
     buf = io.StringIO()
     write_records(original, buf)
     parsed, report = parse_records(buf.getvalue().splitlines())
     assert parsed == original
     assert report.rejected_count == 0
+    # The rows of one vessel share one MMSI and one type object.
+    assert parsed[0].mmsi is parsed[2].mmsi
+    assert parsed[0].vessel_type is parsed[2].vessel_type
 
 
 def test_load_records_reads_files(tmp_path):

@@ -262,6 +262,7 @@ def test_streaming_and_batch_agree(seed, cfg):
     Precomputed segment geometry gives the same synopsis as computing it
     per report.
     """
+    shared = {}
     for track in make_fleet(500, 3, seed=seed):
         state = VesselState()
         emissions = [cp for p in track.points for cp in ingest_point(state, p, cfg)]
@@ -270,6 +271,11 @@ def test_streaming_and_batch_agree(seed, cfg):
         assert all(a < b for a, b in zip(times, times[1:]))
         assert emissions == compress_track(track, cfg)
         assert emissions == compress_track(track, cfg, track_segments(track))
+        # Slotted points; equal labels share one frozenset, across tracks too.
+        for cp in emissions:
+            assert not hasattr(cp, "__dict__")
+            assert type(cp.annotations) is frozenset
+            assert shared.setdefault(cp.annotations, cp.annotations) is cp.annotations
 
 
 def test_emissions_depend_only_on_the_points_seen_so_far():
