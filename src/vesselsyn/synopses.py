@@ -167,20 +167,18 @@ class VesselState:
     """Mutable per-vessel detector state threaded between ingest calls.
 
     ``buffer`` holds the recent reports the mean velocity is taken over, each
-    as a ``(record, east, north)`` tuple: ``east``/``north`` are the knot
-    components of the segment from the previous entry, 0.0 for an entry that
-    starts the buffer, where they are never read.  ``east_sum``/``north_sum``
-    are the running sums of those components over ``buffer[1:]``, the
-    segments that join buffered reports: a push adds the new segment, and
-    removing the front entry subtracts the segment of the entry that becomes
-    the new front.  Entries leave only from the front, when the buffer
-    exceeds ``buffer_size`` or when they fall before the time window.  Within
-    a track the window's cutoff only grows, so an entry that has left the
-    window never re-enters it.  A clear, or a removal that leaves fewer than
-    two entries, resets both sums to exactly 0.0, so no rounding residue
-    carries forward.  The sums still round differently from a fresh sum over
-    the window, so a detection decision can move only where a threshold
-    comparison lands within that rounding.
+    as a ``(record, east, north)`` tuple: ``east``/``north`` are prefix sums
+    of the knot components of every segment pushed since the buffer last
+    restarted, up to the segment reaching ``record``.  A restart (the track
+    start, a gap, a turn, or a push into a buffer the time window emptied)
+    leaves one entry holding 0.0, 0.0.  The sum over the buffered segments is
+    the last entry's sums less the first entry's, so an entry leaves by a
+    plain ``popleft``: when the buffer exceeds ``buffer_size`` or when it
+    falls before the time window, whose cutoff only grows within a track, so
+    that no entry is ever needed again.  The difference rounds differently
+    from a fresh sum over the window, by an error that grows with the size
+    of the sums since the last restart, so a detection decision can move
+    only where a threshold comparison lands within that rounding.
 
     ``labels`` are the annotations ``last_point`` has gathered so far.  The
     next report or :func:`finalize_track` may still add to them, so the
@@ -192,8 +190,6 @@ class VesselState:
     """
 
     buffer: deque[tuple[AisRecord, float, float]] = field(default_factory=deque)
-    east_sum: float = 0.0
-    north_sum: float = 0.0
     last_point: AisRecord | None = None
     labels: set[Annotation] = field(default_factory=set)
     stop_anchor: AisRecord | None = None
@@ -230,21 +226,9 @@ def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) 
 
 
 def _restart_buffer(state: VesselState, first: AisRecord) -> None:
-    """Make ``first`` the only buffered report; the sums return to exactly 0.0."""
+    """Make ``first`` the only buffered report; the prefix sums start again at 0.0."""
     state.buffer.clear()
     state.buffer.append((first, 0.0, 0.0))
-    state.east_sum = state.north_sum = 0.0
-
-
-def _drop_front(
-    buffer: deque[tuple[AisRecord, float, float]], east_sum: float, north_sum: float
-) -> tuple[float, float]:
-    """Drop the oldest entry; return the sums without the segment reaching the new front."""
-    buffer.popleft()
-    if len(buffer) < 2:
-        return 0.0, 0.0
-    _, east, north = buffer[0]
-    return east_sum - east, north_sum - north
 
 
 def ingest_point(
@@ -261,13 +245,13 @@ def ingest_point(
     need no merge.  A report that gains no label allocates no label
     container: its labels are a tuple made only when a rule adds one.
 
-    The buffer work is done here, on the running sums of
-    :class:`VesselState`, in O(1) amortized per report: buffered reports that
-    fell before ``now - historical_timespan_s`` are dropped from the front,
-    the mean velocity ``v_mean`` is the sums over the remaining segments
-    (undefined below two entries), and the report is pushed with its
-    segment's components, dropping the front entry beyond ``buffer_size``.
-    The mean heading is computed only where the turn rule reads it.
+    The buffer work is done here in O(1) amortized per report: reports that
+    fell before ``now - historical_timespan_s`` leave the front of the
+    buffer, ``v_mean`` is the last entry's prefix sums less the first's, per
+    segment (undefined below two entries), and the report is pushed with the
+    last entry's sums plus its segment's components, dropping the front
+    entry beyond ``buffer_size``.  The mean heading is computed only where
+    the turn rule reads it.
 
     Args:
         v_now: the velocity of the segment from the previous report of this
@@ -319,8 +303,6 @@ def ingest_point(
             return _advance(state, point, labels)
 
     buffer = state.buffer
-    east_sum = state.east_sum
-    north_sum = state.north_sum
     if speed < no_speed_kn:
         labels = (Annotation.STOP_START,)
         state.stop_anchor = point
@@ -330,7 +312,7 @@ def ingest_point(
         # the buffer forgets the reports that fell before the time window.
         cutoff = now_ts - cfg.historical_timespan_s
         while buffer and buffer[0][0].timestamp < cutoff:
-            east_sum, north_sum = _drop_front(buffer, east_sum, north_sum)
+            buffer.popleft()
 
         # Rule 3: slow motion.
         low_speed_kn = cfg.low_speed_threshold_kn
@@ -344,8 +326,10 @@ def ingest_point(
 
         n_segments = len(buffer) - 1
         if n_segments > 0:
-            mean_east = east_sum / n_segments
-            mean_north = north_sum / n_segments
+            _, first_east, first_north = buffer[0]
+            _, last_east, last_north = buffer[-1]
+            mean_east = (last_east - first_east) / n_segments
+            mean_north = (last_north - first_north) / n_segments
             mean_speed = math.hypot(mean_east, mean_north)
 
             # Rule 4: change in heading.  The deviation became visible with
@@ -360,7 +344,6 @@ def ingest_point(
                     # segments in the buffer would re-detect the same turn
                     # for the next buffer_size reports.
                     _restart_buffer(state, prev)
-                    east_sum = north_sum = 0.0
 
             # Rule 5: speed change.
             exceeds = speed_change_exceeds(speed, mean_speed, cfg.speed_ratio)
@@ -376,25 +359,14 @@ def ingest_point(
     # entry: v_now, unless absorbed stop reports left the buffer ending at an
     # earlier report.
     if buffer:
-        last = buffer[-1][0]
+        last, east, north = buffer[-1]
         if last is not prev:
             v_now = segment_velocity(last, point)
-        east = v_now.east_knots
-        north = v_now.north_knots
-        buffer.append((point, east, north))
-        east_sum += east
-        north_sum += north
-        cap = cfg.buffer_size
-        while len(buffer) > cap:
-            # At least buffer_size >= 2 entries remain, so no reset is due.
+        buffer.append((point, east + v_now.east_knots, north + v_now.north_knots))
+        while len(buffer) > cfg.buffer_size:
             buffer.popleft()
-            _, east, north = buffer[0]
-            east_sum -= east
-            north_sum -= north
     else:
         buffer.append((point, 0.0, 0.0))
-    state.east_sum = east_sum
-    state.north_sum = north_sum
     return _advance(state, point, labels)
 
 
@@ -474,6 +446,9 @@ def write_synopsis_csv(points: Iterable[CriticalPoint], out: TextIO) -> None:
     byte-stable; coordinates use fixed 6-decimal formatting.
     """
     out.write("mmsi,timestamp,lon,lat,annotations\n")
+    joined: dict[frozenset[Annotation], str] = {}
     for cp in points:
-        labels = "|".join(sorted(a.value for a in cp.annotations))
+        labels = joined.get(cp.annotations)
+        if labels is None:
+            labels = joined[cp.annotations] = "|".join(sorted(a.value for a in cp.annotations))
         out.write(f"{cp.mmsi},{cp.timestamp},{cp.lon:.6f},{cp.lat:.6f},{labels}\n")

@@ -31,12 +31,11 @@ from vesselsyn.synopses import (
     ingest_point,
     speed_change_exceeds,
 )
-from vesselsyn.synthetic import (
+from vesselsyn.synthetic import make_curve_track, make_fleet, make_mixed_voyage
+
+from tracks import (
     make_corner_track,
-    make_curve_track,
-    make_fleet,
     make_gap_track,
-    make_mixed_voyage,
     make_slow_motion_track,
     make_speed_steps_track,
     make_stop_track,

@@ -17,12 +17,9 @@ import vesselsyn
 from vesselsyn.cli import main
 from vesselsyn.ingest import write_records
 from vesselsyn.synopses import SynopsisConfig
-from vesselsyn.synthetic import (
-    make_fleet,
-    make_mixed_voyage,
-    make_slow_motion_track,
-    make_straight_track,
-)
+from vesselsyn.synthetic import make_fleet, make_mixed_voyage
+
+from tracks import make_slow_motion_track, make_straight_track
 
 
 def write_tracks_csv(path, tracks, vessel_type=None):

@@ -25,14 +25,9 @@ from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS, haversine_m
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.noise import filter_dataset
 from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track, track_segments
-from vesselsyn.synthetic import (
-    make_corner_track,
-    make_curve_track,
-    make_fleet,
-    make_slow_motion_track,
-    make_stop_track,
-    make_straight_track,
-)
+from vesselsyn.synthetic import make_curve_track, make_fleet
+
+from tracks import make_corner_track, make_slow_motion_track, make_stop_track, make_straight_track
 
 
 def full_retention(track):

@@ -22,13 +22,9 @@ from vesselsyn.ga import (
     uniform_genome,
 )
 from vesselsyn.synopses import SynopsisConfig
-from vesselsyn.synthetic import (
-    make_corner_track,
-    make_fleet,
-    make_slow_motion_track,
-    make_speed_steps_track,
-    make_stop_track,
-)
+from vesselsyn.synthetic import make_fleet
+
+from tracks import make_corner_track, make_slow_motion_track, make_speed_steps_track, make_stop_track
 
 TINY_HP = GaHyperParams(
     population_size=8,

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.noise import MAX_SPEED_KNOTS, filter_dataset, filter_track
-from vesselsyn.synthetic import make_straight_track
+
+from tracks import make_straight_track
 
 DEG_PER_M = 1.0 / (EARTH_RADIUS_M * math.pi / 180.0)
 
