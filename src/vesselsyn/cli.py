@@ -57,6 +57,8 @@ def _load_config(path: str | None) -> SynopsisConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     try:

@@ -19,7 +19,11 @@ Scoring walks each track knot interval by knot interval: the reports
 strictly between two consecutive critical points are measured against the
 line between them (:func:`_interval_squares`), and the report at a critical
 point's timestamp against that point.  A report whose coordinates equal that
-point's contributes exactly 0.0, so it is not measured at all.
+point's contributes exactly 0.0, so it is not measured at all.  A caller
+scoring many synopses of the same tracks may keep a memo of each track's
+knot intervals, keyed by the two knots' timestamps (see
+:func:`evaluate_config`); it is exact when every knot is one of the track's
+own reports, whose unique timestamps fix the knots and the reports between.
 
 Summation rule: each track's squared distances are summed with
 ``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
@@ -123,8 +127,10 @@ def _interval_squares(
         squares.append(d * d)
 
 
-def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
+def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict | None) -> float:
     """``math.fsum`` of each report's squared distance to its reconstruction, interval by interval.
+
+    ``intervals`` is None or this track's part of the memo of :func:`evaluate_config`.
 
     Raises:
         ValueError: the synopsis goes back in time.
@@ -140,8 +146,14 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
         if b.timestamp < a.timestamp:
             raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
         k = bisect_left(points, b.timestamp, j, key=_timestamp)
-        if k > j:
+        if k > j and intervals is None:
             _interval_squares(a, b, points[j:k], squares)
+        elif k > j:
+            inside = intervals.get((a.timestamp, b.timestamp))
+            if inside is None:
+                inside = intervals[a.timestamp, b.timestamp] = []
+                _interval_squares(a, b, points[j:k], inside)
+            squares.extend(inside)
         if k < len(points) and points[k].timestamp == b.timestamp:
             p = points[k]
             k += 1
@@ -159,7 +171,7 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint]) -> float:
 def compute_metrics(
     clean_tracks: Sequence[VesselTrack],
     synopses: Mapping[int, Sequence[CriticalPoint]],
-    square_sums: dict[tuple[int, tuple[int, ...]], float] | None = None,
+    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
 ) -> Metrics:
     """Aggregate ratio and RMSE of a set of synopses over their clean tracks.
 
@@ -168,7 +180,7 @@ def compute_metrics(
     sums follow the module's summation rule.
 
     Synopses are keyed by MMSI, so each track must have its own.
-    ``square_sums`` is the optional per-track memo described at
+    ``intervals`` is the optional per-interval memo described at
     :func:`evaluate_config`.
 
     Raises:
@@ -193,14 +205,8 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        if square_sums is None:
-            track_sums.append(_square_sum(track, synopsis))
-        else:
-            key = (index, tuple(map(_timestamp, synopsis)))
-            track_sum = square_sums.get(key)
-            if track_sum is None:
-                track_sum = square_sums[key] = _square_sum(track, synopsis)
-            track_sums.append(track_sum)
+        memo = None if intervals is None else intervals.setdefault(index, {})
+        track_sums.append(_square_sum(track, synopsis, memo))
         total_points += len(track.points)
         total_critical += len(synopsis)
     if total_points == 0:
@@ -218,7 +224,7 @@ def evaluate_config(
     clean_tracks: Sequence[VesselTrack],
     cfg: SynopsisConfig,
     segments: Sequence[Sequence[Velocity]] | None = None,
-    square_sums: dict[tuple[int, tuple[int, ...]], float] | None = None,
+    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
 ) -> Metrics:
     """Compress every clean track with ``cfg`` and measure the result.
 
@@ -227,12 +233,11 @@ def evaluate_config(
     that each track's geometry is computed once (see
     :func:`vesselsyn.synopses.compress_track`).
 
-    ``square_sums`` is a memo that such callers keep for one list of tracks
-    and pass to every call: it maps (track index, the synopsis's knot
-    timestamps) to that track's ``math.fsum`` of squares, so a synopsis
-    another configuration already produced is not measured again.  The key
-    is exact: every knot is one of the track's own reports, whose timestamps
-    are unique, and each track is summed on its own.
+    ``intervals`` is a memo that such callers keep for one list of tracks and
+    pass to every call: for each track index, it maps the timestamps of two
+    consecutive knots to the squared distances of the reports strictly
+    between them, so each knot interval is measured once.  It is exact for
+    the knots :func:`compress_track` emits, which are the track's own reports.
 
     Raises:
         ValueError: if ``segments`` does not hold one list per track.
@@ -244,4 +249,4 @@ def evaluate_config(
         track.mmsi: compress_track(track, cfg, geometry)
         for track, geometry in zip(clean_tracks, per_track)
     }
-    return compute_metrics(clean_tracks, synopses, square_sums)
+    return compute_metrics(clean_tracks, synopses, intervals)

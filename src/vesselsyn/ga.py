@@ -213,10 +213,10 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Syno
     Each genome's score and metrics are held once, in a memo kept for the
     run.  Each track's segment velocities do not depend on the genes, so they
     are computed once per run and reused by every evaluation.  Different
-    genes often give a track the same synopsis, so each track's square sum is
-    memoized per run by its synopsis's knot timestamps (see
-    :func:`vesselsyn.evaluation.evaluate_config`); the metrics are the same
-    bit for bit.
+    genes often give a track the same knot intervals, so each interval's
+    squared distances are memoized per run by the track and its two knot
+    timestamps (see :func:`vesselsyn.evaluation.evaluate_config`); the
+    metrics are the same bit for bit.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
@@ -235,12 +235,12 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Syno
     rng = np.random.default_rng(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
     segments = [track_segments(track) for track in clean_tracks]
-    square_sums: dict[tuple[int, tuple[int, ...]], float] = {}
+    intervals: dict[int, dict[tuple[int, int], list[float]]] = {}
 
     def score(genome: Genome) -> float:
         hit = memo.get(genome)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(genome), segments, square_sums)
+            metrics = evaluate_config(clean_tracks, genes_to_config(genome), segments, intervals)
             hit = memo[genome] = (fitness(metrics, hp.r, hp.n), metrics)
         return hit[0]
 

@@ -139,8 +139,8 @@ def parse_records(
 
 
 def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], ParseReport]:
-    """Open ``path`` and parse it with :func:`parse_records`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Open ``path`` and parse it with :func:`parse_records`; a UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_records(fh, has_header=has_header)
 
 

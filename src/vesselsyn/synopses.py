@@ -448,7 +448,10 @@ def write_synopsis_csv(points: Iterable[CriticalPoint], out: TextIO) -> None:
     out.write("mmsi,timestamp,lon,lat,annotations\n")
     joined: dict[frozenset[Annotation], str] = {}
     for cp in points:
-        labels = joined.get(cp.annotations)
-        if labels is None:
+        try:
+            labels = joined[cp.annotations]
+        except KeyError:
             labels = joined[cp.annotations] = "|".join(sorted(a.value for a in cp.annotations))
+        except TypeError:  # a hand-built point whose labels are a mutable ``set``
+            labels = "|".join(sorted(a.value for a in cp.annotations))
         out.write(f"{cp.mmsi},{cp.timestamp},{cp.lon:.6f},{cp.lat:.6f},{labels}\n")

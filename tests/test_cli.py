@@ -150,6 +150,23 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, straight_csv, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, straight_csv, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"angle_threshold_deg": 4} \xff')
+    rc = main(["eval", "--input", straight_csv, "--config", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file {bad}" in err and "Traceback" not in err
+
+
+def test_config_path_that_is_a_directory_is_a_usage_error_naming_it(tmp_path, straight_csv, capsys):
+    folder = tmp_path / "cfgdir"
+    folder.mkdir()
+    rc = main(["eval", "--input", straight_csv, "--config", str(folder)])
+    assert rc == 2
+    assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, straight_csv, capsys):
     cfg = write_config(tmp_path / "typo.json", {"angle_treshold_deg": 4})
     rc = main(["eval", "--input", straight_csv, "--config", cfg])

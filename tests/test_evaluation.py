@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import vesselsyn
 from vesselsyn import evaluation
@@ -314,22 +314,22 @@ def test_evaluate_config_equals_compress_then_measure(default_config):
 
 def test_evaluate_config_scores_through_compute_metrics(monkeypatch, default_config):
     # One scoring entry: every evaluate_config call, with or without the
-    # square-sum memo, goes through the module-level compute_metrics once.
+    # interval memo, goes through the module-level compute_metrics once.
     calls = []
     real = evaluation.compute_metrics
 
     def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("square_sums"))
+        calls.append(args[2] if len(args) > 2 else kwargs.get("intervals"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "compute_metrics", counting)
     tracks = [make_corner_track(mmsi=1), make_stop_track(mmsi=2)]
     segments = [track_segments(track) for track in tracks]
-    square_sums = {}
+    intervals = {}
     plain = evaluate_config(tracks, default_config)
-    memoized = evaluate_config(tracks, default_config, segments, square_sums)
+    memoized = evaluate_config(tracks, default_config, segments, intervals)
     assert plain == memoized
-    assert len(calls) == 2 and calls[0] is None and calls[1] is square_sums
+    assert len(calls) == 2 and calls[0] is None and calls[1] is intervals
 
 
 def test_evaluate_config_rejects_a_segment_list_per_track_mismatch(default_config):
@@ -516,13 +516,28 @@ def test_compute_metrics_rejects_a_synopsis_that_goes_back_in_time():
     assert compute_metrics([track], {7: shared}).rmse_m > 0.0  # equal timestamps stay allowed
 
 
-def test_a_shared_square_sum_memo_changes_no_metrics():
-    """Calls sharing one memo match memo-free calls, with repeated synopses among them.
+def _knot_intervals(track, synopsis):
+    """(t_a, t_b) of each pair of consecutive knots with reports strictly between them."""
+    times = [p.timestamp for p in track.points]
+    return [
+        (a.timestamp, b.timestamp)
+        for a, b in zip(synopsis, synopsis[1:])
+        if bisect.bisect_left(times, b.timestamp) > bisect.bisect_right(times, a.timestamp)
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), genomes=st.lists(gene_vectors, min_size=2, max_size=4))
+@example(seed=7, genomes=[tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), tuple(g.lower for g in GENE_SPEC)])
+def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
+    """Calls sharing one memo match memo-free calls, and each knot interval is measured once.
 
     The memo is keyed by track as well as by knot timestamps: the last
-    track has the first one's timestamps and synopsis but one report moved.
+    track has the first one's knot timestamps under the default
+    configuration, but one report between two knots moved.  The first
+    configuration is scored again at the end, so the memo always hits.
     """
-    clean, _ = filter_dataset(make_fleet(900, 3, seed=7))
+    clean, _ = filter_dataset(make_fleet(900, 3, seed=seed))
     base = SynopsisConfig()
     first = clean[0]
     kept = {cp.timestamp for cp in compress_track(first, base)}
@@ -530,16 +545,16 @@ def test_a_shared_square_sum_memo_changes_no_metrics():
     moved = [replace(p, mmsi=p.mmsi + 1000) for p in first.points]
     moved[m] = replace(moved[m], lat=moved[m].lat + 1e-6)
     twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
-    assert {cp.timestamp for cp in compress_track(twin, base)} == kept
+    assume({cp.timestamp for cp in compress_track(twin, base)} == kept)
     tracks = clean + [twin]
     segments = [track_segments(t) for t in tracks]
-    # The pair (base, gap 1900 s) gives some track the same synopsis, so the memo hits.
-    cfgs = [base, replace(base, angle_threshold_deg=12.0), replace(base, gap_period_s=1900.0), replace(base, buffer_size=9)]
-    assert any(
-        [cp.timestamp for cp in compress_track(t, base)] == [cp.timestamp for cp in compress_track(t, cfgs[2])]
-        for t in clean
-    )
-    square_sums = {}
+    cfgs = [base] + [genes_to_config(genes) for genes in genomes] + [base]
+    intervals = {}
     for cfg in cfgs:
-        assert evaluate_config(tracks, cfg, segments, square_sums) == evaluate_config(tracks, cfg)
-    assert len(square_sums) < len(cfgs) * len(tracks)
+        assert evaluate_config(tracks, cfg, segments, intervals) == evaluate_config(tracks, cfg)
+    scored = [
+        (i, pair) for cfg in cfgs for i, t in enumerate(tracks) for pair in _knot_intervals(t, compress_track(t, cfg))
+    ]
+    stored = [(i, pair) for i, memo in intervals.items() for pair in memo]
+    assert sorted(stored) == sorted(set(scored))
+    assert len(stored) < len(scored)

@@ -128,6 +128,19 @@ def test_load_records_reads_files(tmp_path):
     assert report.records_parsed == 1
 
 
+def test_load_records_skips_a_utf8_byte_order_mark(tmp_path):
+    # The mark must not glue itself to the first MMSI field and reject that row.
+    rows = "1,100,0.5,50.25,cargo\n2,160,0.6,50.5,cargo\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(rows, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text(rows, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    records, report = load_records(str(marked))
+    assert report.rejected_count == 0 and report.records_parsed == 2
+    assert (records, report) == load_records(str(plain))
+
+
 def test_partition_groups_by_vessel_and_sorts_by_time():
     records = [
         AisRecord(2, 300, 0.0, 0.0),

@@ -913,6 +913,21 @@ def test_synopsis_csv_format():
     assert "." in first[2] and len(first[2].split(".")[1]) == 6  # fixed 6 decimals
 
 
+def test_synopsis_csv_writes_a_set_of_labels_like_a_frozenset():
+    # A hand-built point may hold a plain (unhashable) set of labels.
+    rec = make_gap_pair().points[0]
+    labels = {Annotation.TRACK_START, Annotation.GAP_START}
+    points = [
+        CriticalPoint(rec.mmsi, rec.timestamp, rec.lon, rec.lat, annotations)
+        for annotations in (set(labels), frozenset(labels), set(labels))
+    ]
+    buf = io.StringIO()
+    write_synopsis_csv(points, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+    assert rows[0].endswith(",gapStart|trackStart")
+
+
 def test_golden_mixed_voyage_regression():
     # Frozen end-to-end detector output on a 1000-point seeded voyage; any
     # behavioural drift in the rules shows up here first.
