@@ -20,10 +20,13 @@ strictly between two consecutive critical points are measured against the
 line between them (:func:`_interval_squares`), and the report at a critical
 point's timestamp against that point.  A report whose coordinates equal that
 point's contributes exactly 0.0, so it is not measured at all.  A caller
-scoring many synopses of the same tracks may keep a memo of each track's
+scoring many synopses of the same tracks may keep a memo of each vessel's
 knot intervals, keyed by the two knots' timestamps (see
 :func:`evaluate_config`); it is exact when every knot is one of the track's
 own reports, whose unique timestamps fix the knots and the reports between.
+The walk finds each knot's report by bisecting the track, except after a
+memo hit: the stored interval holds one square per report between the
+knots, so the next knot's report lies that many reports further on.
 
 Summation rule: each track's squared distances are summed with
 ``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
@@ -130,7 +133,7 @@ def _interval_squares(
 def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict | None) -> float:
     """``math.fsum`` of each report's squared distance to its reconstruction, interval by interval.
 
-    ``intervals`` is None or this track's part of the memo of :func:`evaluate_config`.
+    ``intervals`` is None or this vessel's part of the memo of :func:`evaluate_config`.
 
     Raises:
         ValueError: the synopsis goes back in time.
@@ -145,15 +148,21 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals
     for b in synopsis:
         if b.timestamp < a.timestamp:
             raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
-        k = bisect_left(points, b.timestamp, j, key=_timestamp)
-        if k > j and intervals is None:
-            _interval_squares(a, b, points[j:k], squares)
-        elif k > j:
+        if intervals is None:
+            k = bisect_left(points, b.timestamp, j, key=_timestamp)
+            if k > j:
+                _interval_squares(a, b, points[j:k], squares)
+        else:
             inside = intervals.get((a.timestamp, b.timestamp))
-            if inside is None:
-                inside = intervals[a.timestamp, b.timestamp] = []
-                _interval_squares(a, b, points[j:k], inside)
-            squares.extend(inside)
+            if inside is not None:
+                k = j + len(inside)
+                squares.extend(inside)
+            else:
+                k = bisect_left(points, b.timestamp, j, key=_timestamp)
+                if k > j:  # adjacent knots store nothing
+                    inside = intervals[a.timestamp, b.timestamp] = []
+                    _interval_squares(a, b, points[j:k], inside)
+                    squares.extend(inside)
         if k < len(points) and points[k].timestamp == b.timestamp:
             p = points[k]
             k += 1
@@ -194,7 +203,7 @@ def compute_metrics(
     total_critical = 0
     track_sums: list[float] = []
     seen: set[int] = set()
-    for index, track in enumerate(clean_tracks):
+    for track in clean_tracks:
         if track.mmsi in seen:
             raise ValueError(f"two tracks share vessel {track.mmsi}; each needs its own synopsis")
         seen.add(track.mmsi)
@@ -205,7 +214,7 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        memo = None if intervals is None else intervals.setdefault(index, {})
+        memo = None if intervals is None else intervals.setdefault(track.mmsi, {})
         track_sums.append(_square_sum(track, synopsis, memo))
         total_points += len(track.points)
         total_critical += len(synopsis)
@@ -233,11 +242,14 @@ def evaluate_config(
     that each track's geometry is computed once (see
     :func:`vesselsyn.synopses.compress_track`).
 
-    ``intervals`` is a memo that such callers keep for one list of tracks and
-    pass to every call: for each track index, it maps the timestamps of two
-    consecutive knots to the squared distances of the reports strictly
-    between them, so each knot interval is measured once.  It is exact for
-    the knots :func:`compress_track` emits, which are the track's own reports.
+    ``intervals`` is a memo that such callers keep and pass to every call:
+    for each vessel's MMSI, it maps the timestamps of two consecutive knots
+    to the squared distances of the reports strictly between them, so each
+    knot interval is measured once.  It is exact for the knots
+    :func:`compress_track` emits, which are the track's own reports, as long
+    as every call gives an MMSI the same track; calls on different subsets
+    of one set of tracks, such as the training folds of
+    :func:`vesselsyn.ga.cross_validate`, may share it.
 
     Raises:
         ValueError: if ``segments`` does not hold one list per track.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .evaluation import Metrics, evaluate_config
-from .geo import EARTH_RADIUS_M
+from .geo import EARTH_RADIUS_M, Velocity
 from .ingest import VesselTrack, split_k_folds
 from .synopses import SynopsisConfig, track_segments
 
@@ -198,7 +198,12 @@ def gaussian_mutate(genome: Genome, rng: np.random.Generator) -> Genome:
     return tuple(genes)
 
 
-def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[SynopsisConfig, list[GenerationStats]]:
+def run_ga(
+    clean_tracks: Sequence[VesselTrack],
+    hp: GaHyperParams,
+    segments: Sequence[Sequence[Velocity]] | None = None,
+    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
+) -> tuple[SynopsisConfig, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
 
     Generation 0 is sampled uniformly within the :data:`GENE_SPEC` bounds.
@@ -212,15 +217,20 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Syno
     Identical inputs, hyper-parameters and seed reproduce the run exactly.
     Each genome's score and metrics are held once, in a memo kept for the
     run.  Each track's segment velocities do not depend on the genes, so they
-    are computed once per run and reused by every evaluation.  Different
-    genes often give a track the same knot intervals, so each interval's
-    squared distances are memoized per run by the track and its two knot
-    timestamps (see :func:`vesselsyn.evaluation.evaluate_config`); the
-    metrics are the same bit for bit.
+    are computed once and reused by every evaluation.  Different genes often
+    give a track the same knot intervals, so each interval's squared
+    distances are memoized by the vessel and its two knot timestamps (see
+    :func:`vesselsyn.evaluation.evaluate_config`); the metrics are the same
+    bit for bit.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
+        segments: ``track_segments(track)`` for each track, in order;
+            computed here when left out.
+        intervals: the interval memo of
+            :func:`vesselsyn.evaluation.evaluate_config`; a fresh one when
+            left out.  Runs over tracks of one set may share both caches.
 
     Returns:
         The best configuration found and the per-generation history.  The
@@ -234,8 +244,10 @@ def run_ga(clean_tracks: Sequence[VesselTrack], hp: GaHyperParams) -> tuple[Syno
 
     rng = np.random.default_rng(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
-    segments = [track_segments(track) for track in clean_tracks]
-    intervals: dict[int, dict[tuple[int, int], list[float]]] = {}
+    if segments is None:
+        segments = [track_segments(track) for track in clean_tracks]
+    if intervals is None:
+        intervals = {}
 
     def score(genome: Genome) -> float:
         hit = memo.get(genome)
@@ -332,12 +344,26 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     fold index on ties).  Each fold keeps the configuration :func:`run_ga`
     returned, its GA history (whose last best score is the fold's
     ``train_fitness``) and its held-out metrics and score.
+
+    Every track trains in k - 1 folds, so its segment velocities are
+    computed once and one interval memo, keyed by MMSI, serves every fold's
+    :func:`run_ga`; each fold's result is the one a run with fresh caches
+    gives.
+
+    Raises:
+        ValueError: the split fails (see :func:`split_k_folds`), or two
+            tracks share an MMSI.
     """
     folds = split_k_folds(tracks, k)
+    geometry = {track.mmsi: track_segments(track) for track in tracks}
+    if len(geometry) != len(tracks):
+        raise ValueError("two tracks share a vessel; each track needs its own MMSI")
+    intervals: dict[int, dict[tuple[int, int], list[float]]] = {}
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
+        segments = [geometry[t.mmsi] for t in train]
+        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), segments, intervals)
         test_metrics = evaluate_config(test_fold, cfg)
         results.append(
             FoldResult(

@@ -3,15 +3,28 @@
 All distances are computed with the haversine formula on a sphere of radius
 6,371,000 m.  Speeds are expressed in knots, headings in compass degrees
 (0 = north, 90 = east, normalized to [0, 360)).
+
+Both functions run once or more per report, so they convert between degrees
+and radians by multiplying with :data:`_RAD` and :data:`_DEG` and call the
+``math`` functions bound at import.  CPython's ``math.radians(x)`` is
+exactly ``x * (pi / 180.0)`` and ``math.degrees(x)`` exactly
+``x * (180.0 / pi)``, so every value is the same bit for bit as with those
+calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, sin, sqrt
 from typing import Protocol
 
 EARTH_RADIUS_M = 6_371_000.0
+
+#: Radians per degree and degrees per radian, the factors of
+#: ``math.radians`` and ``math.degrees``.
+_RAD = math.pi / 180.0
+_DEG = 180.0 / math.pi
 
 #: Metres per second in one knot.
 KNOT_MS = 0.514444
@@ -54,22 +67,12 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     Returns:
         Distance in metres along the sphere surface.
     """
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    dphi = (lat2 - lat1) * _RAD
+    dlam = (lon2 - lon1) * _RAD
+    a = sin(dphi / 2.0) ** 2 + cos(lat1 * _RAD) * cos(lat2 * _RAD) * sin(dlam / 2.0) ** 2
     if a > 1.0:  # rounding overshoot on near-antipodal pairs
         a = 1.0
-    return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
-
-
-def heading_difference_deg(a: float, b: float) -> float:
-    """Signed circular difference a - b mapped into (-180, 180]."""
-    d = (a - b + 180.0) % 360.0 - 180.0
-    if d == -180.0:
-        return 180.0
-    return d
+    return 2.0 * EARTH_RADIUS_M * atan2(sqrt(a), sqrt(1.0 - a))
 
 
 def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
@@ -92,20 +95,22 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
     dt = b.timestamp - a.timestamp
     if dt <= 0:
         raise ValueError(f"non-increasing timestamps: {a.timestamp} -> {b.timestamp}")
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlam = math.radians(b.lon - a.lon)
-    cos_phi1 = math.cos(phi1)
-    cos_phi2 = math.cos(phi2)
-    h = math.sin(math.radians(b.lat - a.lat) / 2.0) ** 2 + cos_phi1 * cos_phi2 * math.sin(dlam / 2.0) ** 2
+    lat1 = a.lat
+    lat2 = b.lat
+    phi1 = lat1 * _RAD
+    phi2 = lat2 * _RAD
+    dlam = (b.lon - a.lon) * _RAD
+    cos_phi1 = cos(phi1)
+    cos_phi2 = cos(phi2)
+    h = sin((lat2 - lat1) * _RAD / 2.0) ** 2 + cos_phi1 * cos_phi2 * sin(dlam / 2.0) ** 2
     if h > 1.0:  # rounding overshoot on near-antipodal pairs
         h = 1.0
-    dist_m = 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    dist_m = 2.0 * EARTH_RADIUS_M * atan2(sqrt(h), sqrt(1.0 - h))
     if dist_m == 0.0:
         return Velocity(0.0, 0.0, 0.0, 0.0)
-    y = math.sin(dlam) * cos_phi2
-    x = cos_phi1 * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam)
+    y = sin(dlam) * cos_phi2
+    x = cos_phi1 * sin(phi2) - sin(phi1) * cos_phi2 * cos(dlam)
     speed = dist_m / dt / KNOT_MS
-    heading = math.degrees(math.atan2(y, x)) % 360.0
-    h = math.radians(heading)
-    return Velocity(speed, heading, speed * math.sin(h), speed * math.cos(h))
+    heading = atan2(y, x) * _DEG % 360.0
+    h = heading * _RAD
+    return Velocity(speed, heading, speed * sin(h), speed * cos(h))

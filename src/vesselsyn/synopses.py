@@ -25,9 +25,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
+from math import atan2, hypot
 from typing import Iterable, Sequence, TextIO
 
-from .geo import Velocity, haversine_m, heading_difference_deg, segment_velocity
+from .geo import _DEG, Velocity, haversine_m, segment_velocity
 from .ingest import AisRecord, VesselTrack
 
 
@@ -213,18 +214,6 @@ def track_segments(track: VesselTrack) -> list[Velocity]:
     return [segment_velocity(a, b) for a, b in zip(points, points[1:])]
 
 
-def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) -> bool:
-    """Whether the instantaneous speed deviates too much from the mean speed.
-
-    The deviation is relative to the instantaneous speed:
-    ``|(v_now - v_mean) / v_now| > ratio``.  A zero ``v_now`` never triggers;
-    motionless intervals are the stop rule's business.
-    """
-    if v_now_knots == 0.0:
-        return False
-    return abs((v_now_knots - v_mean_knots) / v_now_knots) > ratio
-
-
 def _restart_buffer(state: VesselState, first: AisRecord) -> None:
     """Make ``first`` the only buffered report; the prefix sums start again at 0.0."""
     state.buffer.clear()
@@ -251,7 +240,9 @@ def ingest_point(
     segment (undefined below two entries), and the report is pushed with the
     last entry's sums plus its segment's components, dropping the front
     entry beyond ``buffer_size``.  The mean heading is computed only where
-    the turn rule reads it.
+    the turn rule reads it.  The rules and the emission of the previous
+    report (:func:`_advance`) are written out here on the paths most reports
+    take, since a call costs more than their arithmetic.
 
     Args:
         v_now: the velocity of the segment from the previous report of this
@@ -300,7 +291,14 @@ def ingest_point(
             state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
-            return _advance(state, point, labels)
+            # Absorbed: the report takes no label of its own.
+            state.last_point = point
+            pending = state.labels
+            if not pending:
+                return ()
+            emitted = (CriticalPoint.from_record(prev, pending),)
+            pending.clear()
+            return emitted
 
     buffer = state.buffer
     if speed < no_speed_kn:
@@ -330,14 +328,16 @@ def ingest_point(
             _, last_east, last_north = buffer[-1]
             mean_east = (last_east - first_east) / n_segments
             mean_north = (last_north - first_north) / n_segments
-            mean_speed = math.hypot(mean_east, mean_north)
+            mean_speed = hypot(mean_east, mean_north)
 
             # Rule 4: change in heading.  The deviation became visible with
             # the segment ending at `point`, so the vertex is the previous
-            # report.
+            # report.  The turn is the circular difference of the two
+            # headings folded into [-180, 180), whose size is the angle
+            # between them.
             if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
-                mean_heading = math.degrees(math.atan2(mean_east, mean_north)) % 360.0
-                if abs(heading_difference_deg(v_now.heading_deg, mean_heading)) > cfg.angle_threshold_deg:
+                mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
+                if abs((v_now.heading_deg - mean_heading + 180.0) % 360.0 - 180.0) > cfg.angle_threshold_deg:
                     state.labels.add(Annotation.CHANGE_IN_HEADING)
                     # Re-reference the mean velocity at the turn: the retained
                     # vertex starts a new course, and keeping pre-turn
@@ -345,8 +345,10 @@ def ingest_point(
                     # for the next buffer_size reports.
                     _restart_buffer(state, prev)
 
-            # Rule 5: speed change.
-            exceeds = speed_change_exceeds(speed, mean_speed, cfg.speed_ratio)
+            # Rule 5: speed change, relative to the instantaneous speed.  A
+            # zero speed never triggers: motionless intervals are the stop
+            # rule's business.
+            exceeds = speed != 0.0 and abs((speed - mean_speed) / speed) > cfg.speed_ratio
             in_speed_change = state.in_speed_change
             if exceeds and not in_speed_change:
                 labels += (Annotation.SPEED_CHANGE_START,)
@@ -367,7 +369,15 @@ def ingest_point(
             buffer.popleft()
     else:
         buffer.append((point, 0.0, 0.0))
-    return _advance(state, point, labels)
+    pending = state.labels
+    emitted: tuple[CriticalPoint, ...] = ()
+    if pending:
+        emitted = (CriticalPoint.from_record(prev, pending),)
+        pending.clear()
+    if labels:
+        pending.update(labels)
+    state.last_point = point
+    return emitted
 
 
 def _close_intervals(state: VesselState) -> None:

@@ -29,10 +29,10 @@ from vesselsyn.synopses import (
     compress_track,
     finalize_track,
     ingest_point,
-    speed_change_exceeds,
 )
 from vesselsyn.synthetic import make_curve_track, make_fleet, make_mixed_voyage
 
+from rules import speed_change_exceeds
 from tracks import (
     make_corner_track,
     make_gap_track,

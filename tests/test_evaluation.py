@@ -27,7 +27,7 @@ from vesselsyn.noise import filter_dataset
 from vesselsyn.synopses import Annotation, CriticalPoint, SynopsisConfig, compress_track, track_segments
 from vesselsyn.synthetic import make_curve_track, make_fleet
 
-from tracks import make_corner_track, make_slow_motion_track, make_stop_track, make_straight_track
+from tracks import make_corner_track, make_gap_track, make_slow_motion_track, make_stop_track, make_straight_track
 
 
 def full_retention(track):
@@ -532,10 +532,13 @@ def _knot_intervals(track, synopsis):
 def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     """Calls sharing one memo match memo-free calls, and each knot interval is measured once.
 
-    The memo is keyed by track as well as by knot timestamps: the last
+    The memo is keyed by vessel as well as by knot timestamps: the twin
     track has the first one's knot timestamps under the default
     configuration, but one report between two knots moved.  The first
     configuration is scored again at the end, so the memo always hits.
+    There the gap track's knots (reports 0, 2, 3 and 5) hit an interval,
+    meet adjacent knots, which store nothing, at the very next report, and
+    hit the last interval.
     """
     clean, _ = filter_dataset(make_fleet(900, 3, seed=seed))
     base = SynopsisConfig()
@@ -546,15 +549,15 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     moved[m] = replace(moved[m], lat=moved[m].lat + 1e-6)
     twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
     assume({cp.timestamp for cp in compress_track(twin, base)} == kept)
-    tracks = clean + [twin]
+    tracks = clean + [twin, make_gap_track(mmsi=1)]
     segments = [track_segments(t) for t in tracks]
     cfgs = [base] + [genes_to_config(genes) for genes in genomes] + [base]
     intervals = {}
     for cfg in cfgs:
         assert evaluate_config(tracks, cfg, segments, intervals) == evaluate_config(tracks, cfg)
     scored = [
-        (i, pair) for cfg in cfgs for i, t in enumerate(tracks) for pair in _knot_intervals(t, compress_track(t, cfg))
+        (t.mmsi, pair) for cfg in cfgs for t in tracks for pair in _knot_intervals(t, compress_track(t, cfg))
     ]
-    stored = [(i, pair) for i, memo in intervals.items() for pair in memo]
+    stored = [(mmsi, pair) for mmsi, memo in intervals.items() for pair in memo]
     assert sorted(stored) == sorted(set(scored))
     assert len(stored) < len(scored)

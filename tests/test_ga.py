@@ -1,6 +1,7 @@
 """Tests for the evolutionary parameter tuner and its operators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vesselsyn.ga import (
     tournament_select,
     uniform_genome,
 )
+from vesselsyn.ingest import split_k_folds
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_fleet
 
@@ -336,3 +338,37 @@ def test_cross_validate_propagates_split_errors():
     data = tiny_dataset()
     with pytest.raises(ValueError):
         cross_validate(data, len(data) + 1, TINY_HP)
+
+
+def test_cross_validate_folds_share_caches_as_fresh_runs_would_score(monkeypatch):
+    # Every fold's run gets one geometry list per vessel and the one interval
+    # memo, and returns what a stand-alone run with fresh caches returns.
+    data = make_fleet(900, 4, seed=3)
+    hp = GaHyperParams(population_size=6, max_generations=3, stagnation_limit=3, rng_seed=2)
+    runs = []
+
+    def recording(train, fold_hp, segments, intervals):
+        runs.append((train, segments, intervals))
+        return run_ga(train, fold_hp, segments, intervals)
+
+    monkeypatch.setattr(ga, "run_ga", recording)
+    result = cross_validate(data, 3, hp)
+    assert len(runs) == 3
+    assert all(intervals is runs[0][2] for _, _, intervals in runs)
+    geometry = {}
+    for train, segments, _ in runs:
+        for track, velocities in zip(train, segments, strict=True):
+            assert geometry.setdefault(track.mmsi, velocities) is velocities
+    folds = split_k_folds(data, 3)
+    for i, fold in enumerate(result.folds):
+        train = [t for j, f in enumerate(folds) if j != i for t in f]
+        config, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
+        assert (fold.config, fold.history) == (config, tuple(history))
+
+
+def test_cross_validate_rejects_two_tracks_of_one_vessel():
+    # Each fold's caches are keyed by MMSI; two tracks of one vessel in
+    # different folds would share them.
+    data = tiny_dataset() + [make_corner_track(mmsi=999), make_stop_track(mmsi=999)]
+    with pytest.raises(ValueError, match="share a vessel"):
+        cross_validate(data, 2, TINY_HP)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
     KNOT_MS,
+    Velocity,
     haversine_m,
-    heading_difference_deg,
     segment_velocity,
 )
 from vesselsyn.ingest import AisRecord
+
+from rules import heading_difference_deg
 
 # Degrees of longitude at the equator covering exactly one metre of arc.
 DEG_PER_M_EQUATOR = 1.0 / (EARTH_RADIUS_M * math.pi / 180.0)
@@ -49,6 +51,43 @@ def bearing_deg(lon1, lat1, lon2, lat2):
     y = math.sin(dlam) * math.cos(phi2)
     x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
     return math.degrees(math.atan2(y, x)) % 360.0
+
+
+def radians_haversine_m(lon1, lat1, lon2, lat2):
+    """:func:`haversine_m` written with ``math.radians`` and the ``math.`` calls.
+
+    The reference that holds the constant-factor form to the same bits.
+    """
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    if a > 1.0:
+        a = 1.0
+    return 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
+
+
+def radians_segment_velocity(a, b):
+    """:func:`segment_velocity` written with ``math.radians``/``math.degrees`` and the ``math.`` calls."""
+    dt = b.timestamp - a.timestamp
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dlam = math.radians(b.lon - a.lon)
+    cos_phi1 = math.cos(phi1)
+    cos_phi2 = math.cos(phi2)
+    h = math.sin(math.radians(b.lat - a.lat) / 2.0) ** 2 + cos_phi1 * cos_phi2 * math.sin(dlam / 2.0) ** 2
+    if h > 1.0:
+        h = 1.0
+    dist_m = 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    if dist_m == 0.0:
+        return Velocity(0.0, 0.0, 0.0, 0.0)
+    y = math.sin(dlam) * cos_phi2
+    x = cos_phi1 * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam)
+    speed = dist_m / dt / KNOT_MS
+    heading = math.degrees(math.atan2(y, x)) % 360.0
+    h = math.radians(heading)
+    return Velocity(speed, heading, speed * math.sin(h), speed * math.cos(h))
 
 
 def heading_deg(lon1, lat1, lon2, lat2):
@@ -151,6 +190,29 @@ def test_segment_velocity_is_haversine_and_bearing_bit_for_bit(lon1, lat1, lon2,
     assert v.heading_deg == (bearing_deg(lon1, lat1, lon2, lat2) if dist_m else 0.0)
     assert v.east_knots == v.speed_knots * math.sin(math.radians(v.heading_deg))
     assert v.north_knots == v.speed_knots * math.cos(math.radians(v.heading_deg))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LONS, LATS, LONS, LATS, st.integers(1, 10**6))
+@example(-88.6, 69.3, 91.4, -69.3, 60)  # antipodal: the haversine term rounds above 1
+@example(0.0, 0.0, 180.0, 0.0, 60)  # antipodal on the equator
+@example(-45.0, 30.0, 135.0, -30.0, 60)  # antipodal off the equator
+@example(179.9, 10.0, -179.9, 10.0, 60)  # across the antimeridian
+@example(-179.999, -5.0, 179.999, 5.0, 60)  # across it westward
+@example(180.0, 10.0, -180.0, 10.0, 60)  # the same point named by both longitudes
+@example(0.0, 90.0, 90.0, 90.0, 60)  # both points on the north pole
+@example(0.0, -90.0, 45.0, 89.0, 60)  # from the south pole
+@example(10.0, 89.9, -170.0, 89.9, 60)  # over the north pole
+@example(12.5, 45.0, 12.5, 45.0, 60)  # coincident
+@example(-180.0, -90.0, -180.0, -90.0, 1)  # coincident at a corner of the range
+def test_geodesy_equals_the_radians_forms_bit_for_bit(lon1, lat1, lon2, lat2, dt):
+    """The constant-factor geodesy gives exactly the ``math.radians``/``math.degrees`` values."""
+    expected = radians_haversine_m(lon1, lat1, lon2, lat2)
+    assert haversine_m(lon1, lat1, lon2, lat2).hex() == expected.hex()
+    a, b = AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2)
+    got, want = segment_velocity(a, b), radians_segment_velocity(a, b)
+    fields = ("speed_knots", "heading_deg", "east_knots", "north_knots")
+    assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from vesselsyn.geo import (
     KNOT_MS,
     Velocity,
     haversine_m,
-    heading_difference_deg,
     segment_velocity,
 )
 from vesselsyn.ingest import AisRecord, VesselTrack
@@ -35,7 +34,6 @@ from vesselsyn.synopses import (
     compress_track,
     finalize_track,
     ingest_point,
-    speed_change_exceeds,
     track_segments,
     write_synopsis_csv,
 )
@@ -48,6 +46,7 @@ from vesselsyn.synthetic import (
     offset_position,
 )
 
+from rules import heading_difference_deg, speed_change_exceeds
 from tracks import (
     make_corner_track,
     make_gap_pair,
