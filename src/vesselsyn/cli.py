@@ -197,8 +197,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         result = cross_validate(selected, args.k, hp)
     except ValueError as exc:
         raise CliError(str(exc))
-    except ModuleNotFoundError as exc:  # numpy, which the GA imports when it starts
-        raise CliError(f"tune needs {exc.name}, which cannot be imported: {exc}", code=1)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(

@@ -16,7 +16,11 @@ vessel type's pair from :data:`vesselsyn.presets.FITNESS_PRESETS` unless
 The search itself is a plain generational GA: tournament selection,
 single-point crossover, per-gene Gaussian mutation, one elite survivor, and
 early stopping when the best score stops improving.  All randomness flows
-from one seeded generator, so runs are exactly reproducible.
+from one seeded :class:`vesselsyn.rng.Pcg64`, which draws the PCG64 stream
+that ``numpy.random.default_rng(seed)`` would draw, so runs are exactly
+reproducible and no command loads numpy.  The operators take the generator
+as an argument and use only numpy's call forms, so a numpy ``Generator``
+seeded alike gives them the same results.
 :func:`cross_validate` runs one GA per held-out fold and keeps the
 configuration that tested best.
 """
@@ -33,7 +37,7 @@ from .ingest import VesselTrack, split_k_folds
 from .synopses import SynopsisConfig, track_segments
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .rng import Pcg64
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def genes_to_config(genes: Sequence[float]) -> SynopsisConfig:
     return SynopsisConfig(**kwargs)
 
 
-def uniform_genome(rng: np.random.Generator) -> Genome:
+def uniform_genome(rng: Pcg64) -> Genome:
     """Sample one genome uniformly within the :data:`GENE_SPEC` bounds."""
     return tuple(
         float(rng.integers(int(gene.lower), int(gene.upper) + 1))
@@ -149,7 +153,7 @@ def uniform_genome(rng: np.random.Generator) -> Genome:
 
 
 def tournament_select(
-    population: Sequence[Genome], score: Callable[[Genome], float], rng: np.random.Generator
+    population: Sequence[Genome], score: Callable[[Genome], float], rng: Pcg64
 ) -> Genome:
     """Pick the lowest-scoring of :data:`TOURNAMENT_SIZE` distinct uniformly drawn genomes.
 
@@ -167,7 +171,7 @@ def tournament_select(
     return min((population[int(i)] for i in picks), key=score)
 
 
-def single_point_crossover(a: Genome, b: Genome, rng: np.random.Generator) -> tuple[Genome, Genome]:
+def single_point_crossover(a: Genome, b: Genome, rng: Pcg64) -> tuple[Genome, Genome]:
     """Swap gene tails at one uniformly chosen interior cut point."""
     n_genes = len(a)
     if len(b) != n_genes:
@@ -178,7 +182,7 @@ def single_point_crossover(a: Genome, b: Genome, rng: np.random.Generator) -> tu
     return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
-def gaussian_mutate(genome: Genome, rng: np.random.Generator) -> Genome:
+def gaussian_mutate(genome: Genome, rng: Pcg64) -> Genome:
     """Perturb each gene with probability :data:`PER_GENE_PROB` by bounded Gaussian noise.
 
     The noise scale is :data:`SIGMA_FRACTION` of the gene's range.  Results
@@ -239,10 +243,11 @@ def run_ga(
     """
     if not clean_tracks:
         raise ValueError("empty training set")
-    # Imported here so that the commands that do not tune run without numpy.
-    import numpy as np
+    # Imported here: every command imports this module, and only a run needs
+    # the generator's code and tables compiled.
+    from .rng import Pcg64
 
-    rng = np.random.default_rng(hp.rng_seed)
+    rng = Pcg64(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
     if segments is None:
         segments = [track_segments(track) for track in clean_tracks]

@@ -345,10 +345,11 @@ def ingest_point(
                     # for the next buffer_size reports.
                     _restart_buffer(state, prev)
 
-            # Rule 5: speed change, relative to the instantaneous speed.  A
-            # zero speed never triggers: motionless intervals are the stop
-            # rule's business.
-            exceeds = speed != 0.0 and abs((speed - mean_speed) / speed) > cfg.speed_ratio
+            # Rule 5: speed change, relative to the instantaneous speed.  This
+            # branch runs only for speed >= no_speed_threshold_kn, which
+            # SynopsisConfig requires to be positive, so the divisor is never
+            # zero: motionless intervals are the stop rule's business.
+            exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
             in_speed_change = state.in_speed_change
             if exceeds and not in_speed_change:
                 labels += (Annotation.SPEED_CHANGE_START,)

@@ -505,7 +505,7 @@ def test_tune_type_is_case_insensitive(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# numpy: only tune needs it
+# numpy: no command needs it
 
 
 def run_python(code, *args):
@@ -516,22 +516,38 @@ def run_python(code, *args):
     )
 
 
-def test_only_tune_needs_numpy(tmp_path):
+def test_no_command_needs_numpy(tmp_path):
+    """Every command runs with numpy blocked, and tune writes the same bytes as with numpy at hand.
+
+    A tune run where numpy can be imported must not load it either.
+    """
     data = tmp_path / "fleet.csv"
     write_tracks_csv(data, make_fleet(600, 3, seed=1), vessel_type="fishing")
-    without_numpy = (
+    out = tmp_path / "t"
+    tune = ["tune", "--input", str(data), "--type", "fishing", "--out", str(out), *TUNE_FAST]
+
+    def tree():
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    numpy_at_hand = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
         "from vesselsyn.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit(code or (sys.modules.get('numpy') is not None and 'numpy was loaded'))\n"
     )
-    compress = run_python(without_numpy, "compress", "--input", str(data), "--out", str(tmp_path / "c"))
-    assert compress.returncode == 0, compress.stderr
-    tune = run_python(
-        without_numpy,
-        "tune", "--input", str(data), "--type", "fishing", "--out", str(tmp_path / "t"), *TUNE_FAST,
-    )
-    assert tune.returncode == 1
-    assert tune.stderr.startswith("error: ") and "numpy" in tune.stderr
-    assert "Traceback" not in tune.stderr
-    assert not (tmp_path / "t").exists()
+    with_numpy = run_python(numpy_at_hand, *tune)
+    assert with_numpy.returncode == 0, with_numpy.stderr
+    expected = tree()
+    assert Path("manifest.json") in expected
+    shutil.rmtree(out)
+
+    numpy_blocked = "import sys\nsys.modules['numpy'] = None\n" + numpy_at_hand
+    for args in (
+        ["compress", "--input", str(data), "--out", str(tmp_path / "c")],
+        ["eval", "--input", str(data)],
+        tune,
+    ):
+        result = run_python(numpy_blocked, *args)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+    assert tree() == expected

@@ -219,10 +219,8 @@ def test_rmse_scores_a_report_against_the_knot_at_its_timestamp():
 
 
 def test_importing_the_package_does_not_load_numpy():
-    """Only the GA's random generator needs numpy, imported when a run starts.
-
-    Neither the package's names nor the command-line interface, which every
-    command imports, may pull it in.
+    """Neither the package's names nor the command-line interface, which every
+    command imports, may pull numpy in; the GA draws from :mod:`vesselsyn.rng`.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
     code = "import sys, vesselsyn, vesselsyn.cli; sys.exit('numpy' in sys.modules)"

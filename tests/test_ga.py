@@ -23,6 +23,7 @@ from vesselsyn.ga import (
     uniform_genome,
 )
 from vesselsyn.ingest import split_k_folds
+from vesselsyn.rng import Pcg64
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_fleet
 
@@ -236,6 +237,49 @@ def test_mutation_noise_is_centred():
 
 
 # ---------------------------------------------------------------------------
+# the GA's generator: each operator gives what numpy's generator gives
+
+
+def _both(seed):
+    return Pcg64(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_uniform_genome_equals_numpy_draws(seed):
+    ours, theirs = _both(seed)
+    for _ in range(200):
+        assert uniform_genome(ours) == uniform_genome(theirs)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_tournament_select_equals_numpy_draws(seed):
+    ours, theirs = _both(seed)
+    for size in (1, 2, 3, 7, 50):
+        population = [(float((i * 7) % size),) for i in range(size)]
+        for _ in range(100):
+            picked = tournament_select(population, _first_gene, ours)
+            assert picked == tournament_select(population, _first_gene, theirs)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_single_point_crossover_equals_numpy_draws(seed):
+    ours, theirs = _both(seed)
+    for n_genes in (2, 3, 8):
+        a, b = (0.0,) * n_genes, tuple(range(1, n_genes + 1))
+        for _ in range(100):
+            assert single_point_crossover(a, b, ours) == single_point_crossover(a, b, theirs)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_gaussian_mutate_equals_numpy_draws(seed):
+    ours, theirs = _both(seed)
+    mine = numpys = tuple(float(g.upper) for g in GENE_SPEC)
+    for _ in range(300):
+        mine, numpys = gaussian_mutate(mine, ours), gaussian_mutate(numpys, theirs)
+        assert mine == numpys
+
+
+# ---------------------------------------------------------------------------
 # whole runs
 
 
@@ -253,6 +297,13 @@ def test_run_ga_is_deterministic_for_a_seed(monkeypatch):
     monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments, _sums: evaluate_config(tracks, cfg))
     plain = run_ga(fleet, TINY_HP)
     assert plain == reused
+
+
+def test_run_ga_equals_a_run_on_numpys_generator(monkeypatch):
+    fleet = make_fleet(600, 3, seed=7)
+    ours = run_ga(fleet, TINY_HP)
+    monkeypatch.setattr("vesselsyn.rng.Pcg64", np.random.default_rng)
+    assert run_ga(fleet, TINY_HP) == ours
 
 
 def test_run_ga_best_is_monotone_and_evaluated():
