@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .evaluation import Metrics, compute_metrics, evaluate_config
 from .ga import GaHyperParams, cross_validate
-from .ingest import ParseReport, VesselTrack, load_records, partition_tracks
+from .ingest import VesselTrack, load_records, partition_tracks
 from .noise import filter_dataset
 from .presets import FITNESS_PRESETS
 from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
@@ -67,12 +67,13 @@ def _load_config(path: str | None) -> SynopsisConfig:
         raise CliError(f"config file {path}: {exc}")
 
 
-def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], ParseReport, int]:
+def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int]:
+    """The clean tracks, the count of malformed rows and the count of reports the filter dropped."""
     if not os.path.exists(args.input):
         raise CliError(f"input file not found: {args.input}")
-    records, report = load_records(args.input, has_header=args.header)
-    if report.rejected_count:
-        print(f"note: rejected {report.rejected_count} malformed input rows", file=sys.stderr)
+    records, issues = load_records(args.input, has_header=args.header)
+    if issues:
+        print(f"note: rejected {len(issues)} malformed input rows", file=sys.stderr)
     tracks = partition_tracks(records)
     repeated = len(records) - sum(len(t.points) for t in tracks)
     if repeated:
@@ -82,12 +83,12 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], ParseRep
         print(f"note: noise filter dropped {dropped} reports", file=sys.stderr)
     if not clean:
         raise CliError("no usable reports in input", code=1)
-    return clean, report, dropped
+    return clean, len(issues), dropped
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    clean, report, dropped = _load_dataset(args)
+    clean, rejected, dropped = _load_dataset(args)
     synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
     metrics = compute_metrics(clean, synopses)
     os.makedirs(args.out, exist_ok=True)
@@ -99,7 +100,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
             "input": args.input,
             "config": _rounded(cfg),
             **_rounded(metrics),
-            "rows_rejected_parse": report.rejected_count,
+            "rows_rejected_parse": rejected,
             "reports_rejected_filter": dropped,
         },
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import pairwise, repeat
+from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -232,12 +232,12 @@ def compute_metrics(
 def evaluate_config(
     clean_tracks: Sequence[VesselTrack],
     cfg: SynopsisConfig,
-    segments: Sequence[Sequence[Velocity]] | None = None,
+    segments: Mapping[int, Sequence[Velocity]] | None = None,
     intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
 ) -> Metrics:
     """Compress every clean track with ``cfg`` and measure the result.
 
-    ``segments`` holds ``track_segments(track)`` for each track, in order;
+    ``segments`` maps each track's MMSI to ``track_segments(track)``;
     callers that evaluate many configurations on the same tracks pass it so
     that each track's geometry is computed once (see
     :func:`vesselsyn.synopses.compress_track`).
@@ -247,18 +247,15 @@ def evaluate_config(
     to the squared distances of the reports strictly between them, so each
     knot interval is measured once.  It is exact for the knots
     :func:`compress_track` emits, which are the track's own reports, as long
-    as every call gives an MMSI the same track; calls on different subsets
-    of one set of tracks, such as the training folds of
-    :func:`vesselsyn.ga.cross_validate`, may share it.
+    as every call gives an MMSI the same track.  Both caches are keyed by
+    vessel, so calls on different subsets of one set of tracks, such as the
+    folds of :func:`vesselsyn.ga.cross_validate`, may share them.
 
     Raises:
-        ValueError: if ``segments`` does not hold one list per track.
+        KeyError: if ``segments`` holds no entry for a track's MMSI.
     """
-    if segments is not None and len(segments) != len(clean_tracks):
-        raise ValueError(f"{len(segments)} segment lists for {len(clean_tracks)} tracks")
-    per_track = repeat(None) if segments is None else segments
     synopses = {
-        track.mmsi: compress_track(track, cfg, geometry)
-        for track, geometry in zip(clean_tracks, per_track)
+        track.mmsi: compress_track(track, cfg, None if segments is None else segments[track.mmsi])
+        for track in clean_tracks
     }
     return compute_metrics(clean_tracks, synopses, intervals)

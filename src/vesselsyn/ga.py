@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .evaluation import Metrics, evaluate_config
 from .geo import EARTH_RADIUS_M, Velocity
@@ -205,7 +205,7 @@ def gaussian_mutate(genome: Genome, rng: Pcg64) -> Genome:
 def run_ga(
     clean_tracks: Sequence[VesselTrack],
     hp: GaHyperParams,
-    segments: Sequence[Sequence[Velocity]] | None = None,
+    segments: Mapping[int, Sequence[Velocity]] | None = None,
     intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
 ) -> tuple[SynopsisConfig, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
@@ -221,16 +221,16 @@ def run_ga(
     Identical inputs, hyper-parameters and seed reproduce the run exactly.
     Each genome's score and metrics are held once, in a memo kept for the
     run.  Each track's segment velocities do not depend on the genes, so they
-    are computed once and reused by every evaluation.  Different genes often
-    give a track the same knot intervals, so each interval's squared
-    distances are memoized by the vessel and its two knot timestamps (see
-    :func:`vesselsyn.evaluation.evaluate_config`); the metrics are the same
-    bit for bit.
+    are computed once, keyed by the vessel's MMSI, and reused by every
+    evaluation.  Different genes often give a track the same knot intervals,
+    so each interval's squared distances are memoized by the vessel and its
+    two knot timestamps (see :func:`vesselsyn.evaluation.evaluate_config`);
+    the metrics are the same bit for bit.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
-        segments: ``track_segments(track)`` for each track, in order;
+        segments: ``track_segments(track)`` keyed by each track's MMSI;
             computed here when left out.
         intervals: the interval memo of
             :func:`vesselsyn.evaluation.evaluate_config`; a fresh one when
@@ -250,7 +250,7 @@ def run_ga(
     rng = Pcg64(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
     if segments is None:
-        segments = [track_segments(track) for track in clean_tracks]
+        segments = {track.mmsi: track_segments(track) for track in clean_tracks}
     if intervals is None:
         intervals = {}
 
@@ -350,10 +350,10 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     returned, its GA history (whose last best score is the fold's
     ``train_fitness``) and its held-out metrics and score.
 
-    Every track trains in k - 1 folds, so its segment velocities are
-    computed once and one interval memo, keyed by MMSI, serves every fold's
-    :func:`run_ga`; each fold's result is the one a run with fresh caches
-    gives.
+    Every track trains in k - 1 folds and is tested in one, so its segment
+    velocities are computed once, and they and one interval memo, both
+    keyed by MMSI, serve every fold's :func:`run_ga` and held-out scoring;
+    each fold's result is the one a run with fresh caches gives.
 
     Raises:
         ValueError: the split fails (see :func:`split_k_folds`), or two
@@ -367,9 +367,8 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        segments = [geometry[t.mmsi] for t in train]
-        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), segments, intervals)
-        test_metrics = evaluate_config(test_fold, cfg)
+        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), geometry, intervals)
+        test_metrics = evaluate_config(test_fold, cfg, geometry, intervals)
         results.append(
             FoldResult(
                 index=i,

@@ -7,7 +7,7 @@ Unix epoch and the coordinates in decimal degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 
@@ -49,21 +49,10 @@ class VesselTrack:
 
 @dataclass(frozen=True, slots=True)
 class ParseIssue:
+    """A malformed input row: its 1-based line number and why it was skipped."""
+
     line_no: int
     reason: str
-
-
-@dataclass
-class ParseReport:
-    """Tally of what a parse run accepted and rejected."""
-
-    rows_seen: int = 0
-    records_parsed: int = 0
-    issues: list[ParseIssue] = field(default_factory=list)
-
-    @property
-    def rejected_count(self) -> int:
-        return len(self.issues)
 
 
 def _parse_row(fields: Sequence[str], mmsis: dict[str, int], labels: dict[str, str]) -> AisRecord:
@@ -100,13 +89,14 @@ def _parse_row(fields: Sequence[str], mmsis: dict[str, int], labels: dict[str, s
 
 def parse_records(
     lines: Iterable[str] | TextIO, *, has_header: bool = False
-) -> tuple[list[AisRecord], ParseReport]:
+) -> tuple[list[AisRecord], list[ParseIssue]]:
     """Parse ``mmsi,timestamp,lon,lat[,vessel_type]`` lines, tallying bad rows.
 
     Malformed rows (fewer than four fields, unparseable numbers,
-    out-of-range coordinates) are skipped and recorded in the report with
-    their 1-based line number; they never abort the run.  Fields past the
-    fifth are ignored.  ``has_header`` skips the first line unread.
+    out-of-range coordinates) are skipped and recorded as a
+    :class:`ParseIssue` with their 1-based line number; they never abort
+    the run.  Fields past the fifth are ignored.  ``has_header`` skips the
+    first line unread.
 
     A vessel's reports repeat its MMSI and type fields, so one call parses
     each distinct raw MMSI field and each distinct raw type field once: the
@@ -115,7 +105,8 @@ def parse_records(
     label too.  The sharing lasts for the call only.
 
     Returns:
-        The accepted records in input order and a :class:`ParseReport`.
+        The accepted records and the rejected rows' issues, each in input
+        order.
 
     Raises:
         ValueError: ``has_header`` is set and the input is empty.
@@ -135,10 +126,10 @@ def parse_records(
             records.append(_parse_row(line.split(","), mmsis, labels))
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
-    return records, ParseReport(len(records) + len(issues), len(records), issues)
+    return records, issues
 
 
-def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], ParseReport]:
+def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], list[ParseIssue]]:
     """Open ``path`` and parse it with :func:`parse_records`; a UTF-8 byte-order mark is skipped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_records(fh, has_header=has_header)

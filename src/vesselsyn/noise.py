@@ -4,9 +4,16 @@ The filter walks each track once and drops reports that a real vessel could
 not have produced, by two rules: timestamps that do not advance, and implied
 speeds beyond :data:`MAX_SPEED_KNOTS`.  Decisions are made against the last
 *accepted* point, so one bad report after the first cannot poison the points
-after it.  A bad *first* report does: it is always accepted, and every later
-report is judged against it, so a first report far from the rest of the
-track rejects them all.
+after it.
+
+The first report has no predecessor to be judged against, so the next two
+reports confirm it: it is dropped when it is implausible against each of
+them and they are plausible against each other.  The lookahead is fixed at
+two reports; an online filter therefore holds a track's first report until
+its third arrives.  Mid-track the filter does not re-anchor: a run of
+reports that agree with each other but not with the last accepted one is
+rejected whole, so a burst of consistent false positions (two transmitters
+sharing an MMSI, say) cannot take the track over.
 """
 
 from __future__ import annotations
@@ -18,21 +25,36 @@ from .ingest import AisRecord, VesselTrack
 MAX_SPEED_KNOTS = 50.0
 
 
+def _plausible(a: AisRecord, b: AisRecord) -> bool:
+    """Whether a vessel could report ``a`` and then ``b``: the clock advances and the speed is under the ceiling."""
+    dt = b.timestamp - a.timestamp
+    return dt > 0 and haversine_m(a.lon, a.lat, b.lon, b.lat) / dt / KNOT_MS <= MAX_SPEED_KNOTS
+
+
 def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
     """Drop implausible reports from one track.
 
     Returns a new track whose points are a subsequence of the input, plus the
-    number of rejected reports.  The first point is always accepted since
-    there is no predecessor to test against.
+    number of rejected reports.  The first point is kept unless the next two
+    points reject it (see the module docstring); every later point is judged
+    against the last kept one.
     """
+    points = track.points
+    if (
+        len(points) >= 3
+        and _plausible(points[1], points[2])
+        and not _plausible(points[0], points[1])
+        and not _plausible(points[0], points[2])
+    ):
+        points = points[1:]
     kept: list[AisRecord] = []
-    for rec in track.points:
+    for rec in points:
+        # _plausible(kept[-1], rec), written out: a call per report costs
+        # about a third of the filter's time.
         if kept:
             prev = kept[-1]
             dt = rec.timestamp - prev.timestamp
-            if dt <= 0:
-                continue
-            if haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS:
+            if dt <= 0 or haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS:
                 continue
         kept.append(rec)
     return VesselTrack(track.mmsi, track.vessel_type, kept), len(track.points) - len(kept)

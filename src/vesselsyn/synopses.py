@@ -234,15 +234,20 @@ def ingest_point(
     need no merge.  A report that gains no label allocates no label
     container: its labels are a tuple made only when a rule adds one.
 
+    Every report, whether it starts the track, ends a gap, is absorbed by a
+    stop or moves, leaves through one tail: the previous report is emitted
+    if it has labels, and ``point`` takes its place as ``last_point`` with
+    its own.  That tail is the only emission here; :func:`finalize_track`
+    holds the other.
+
     The buffer work is done here in O(1) amortized per report: reports that
     fell before ``now - historical_timespan_s`` leave the front of the
     buffer, ``v_mean`` is the last entry's prefix sums less the first's, per
     segment (undefined below two entries), and the report is pushed with the
     last entry's sums plus its segment's components, dropping the front
     entry beyond ``buffer_size``.  The mean heading is computed only where
-    the turn rule reads it.  The rules and the emission of the previous
-    report (:func:`_advance`) are written out here on the paths most reports
-    take, since a call costs more than their arithmetic.
+    the turn rule reads it.  The rules are written out here rather than
+    called, since a call costs more than their arithmetic.
 
     Args:
         v_now: the velocity of the segment from the previous report of this
@@ -256,121 +261,113 @@ def ingest_point(
         ValueError: if ``point`` does not advance the clock.
     """
     prev = state.last_point
+    pending = state.labels
+    labels: tuple[Annotation, ...] = ()
     if prev is None:
+        labels = (Annotation.TRACK_START,)
         _restart_buffer(state, point)
-        return _advance(state, point, (Annotation.TRACK_START,))
-
-    now_ts = point.timestamp
-    prev_ts = prev.timestamp
-    if now_ts <= prev_ts:
+    elif (now_ts := point.timestamp) <= (prev_ts := prev.timestamp):
         raise ValueError(f"timestamps must increase within a track: {prev_ts} -> {now_ts}")
-
-    # Rule 1: communication gap.  A gap invalidates the buffered history and
-    # closes any interval left open, because whatever happened during the
-    # silence is unknown.
-    if now_ts - prev_ts > cfg.gap_period_s:
-        state.labels.add(Annotation.GAP_START)
+    elif now_ts - prev_ts > cfg.gap_period_s:
+        # Rule 1: communication gap.  A gap invalidates the buffered history
+        # and closes any interval left open, because whatever happened during
+        # the silence is unknown.
+        pending.add(Annotation.GAP_START)
         _close_intervals(state)
         _restart_buffer(state, point)
-        return _advance(state, point, (Annotation.GAP_END,))
+        labels = (Annotation.GAP_END,)
+    else:
+        if v_now is None:
+            v_now = segment_velocity(prev, point)
+        speed = v_now.speed_knots
+        no_speed_kn = cfg.no_speed_threshold_kn
 
-    if v_now is None:
-        v_now = segment_velocity(prev, point)
-    speed = v_now.speed_knots
-    no_speed_kn = cfg.no_speed_threshold_kn
-    labels: tuple[Annotation, ...] = ()
-
-    # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
-    # the report is neither emitted nor buffered, and no further rule sees it.
-    # The speed is tested first, so the distance is taken only when it decides.
-    anchor = state.stop_anchor
-    if anchor is not None:
-        if speed >= no_speed_kn or (
-            haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
+        # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed
+        # whole: the report takes no label, is not buffered, and no further
+        # rule sees it.  The speed is tested first, so the distance is taken
+        # only when it decides.
+        anchor = state.stop_anchor
+        if anchor is not None and (
+            speed >= no_speed_kn
+            or haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
         ):
-            state.labels.add(Annotation.STOP_END)
-            state.stop_anchor = None
-        else:
-            # Absorbed: the report takes no label of its own.
-            state.last_point = point
-            pending = state.labels
-            if not pending:
-                return ()
-            emitted = (CriticalPoint.from_record(prev, pending),)
-            pending.clear()
-            return emitted
+            pending.add(Annotation.STOP_END)
+            state.stop_anchor = anchor = None
+        if anchor is None:
+            buffer = state.buffer
+            if speed < no_speed_kn:
+                labels = (Annotation.STOP_START,)
+                state.stop_anchor = point
+            else:
+                # Rules 3 to 5 are suppressed at the point that anchors a
+                # stop: around an anchor, v_now's heading and speed are
+                # jitter, not motion.  Here the buffer forgets the reports
+                # that fell before the time window.
+                cutoff = now_ts - cfg.historical_timespan_s
+                while buffer and buffer[0][0].timestamp < cutoff:
+                    buffer.popleft()
 
-    buffer = state.buffer
-    if speed < no_speed_kn:
-        labels = (Annotation.STOP_START,)
-        state.stop_anchor = point
-    else:
-        # Rules 3 to 5 are suppressed at the point that anchors a stop: around
-        # an anchor, v_now's heading and speed are jitter, not motion.  Here
-        # the buffer forgets the reports that fell before the time window.
-        cutoff = now_ts - cfg.historical_timespan_s
-        while buffer and buffer[0][0].timestamp < cutoff:
-            buffer.popleft()
+                # Rule 3: slow motion.
+                low_speed_kn = cfg.low_speed_threshold_kn
+                in_slow_motion = state.in_slow_motion
+                if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
+                    labels = (Annotation.SLOW_MOTION_START,)
+                    state.in_slow_motion = True
+                elif in_slow_motion and speed >= low_speed_kn:
+                    pending.add(Annotation.SLOW_MOTION_END)
+                    state.in_slow_motion = False
 
-        # Rule 3: slow motion.
-        low_speed_kn = cfg.low_speed_threshold_kn
-        in_slow_motion = state.in_slow_motion
-        if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
-            labels = (Annotation.SLOW_MOTION_START,)
-            state.in_slow_motion = True
-        elif in_slow_motion and speed >= low_speed_kn:
-            state.labels.add(Annotation.SLOW_MOTION_END)
-            state.in_slow_motion = False
+                n_segments = len(buffer) - 1
+                if n_segments > 0:
+                    _, first_east, first_north = buffer[0]
+                    _, last_east, last_north = buffer[-1]
+                    mean_east = (last_east - first_east) / n_segments
+                    mean_north = (last_north - first_north) / n_segments
+                    mean_speed = hypot(mean_east, mean_north)
 
-        n_segments = len(buffer) - 1
-        if n_segments > 0:
-            _, first_east, first_north = buffer[0]
-            _, last_east, last_north = buffer[-1]
-            mean_east = (last_east - first_east) / n_segments
-            mean_north = (last_north - first_north) / n_segments
-            mean_speed = hypot(mean_east, mean_north)
+                    # Rule 4: change in heading.  The deviation became
+                    # visible with the segment ending at `point`, so the
+                    # vertex is the previous report.  The turn is the
+                    # circular difference of the two headings folded into
+                    # [-180, 180), whose size is the angle between them.
+                    if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
+                        mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
+                        turn = (v_now.heading_deg - mean_heading + 180.0) % 360.0 - 180.0
+                        if abs(turn) > cfg.angle_threshold_deg:
+                            pending.add(Annotation.CHANGE_IN_HEADING)
+                            # Re-reference the mean velocity at the turn: the
+                            # retained vertex starts a new course, and keeping
+                            # pre-turn segments in the buffer would re-detect
+                            # the same turn for the next buffer_size reports.
+                            _restart_buffer(state, prev)
 
-            # Rule 4: change in heading.  The deviation became visible with
-            # the segment ending at `point`, so the vertex is the previous
-            # report.  The turn is the circular difference of the two
-            # headings folded into [-180, 180), whose size is the angle
-            # between them.
-            if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
-                mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
-                if abs((v_now.heading_deg - mean_heading + 180.0) % 360.0 - 180.0) > cfg.angle_threshold_deg:
-                    state.labels.add(Annotation.CHANGE_IN_HEADING)
-                    # Re-reference the mean velocity at the turn: the retained
-                    # vertex starts a new course, and keeping pre-turn
-                    # segments in the buffer would re-detect the same turn
-                    # for the next buffer_size reports.
-                    _restart_buffer(state, prev)
+                    # Rule 5: speed change, relative to the instantaneous
+                    # speed.  This branch runs only for speed >=
+                    # no_speed_threshold_kn, which SynopsisConfig requires to
+                    # be positive, so the divisor is never zero: motionless
+                    # intervals are the stop rule's business.
+                    exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
+                    in_speed_change = state.in_speed_change
+                    if exceeds and not in_speed_change:
+                        labels += (Annotation.SPEED_CHANGE_START,)
+                        state.in_speed_change = True
+                    elif not exceeds and in_speed_change:
+                        labels += (Annotation.SPEED_CHANGE_END,)
+                        state.in_speed_change = False
 
-            # Rule 5: speed change, relative to the instantaneous speed.  This
-            # branch runs only for speed >= no_speed_threshold_kn, which
-            # SynopsisConfig requires to be positive, so the divisor is never
-            # zero: motionless intervals are the stop rule's business.
-            exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
-            in_speed_change = state.in_speed_change
-            if exceeds and not in_speed_change:
-                labels += (Annotation.SPEED_CHANGE_START,)
-                state.in_speed_change = True
-            elif not exceeds and in_speed_change:
-                labels += (Annotation.SPEED_CHANGE_END,)
-                state.in_speed_change = False
+            # Push the report with the segment reaching it from the buffer's
+            # last entry: v_now, unless absorbed stop reports left the buffer
+            # ending at an earlier report.
+            if buffer:
+                last, east, north = buffer[-1]
+                if last is not prev:
+                    v_now = segment_velocity(last, point)
+                buffer.append((point, east + v_now.east_knots, north + v_now.north_knots))
+                while len(buffer) > cfg.buffer_size:
+                    buffer.popleft()
+            else:
+                buffer.append((point, 0.0, 0.0))
 
-    # Push the report with the segment reaching it from the buffer's last
-    # entry: v_now, unless absorbed stop reports left the buffer ending at an
-    # earlier report.
-    if buffer:
-        last, east, north = buffer[-1]
-        if last is not prev:
-            v_now = segment_velocity(last, point)
-        buffer.append((point, east + v_now.east_knots, north + v_now.north_knots))
-        while len(buffer) > cfg.buffer_size:
-            buffer.popleft()
-    else:
-        buffer.append((point, 0.0, 0.0))
-    pending = state.labels
     emitted: tuple[CriticalPoint, ...] = ()
     if pending:
         emitted = (CriticalPoint.from_record(prev, pending),)
@@ -394,31 +391,20 @@ def _close_intervals(state: VesselState) -> None:
         state.in_speed_change = False
 
 
-def _advance(
-    state: VesselState, point: AisRecord, labels: Iterable[Annotation]
-) -> tuple[CriticalPoint, ...]:
-    """Emit ``last_point`` if it has labels, now final; ``point`` takes its place with ``labels``."""
-    pending = state.labels
-    emitted: tuple[CriticalPoint, ...] = ()
-    if pending:
-        emitted = (CriticalPoint.from_record(state.last_point, pending),)
-        pending.clear()
-    if labels:
-        pending.update(labels)
-    state.last_point = point
-    return emitted
-
-
 def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
     """Close the stream: label the last report trackEnd, end any open interval, emit it.
 
     The state keeps its last report, with no labels left to emit.
     """
-    if state.last_point is None:
+    last = state.last_point
+    if last is None:
         return ()
-    state.labels.add(Annotation.TRACK_END)
+    pending = state.labels
+    pending.add(Annotation.TRACK_END)
     _close_intervals(state)
-    return _advance(state, state.last_point, ())
+    emitted = (CriticalPoint.from_record(last, pending),)
+    pending.clear()
+    return emitted
 
 
 def compress_track(

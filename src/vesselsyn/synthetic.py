@@ -58,16 +58,10 @@ def _walk(
     return VesselTrack(mmsi, vessel_type, points)
 
 
-def make_curve_track(
-    n_points: int = 40,
-    *,
-    mmsi: int = DEFAULT_MMSI,
-    turn_rate_deg: float = 3.0,
-    vessel_type: str = "unknown",
-) -> VesselTrack:
-    """A smooth constant-rate turn at 10 kn, heading drifting every report."""
-    steps = [(60, 10.0, (90.0 + turn_rate_deg * i) % 360.0) for i in range(n_points - 1)]
-    return _walk(mmsi, vessel_type, DEFAULT_LON, DEFAULT_LAT, DEFAULT_T0, steps)
+def make_curve_track() -> VesselTrack:
+    """A smooth turn of 40 reports a minute apart at 10 kn, the heading drifting 3 degrees per report."""
+    steps = [(60, 10.0, (90.0 + 3.0 * i) % 360.0) for i in range(39)]
+    return _walk(DEFAULT_MMSI, "unknown", DEFAULT_LON, DEFAULT_LAT, DEFAULT_T0, steps)
 
 
 def make_mixed_voyage(

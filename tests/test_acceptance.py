@@ -283,7 +283,7 @@ def test_full_dataset_integration_smoke():
     from vesselsyn.ingest import load_records, partition_tracks
     from vesselsyn.noise import filter_dataset
 
-    records, report = load_records(os.environ[BREST_ENV])
+    records, _ = load_records(os.environ[BREST_ENV])
     assert records, "dataset parsed to nothing"
     tracks, _ = filter_dataset(partition_tracks(records))
     metrics = evaluate_config(tracks, SynopsisConfig())

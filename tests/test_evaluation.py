@@ -322,23 +322,12 @@ def test_evaluate_config_scores_through_compute_metrics(monkeypatch, default_con
 
     monkeypatch.setattr(evaluation, "compute_metrics", counting)
     tracks = [make_corner_track(mmsi=1), make_stop_track(mmsi=2)]
-    segments = [track_segments(track) for track in tracks]
+    segments = {track.mmsi: track_segments(track) for track in tracks}
     intervals = {}
     plain = evaluate_config(tracks, default_config)
     memoized = evaluate_config(tracks, default_config, segments, intervals)
     assert plain == memoized
     assert len(calls) == 2 and calls[0] is None and calls[1] is intervals
-
-
-def test_evaluate_config_rejects_a_segment_list_per_track_mismatch(default_config):
-    # Too many lists used to score silently; too few used to blame the last
-    # track's vessel for a missing synopsis.
-    fleet = make_fleet(600, 3, seed=7)
-    segments = [track_segments(track) for track in fleet]
-    with pytest.raises(ValueError, match="3 segment lists for 2 tracks"):
-        evaluate_config(fleet[:2], default_config, segments)
-    with pytest.raises(ValueError, match="2 segment lists for 3 tracks"):
-        evaluate_config(fleet, default_config, segments[:2])
 
 
 def test_compute_metrics_rejects_bad_inputs(default_config):
@@ -548,7 +537,7 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
     assume({cp.timestamp for cp in compress_track(twin, base)} == kept)
     tracks = clean + [twin, make_gap_track(mmsi=1)]
-    segments = [track_segments(t) for t in tracks]
+    segments = {t.mmsi: track_segments(t) for t in tracks}
     cfgs = [base] + [genes_to_config(genes) for genes in genomes] + [base]
     intervals = {}
     for cfg in cfgs:

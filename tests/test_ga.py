@@ -24,7 +24,7 @@ from vesselsyn.ga import (
 )
 from vesselsyn.ingest import split_k_folds
 from vesselsyn.rng import Pcg64
-from vesselsyn.synopses import SynopsisConfig
+from vesselsyn.synopses import SynopsisConfig, track_segments
 from vesselsyn.synthetic import make_fleet
 
 from tracks import make_corner_track, make_slow_motion_track, make_speed_steps_track, make_stop_track
@@ -392,29 +392,29 @@ def test_cross_validate_propagates_split_errors():
 
 
 def test_cross_validate_folds_share_caches_as_fresh_runs_would_score(monkeypatch):
-    # Every fold's run gets one geometry list per vessel and the one interval
-    # memo, and returns what a stand-alone run with fresh caches returns.
+    # Every fold's training and held-out scoring get the one geometry
+    # mapping and the one interval memo, and each fold returns what a
+    # stand-alone run and a plain evaluation with fresh caches return.
     data = make_fleet(900, 4, seed=3)
     hp = GaHyperParams(population_size=6, max_generations=3, stagnation_limit=3, rng_seed=2)
-    runs = []
+    caches = []
 
-    def recording(train, fold_hp, segments, intervals):
-        runs.append((train, segments, intervals))
-        return run_ga(train, fold_hp, segments, intervals)
+    def recording(tracks, cfg, segments, intervals):
+        caches.append((segments, intervals))
+        return evaluate_config(tracks, cfg, segments, intervals)
 
-    monkeypatch.setattr(ga, "run_ga", recording)
+    monkeypatch.setattr(ga, "evaluate_config", recording)
     result = cross_validate(data, 3, hp)
-    assert len(runs) == 3
-    assert all(intervals is runs[0][2] for _, _, intervals in runs)
-    geometry = {}
-    for train, segments, _ in runs:
-        for track, velocities in zip(train, segments, strict=True):
-            assert geometry.setdefault(track.mmsi, velocities) is velocities
+    monkeypatch.undo()
+    geometry, intervals = caches[0]
+    assert all(segments is geometry and memo is intervals for segments, memo in caches)
+    assert geometry == {t.mmsi: track_segments(t) for t in data}
     folds = split_k_folds(data, 3)
     for i, fold in enumerate(result.folds):
         train = [t for j, f in enumerate(folds) if j != i for t in f]
         config, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
         assert (fold.config, fold.history) == (config, tuple(history))
+        assert fold.test_metrics == evaluate_config(folds[i], config)
 
 
 def test_cross_validate_rejects_two_tracks_of_one_vessel():

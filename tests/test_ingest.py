@@ -25,11 +25,9 @@ def make_track(mmsi, n, t0=0):
 
 
 def test_parse_single_plain_row():
-    records, report = parse_records(["227705102,1443650402,-4.4861,48.3904,passenger"])
+    records, issues = parse_records(["227705102,1443650402,-4.4861,48.3904,passenger"])
     assert records == [AisRecord(227705102, 1443650402, -4.4861, 48.3904, "passenger")]
-    assert report.rows_seen == 1
-    assert report.records_parsed == 1
-    assert report.rejected_count == 0
+    assert issues == []
 
 
 def test_parse_row_without_type_column_defaults_to_unknown():
@@ -63,12 +61,9 @@ def test_parse_rejects_malformed_rows_and_reports_line_numbers():
         "abc,100,0.5,50.0",  # non-numeric vessel id
         "6,100",  # too few columns
     ]
-    records, report = parse_records(lines)
+    records, issues = parse_records(lines)
     assert [r.mmsi for r in records] == [1]
-    assert report.rows_seen == 8
-    assert report.records_parsed == 1
-    assert report.rejected_count == 7
-    assert [issue.line_no for issue in report.issues] == [2, 3, 4, 5, 6, 7, 8]
+    assert [issue.line_no for issue in issues] == [2, 3, 4, 5, 6, 7, 8]
     reasons = [
         "latitude 91.0 out of range",
         "longitude -200.0 out of range",
@@ -78,30 +73,29 @@ def test_parse_rejects_malformed_rows_and_reports_line_numbers():
         "invalid literal for int() with base 10: 'abc'",
         "row has 2 fields, expected at least 4",
     ]
-    assert [issue.reason for issue in report.issues] == reasons
+    assert [issue.reason for issue in issues] == reasons
     # Repeated rows meet MMSI fields parsed before and give the same issues.
     _, twice = parse_records(lines + lines)
-    assert twice.issues == report.issues + [ParseIssue(i.line_no + 8, i.reason) for i in report.issues]
+    assert twice == issues + [ParseIssue(i.line_no + 8, i.reason) for i in issues]
 
 
 def test_parse_skips_blank_lines_without_counting_them():
-    records, report = parse_records(["", "1,100,0.5,50.25", "   ", "2,160,0.5,50.25", "\n"])
+    records, issues = parse_records(["", "1,100,0.5,50.25", "   ", "2,160,0.5,50.25", "\n"])
     assert len(records) == 2
-    assert report.rows_seen == 2
-    assert report.rejected_count == 0
+    assert issues == []
 
 
 def test_parse_accepts_boundary_coordinates():
-    records, report = parse_records(["1,0,180.0,-90.0", "2,0,-180.0,90.0", f"3,{2**63 - 1},0.0,0.0"])
+    records, issues = parse_records(["1,0,180.0,-90.0", "2,0,-180.0,90.0", f"3,{2**63 - 1},0.0,0.0"])
     assert len(records) == 3
-    assert report.rejected_count == 0
+    assert issues == []
 
 
 def test_parse_header_row_skipped_with_index_mapping():
     lines = ["mmsi,timestamp,lon,lat,vessel_type", "7,100,0.5,50.25,tug"]
-    records, report = parse_records(lines, has_header=True)
+    records, issues = parse_records(lines, has_header=True)
     assert records == [AisRecord(7, 100, 0.5, 50.25, "tug")]
-    assert report.rows_seen == 1
+    assert issues == []
 
 
 def test_write_then_parse_roundtrip_preserves_floats():
@@ -112,9 +106,9 @@ def test_write_then_parse_roundtrip_preserves_floats():
     ]
     buf = io.StringIO()
     write_records(original, buf)
-    parsed, report = parse_records(buf.getvalue().splitlines())
+    parsed, issues = parse_records(buf.getvalue().splitlines())
     assert parsed == original
-    assert report.rejected_count == 0
+    assert issues == []
     # The rows of one vessel share one MMSI and one type object.
     assert parsed[0].mmsi is parsed[2].mmsi
     assert parsed[0].vessel_type is parsed[2].vessel_type
@@ -123,9 +117,9 @@ def test_write_then_parse_roundtrip_preserves_floats():
 def test_load_records_reads_files(tmp_path):
     path = tmp_path / "reports.csv"
     path.write_text("1,100,0.5,50.25,cargo\n", encoding="utf-8")
-    records, report = load_records(str(path))
+    records, issues = load_records(str(path))
     assert records == [AisRecord(1, 100, 0.5, 50.25, "cargo")]
-    assert report.records_parsed == 1
+    assert issues == []
 
 
 def test_load_records_skips_a_utf8_byte_order_mark(tmp_path):
@@ -136,9 +130,9 @@ def test_load_records_skips_a_utf8_byte_order_mark(tmp_path):
     marked = tmp_path / "marked.csv"
     marked.write_text(rows, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
-    records, report = load_records(str(marked))
-    assert report.rejected_count == 0 and report.records_parsed == 2
-    assert (records, report) == load_records(str(plain))
+    records, issues = load_records(str(marked))
+    assert len(records) == 2 and issues == []
+    assert (records, issues) == load_records(str(plain))
 
 
 def test_partition_groups_by_vessel_and_sorts_by_time():
@@ -244,8 +238,7 @@ _LINE = st.one_of(st.text(), st.lists(_FIELD, max_size=7).map(",".join))
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_LINE, max_size=8))
 def test_parse_records_never_raises_and_accounts_for_every_row(lines):
-    records, report = parse_records(lines)
-    assert report.rows_seen == report.records_parsed + report.rejected_count
-    assert len(records) == report.records_parsed
+    records, issues = parse_records(lines)
+    assert len(records) + len(issues) == sum(1 for line in lines if line.strip())
     for rec in records:
         assert -180.0 <= rec.lon <= 180.0 and -90.0 <= rec.lat <= 90.0

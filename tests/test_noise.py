@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vesselsyn.geo import EARTH_RADIUS_M, KNOT_MS
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.noise import MAX_SPEED_KNOTS, filter_dataset, filter_track
+from vesselsyn.synthetic import make_fleet
 
 from tracks import make_straight_track
 
@@ -52,12 +54,50 @@ def test_teleport_is_rejected_and_does_not_poison_the_rest():
     assert filtered.points == [a, c]
 
 
-@pytest.mark.xfail(strict=True, reason="the first report is always accepted, so a bad one rejects the rest")
 def test_a_bad_first_report_does_not_poison_the_rest():
     track = make_straight_track(20)
     bad = AisRecord(track.mmsi, track.points[0].timestamp - 60, 0.0, 0.0)
-    filtered, _ = filter_track(track_of([bad, *track.points]))
+    filtered, rejected = filter_track(track_of([bad, *track.points]))
     assert filtered.points[-len(track.points):] == track.points
+    assert rejected == 1
+
+
+def test_the_first_report_is_dropped_only_when_the_next_two_agree_without_it():
+    a = AisRecord(1, 0, -4.49, 48.39)
+    b = AisRecord(1, 60, -4.4899, 48.39)
+    c = AisRecord(1, 120, -4.4898, 48.39)
+    far = AisRecord(1, 90, -4.49, 49.39)  # a degree of latitude from the others
+    # Two reports cannot confirm or refute the first; it is kept.
+    assert filter_track(track_of([far, b]))[0].points == [far]
+    # The next two disagree with each other, so the first stays the anchor.
+    assert filter_track(track_of([a, far, c]))[0].points == [a, c]
+    # One of the next two agrees with the first: it stays.
+    assert filter_track(track_of([a, b, replace(far, timestamp=120)]))[0].points == [a, b]
+    # Both disagree with it and agree with each other: it goes.
+    assert filter_track(track_of([replace(far, timestamp=0), b, c]))[0].points == [b, c]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), vessel=st.integers(0, 2), dlon=st.floats(-180.0, 180.0), data=st.data())
+def test_one_far_off_report_anywhere_leaves_every_other_report_accepted(seed, vessel, dlon, data):
+    # Mirrored across the equator, the far-off report is at least 95 degrees
+    # of latitude from any report of a make_fleet track near Brest, too far
+    # for any time step of the track.
+    track = make_fleet(300, 3, seed=seed)[vessel]
+    points = track.points
+    assert filter_track(track) == (track, 0)
+    i = data.draw(st.integers(0, len(points)), label="index")
+    if i == 0:
+        t = points[0].timestamp - data.draw(st.integers(1, 3_000), label="lead")
+    elif i == len(points):
+        t = points[-1].timestamp + data.draw(st.integers(1, 3_000), label="lag")
+    else:
+        t = data.draw(st.integers(points[i - 1].timestamp + 1, points[i].timestamp - 1), label="time")
+    near = points[min(i, len(points) - 1)]
+    far = AisRecord(track.mmsi, t, _wrap_lon(near.lon + dlon), -near.lat)
+    filtered, rejected = filter_track(track_of([*points[:i], far, *points[i:]]))
+    assert filtered.points == points
+    assert rejected == 1
 
 
 def test_duplicate_and_regressing_timestamps_rejected():
@@ -131,8 +171,10 @@ def test_a_half_degree_jump_within_seconds_is_over_the_ceiling(lon, lat, dlon, d
 
 
 def test_filter_decisions_are_prefix_stable():
-    # Whether a report survives depends only on what came before it, so
-    # filtering a prefix must agree with filtering the whole track.
+    # Whether a report after the first survives depends only on what came
+    # before it, so filtering a prefix must agree with filtering the whole
+    # track.  The first report also depends on the next two, which accept
+    # it here.
     rng = random.Random(41)
     points = []
     t, lon, lat = 0, -4.49, 48.39

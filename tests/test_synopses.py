@@ -29,8 +29,6 @@ from vesselsyn.synopses import (
     CriticalPoint,
     SynopsisConfig,
     VesselState,
-    _advance,
-    _close_intervals,
     compress_track,
     finalize_track,
     ingest_point,
@@ -673,6 +671,30 @@ def _buffer_mean_velocity(state: _OracleState, timespan_s: float, now_ts: int) -
     return Velocity(speed, heading, east, north)
 
 
+def _oracle_close_intervals(state: _OracleState) -> None:
+    """End every open stop, slow-motion or speed-change interval at ``last_point``."""
+    if state.stop_anchor is not None:
+        state.labels.add(Annotation.STOP_END)
+        state.stop_anchor = None
+    if state.in_slow_motion:
+        state.labels.add(Annotation.SLOW_MOTION_END)
+        state.in_slow_motion = False
+    if state.in_speed_change:
+        state.labels.add(Annotation.SPEED_CHANGE_END)
+        state.in_speed_change = False
+
+
+def _oracle_advance(state: _OracleState, point: AisRecord, labels: set[Annotation]) -> list[CriticalPoint]:
+    """Emit ``last_point`` if it has labels, now final; ``point`` takes its place with ``labels``."""
+    emitted = []
+    if state.labels:
+        prev = state.last_point
+        emitted.append(CriticalPoint(prev.mmsi, prev.timestamp, prev.lon, prev.lat, frozenset(state.labels)))
+    state.labels = set(labels)
+    state.last_point = point
+    return emitted
+
+
 def oracle_ingest_point(
     state: _OracleState,
     point: AisRecord,
@@ -686,8 +708,8 @@ def oracle_ingest_point(
     events are only recognizable one report late, so a report's labels are
     held in ``state.labels`` until the next report has added its own to
     them; this call therefore returns at most the previous report's critical
-    point, and :func:`finalize_track` emits the last one.  Concatenating
-    every call's result and ``finalize_track`` gives the synopsis; consumers
+    point, and :func:`oracle_finalize_track` emits the last one.  Concatenating
+    every call's result and ``oracle_finalize_track`` gives the synopsis; consumers
     need no merge.
 
     Args:
@@ -703,7 +725,7 @@ def oracle_ingest_point(
     """
     if state.last_point is None:
         _buffer_push(state, point, cfg.buffer_size)
-        return _advance(state, point, {Annotation.TRACK_START})
+        return _oracle_advance(state, point, {Annotation.TRACK_START})
 
     prev = state.last_point
     if point.timestamp <= prev.timestamp:
@@ -716,10 +738,10 @@ def oracle_ingest_point(
     # silence is unknown.
     if point.timestamp - prev.timestamp > cfg.gap_period_s:
         state.labels.add(Annotation.GAP_START)
-        _close_intervals(state)
+        _oracle_close_intervals(state)
         _buffer_clear(state)
         _buffer_push(state, point, cfg.buffer_size)
-        return _advance(state, point, {Annotation.GAP_END})
+        return _oracle_advance(state, point, {Annotation.GAP_END})
 
     if v_now is None:
         v_now = segment_velocity(prev, point)
@@ -734,7 +756,7 @@ def oracle_ingest_point(
             state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
-            return _advance(state, point, labels)
+            return _oracle_advance(state, point, labels)
 
     anchored_here = v_now.speed_knots < cfg.no_speed_threshold_kn
     if anchored_here:
@@ -788,7 +810,7 @@ def oracle_ingest_point(
         state.buffer.append(_BufferEntry(prev))
 
     _buffer_push(state, point, cfg.buffer_size, v_now)
-    return _advance(state, point, labels)
+    return _oracle_advance(state, point, labels)
 
 
 def from_scratch_mean(state, timespan_s, now_ts):
@@ -800,6 +822,15 @@ def from_scratch_mean(state, timespan_s, now_ts):
     return mean_velocity([e.record for e in state.buffer], timespan_s, now_ts)
 
 
+def oracle_finalize_track(state: _OracleState) -> list[CriticalPoint]:
+    """:func:`finalize_track` on the oracle's helpers."""
+    if state.last_point is None:
+        return []
+    state.labels.add(Annotation.TRACK_END)
+    _oracle_close_intervals(state)
+    return _oracle_advance(state, state.last_point, set())
+
+
 def oracle_compress_track(track, cfg, segments=None, mean=_buffer_mean_velocity):
     """:func:`compress_track` with :func:`oracle_ingest_point` as its detector."""
     incoming = [None] * len(track.points) if segments is None else [None, *segments]
@@ -807,7 +838,7 @@ def oracle_compress_track(track, cfg, segments=None, mean=_buffer_mean_velocity)
     synopsis = []
     for point, v_now in zip(track.points, incoming):
         synopsis.extend(oracle_ingest_point(state, point, cfg, v_now, mean))
-    synopsis.extend(finalize_track(state))
+    synopsis.extend(oracle_finalize_track(state))
     return synopsis
 
 
