@@ -9,13 +9,14 @@ and radians by multiplying with :data:`_RAD` and :data:`_DEG` and call the
 ``math`` functions bound at import.  CPython's ``math.radians(x)`` is
 exactly ``x * (pi / 180.0)`` and ``math.degrees(x)`` exactly
 ``x * (180.0 / pi)``, so every value is the same bit for bit as with those
-calls.
+calls.  For the same reason a segment's velocity is a plain tuple, not an
+object: a 4-tuple is built without the Python ``__init__`` that even a
+slots dataclass runs, at about a quarter of its cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import atan2, cos, sin, sqrt
 from typing import Protocol
 
@@ -38,23 +39,13 @@ class PositionedSample(Protocol):
     lat: float
 
 
-@dataclass(slots=True)
-class Velocity:
-    """Motion along one or more segments, as speed/heading and as components.
+#: A segment's velocity: ``(speed_knots, heading_deg, east_knots,
+#: north_knots)``.  The last two are the (east, north) components of the
+#: same motion, the form a vector mean sums.
+Velocity = tuple[float, float, float, float]
 
-    ``east_knots`` and ``north_knots`` are the (east, north) components of
-    the same velocity, the form a vector mean sums.
-
-    The pipeline treats instances as read-only values.  The class is not
-    ``frozen`` because a frozen constructor sets each field through
-    ``object.__setattr__``, which made building one cost about 3x, and the
-    detector builds one per report.
-    """
-
-    speed_knots: float
-    heading_deg: float
-    east_knots: float
-    north_knots: float
+#: The velocity of a segment whose two ends coincide.
+_STILL: Velocity = (0.0, 0.0, 0.0, 0.0)
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -76,7 +67,7 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
 
 
 def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
-    """Instantaneous velocity implied by two consecutive reports.
+    """Instantaneous velocity implied by two consecutive reports, as a :data:`Velocity` tuple.
 
     Speed is the haversine distance over the elapsed time, converted to
     knots; the heading is the initial great-circle bearing from ``a`` to
@@ -107,10 +98,10 @@ def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
         h = 1.0
     dist_m = 2.0 * EARTH_RADIUS_M * atan2(sqrt(h), sqrt(1.0 - h))
     if dist_m == 0.0:
-        return Velocity(0.0, 0.0, 0.0, 0.0)
+        return _STILL
     y = sin(dlam) * cos_phi2
     x = cos_phi1 * sin(phi2) - sin(phi1) * cos_phi2 * cos(dlam)
     speed = dist_m / dt / KNOT_MS
     heading = atan2(y, x) * _DEG % 360.0
     h = heading * _RAD
-    return Velocity(speed, heading, speed * sin(h), speed * cos(h))
+    return speed, heading, speed * sin(h), speed * cos(h)

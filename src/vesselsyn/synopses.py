@@ -251,11 +251,13 @@ def ingest_point(
 
     Args:
         v_now: the velocity of the segment from the previous report of this
-            vessel to ``point``, as built by :func:`track_segments`; ignored
-            for the first report.  Online callers leave it out and it is
-            computed here, once.  A caller that passes it must pass the
-            velocity of exactly these two reports, or the detector decides
-            on wrong geometry.
+            vessel to ``point``, a ``(speed, heading, east, north)`` tuple as
+            built by :func:`track_segments`; ignored for the first report.
+            Online callers leave it out and it is computed here, once.  Each
+            field is read by index where a rule needs it, so a report a stop
+            absorbs reads only the speed.  A caller that passes it must pass
+            the velocity of exactly these two reports, or the detector
+            decides on wrong geometry.
 
     Raises:
         ValueError: if ``point`` does not advance the clock.
@@ -279,7 +281,7 @@ def ingest_point(
     else:
         if v_now is None:
             v_now = segment_velocity(prev, point)
-        speed = v_now.speed_knots
+        speed = v_now[0]
         no_speed_kn = cfg.no_speed_threshold_kn
 
         # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed
@@ -332,7 +334,7 @@ def ingest_point(
                     # [-180, 180), whose size is the angle between them.
                     if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
                         mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
-                        turn = (v_now.heading_deg - mean_heading + 180.0) % 360.0 - 180.0
+                        turn = (v_now[1] - mean_heading + 180.0) % 360.0 - 180.0
                         if abs(turn) > cfg.angle_threshold_deg:
                             pending.add(Annotation.CHANGE_IN_HEADING)
                             # Re-reference the mean velocity at the turn: the
@@ -362,7 +364,7 @@ def ingest_point(
                 last, east, north = buffer[-1]
                 if last is not prev:
                     v_now = segment_velocity(last, point)
-                buffer.append((point, east + v_now.east_knots, north + v_now.north_knots))
+                buffer.append((point, east + v_now[2], north + v_now[3]))
                 while len(buffer) > cfg.buffer_size:
                     buffer.popleft()
             else:
@@ -394,7 +396,8 @@ def _close_intervals(state: VesselState) -> None:
 def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
     """Close the stream: label the last report trackEnd, end any open interval, emit it.
 
-    The state keeps its last report, with no labels left to emit.
+    The state is left as a fresh :class:`VesselState` would be: a second call
+    emits nothing, and the next report opens a new track labelled trackStart.
     """
     last = state.last_point
     if last is None:
@@ -404,6 +407,8 @@ def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
     _close_intervals(state)
     emitted = (CriticalPoint.from_record(last, pending),)
     pending.clear()
+    state.buffer.clear()
+    state.last_point = None
     return emitted
 
 

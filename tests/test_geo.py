@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
     KNOT_MS,
-    Velocity,
     haversine_m,
     segment_velocity,
 )
@@ -81,18 +80,18 @@ def radians_segment_velocity(a, b):
         h = 1.0
     dist_m = 2.0 * EARTH_RADIUS_M * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
     if dist_m == 0.0:
-        return Velocity(0.0, 0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0, 0.0
     y = math.sin(dlam) * cos_phi2
     x = cos_phi1 * math.sin(phi2) - math.sin(phi1) * cos_phi2 * math.cos(dlam)
     speed = dist_m / dt / KNOT_MS
     heading = math.degrees(math.atan2(y, x)) % 360.0
     h = math.radians(heading)
-    return Velocity(speed, heading, speed * math.sin(h), speed * math.cos(h))
+    return speed, heading, speed * math.sin(h), speed * math.cos(h)
 
 
 def heading_deg(lon1, lat1, lon2, lat2):
     """The heading ``segment_velocity`` gives the segment between two points."""
-    return segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, 60, lon2, lat2)).heading_deg
+    return segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, 60, lon2, lat2))[1]
 
 
 def test_haversine_zero_distance_is_exactly_zero():
@@ -184,12 +183,12 @@ def test_segment_velocity_is_haversine_and_bearing_bit_for_bit(lon1, lat1, lon2,
     The components are held to the decomposition of speed and heading, so a
     coincident pair has components (0.0, 0.0).
     """
-    v = segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2))
+    speed, heading, east, north = segment_velocity(AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2))
     dist_m = haversine_m(lon1, lat1, lon2, lat2)
-    assert v.speed_knots == dist_m / dt / KNOT_MS
-    assert v.heading_deg == (bearing_deg(lon1, lat1, lon2, lat2) if dist_m else 0.0)
-    assert v.east_knots == v.speed_knots * math.sin(math.radians(v.heading_deg))
-    assert v.north_knots == v.speed_knots * math.cos(math.radians(v.heading_deg))
+    assert speed == dist_m / dt / KNOT_MS
+    assert heading == (bearing_deg(lon1, lat1, lon2, lat2) if dist_m else 0.0)
+    assert east == speed * math.sin(math.radians(heading))
+    assert north == speed * math.cos(math.radians(heading))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -211,8 +210,8 @@ def test_geodesy_equals_the_radians_forms_bit_for_bit(lon1, lat1, lon2, lat2, dt
     assert haversine_m(lon1, lat1, lon2, lat2).hex() == expected.hex()
     a, b = AisRecord(1, 0, lon1, lat1), AisRecord(1, dt, lon2, lat2)
     got, want = segment_velocity(a, b), radians_segment_velocity(a, b)
-    fields = ("speed_knots", "heading_deg", "east_knots", "north_knots")
-    assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+    assert len(got) == len(want) == 4
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize(
@@ -243,23 +242,30 @@ def test_heading_difference_is_minimal_signed_angle():
 def test_segment_velocity_one_nautical_mile_per_hour_is_one_knot():
     a = AisRecord(1, 0, 0.0, 0.0)
     b = AisRecord(1, 3600, 1852.0 * DEG_PER_M_EQUATOR, 0.0)
-    v = segment_velocity(a, b)
-    assert v.speed_knots == pytest.approx(1.0, abs=1e-6)
-    assert v.heading_deg == pytest.approx(90.0, abs=1e-9)
+    speed, heading, _, _ = segment_velocity(a, b)
+    assert speed == pytest.approx(1.0, abs=1e-6)
+    assert heading == pytest.approx(90.0, abs=1e-9)
 
 
 def test_segment_velocity_metres_per_second_conversion():
     # 514.444 m in 1000 s is 0.514444 m/s, i.e. exactly one knot.
     a = AisRecord(1, 0, 0.0, 0.0)
     b = AisRecord(1, 1000, 514.444 * DEG_PER_M_EQUATOR, 0.0)
-    assert segment_velocity(a, b).speed_knots == pytest.approx(1.0, abs=1e-6)
+    assert segment_velocity(a, b)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_segment_velocity_coincident_points_have_zero_speed():
     a = AisRecord(1, 0, 5.0, 50.0)
     b = AisRecord(1, 60, 5.0, 50.0)
-    v = segment_velocity(a, b)
-    assert v.speed_knots == 0.0
+    assert segment_velocity(a, b)[0] == 0.0
+
+
+@pytest.mark.parametrize("lon2, lat2", [(5.01, 50.02), (5.0, 50.0)], ids=["moving", "coincident"])
+def test_segment_velocity_is_a_plain_tuple_of_four_floats(lon2, lat2):
+    v = segment_velocity(AisRecord(1, 0, 5.0, 50.0), AisRecord(1, 60, lon2, lat2))
+    assert type(v) is tuple
+    assert len(v) == 4
+    assert all(type(x) is float for x in v)
 
 
 def test_segment_velocity_rejects_non_advancing_time():
@@ -272,12 +278,13 @@ def test_segment_velocity_rejects_non_advancing_time():
 
 def test_velocity_components_cardinal():
     # One nautical mile in an hour, due east along the equator and due north.
-    east = segment_velocity(AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 3600, 1852.0 * DEG_PER_M_EQUATOR, 0.0))
-    assert east.east_knots == pytest.approx(1.0, abs=1e-6)
-    assert east.north_knots == pytest.approx(0.0, abs=1e-9)
-    north = segment_velocity(AisRecord(1, 0, 0.0, 0.0), AisRecord(1, 3600, 0.0, 1852.0 * DEG_PER_M_EQUATOR))
-    assert north.east_knots == pytest.approx(0.0, abs=1e-9)
-    assert north.north_knots == pytest.approx(1.0, abs=1e-6)
+    origin, mile = AisRecord(1, 0, 0.0, 0.0), 1852.0 * DEG_PER_M_EQUATOR
+    *_, east, north = segment_velocity(origin, AisRecord(1, 3600, mile, 0.0))
+    assert east == pytest.approx(1.0, abs=1e-6)
+    assert north == pytest.approx(0.0, abs=1e-9)
+    *_, east, north = segment_velocity(origin, AisRecord(1, 3600, 0.0, mile))
+    assert east == pytest.approx(0.0, abs=1e-9)
+    assert north == pytest.approx(1.0, abs=1e-6)
 
 
 def test_knot_constant_matches_nautical_mile():

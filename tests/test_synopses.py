@@ -304,6 +304,37 @@ def test_finalize_emits_track_end_only_for_plain_cruise():
     assert closing[0].timestamp == make_straight_track().points[-1].timestamp
 
 
+# At the default config the first track of seed 7 ends inside a speed
+# change, of seed 23 inside slow motion, and of seed 48 inside a stop.
+@pytest.mark.parametrize("seed", [1, 7, 23, 48])
+def test_a_finalized_state_is_fresh_for_the_next_track(seed):
+    """After finalize_track one state compresses a second track as a new VesselState would."""
+    cfg = SynopsisConfig()
+    a, b = make_fleet(400, 2, seed=seed)
+    state = VesselState()
+    emissions = []
+    for track in (a, b):
+        for p in track.points:
+            emissions += ingest_point(state, p, cfg)
+        emissions += finalize_track(state)
+        assert state == VesselState()
+    assert emissions == compress_track(a, cfg) + compress_track(b, cfg)
+
+
+def test_finalize_track_twice_emits_nothing_the_second_time():
+    state = VesselState()
+    cfg = SynopsisConfig()
+    track = make_straight_track()
+    for p in track.points:
+        ingest_point(state, p, cfg)
+    assert [cp.timestamp for cp in finalize_track(state)] == [track.points[-1].timestamp]
+    assert finalize_track(state) == ()
+    # The same reports again open a new track rather than fail as going back in time.
+    again = [cp for p in track.points for cp in ingest_point(state, p, cfg)]
+    again += finalize_track(state)
+    assert again == compress_track(track, cfg)
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 
@@ -434,8 +465,8 @@ def mean_velocity(points, timespan_s, now_ts):
     The from-scratch reference for the detector's buffer mean: points
     older than ``now_ts - timespan_s`` are dropped, and the velocities of the
     segments joining the rest are summed left to right as (east, north)
-    vectors, so opposing headings cancel.  ``None`` when fewer than two
-    points remain.
+    vectors, so opposing headings cancel.  A ``(speed, heading, east,
+    north)`` tuple, or ``None`` when fewer than two points remain.
     """
     recent = [p for p in points if p.timestamp >= now_ts - timespan_s]
     if len(recent) < 2:
@@ -443,14 +474,14 @@ def mean_velocity(points, timespan_s, now_ts):
     east = 0.0
     north = 0.0
     for prev, cur in zip(recent, recent[1:]):
-        v = segment_velocity(prev, cur)
-        east += v.east_knots
-        north += v.north_knots
+        *_, segment_east, segment_north = segment_velocity(prev, cur)
+        east += segment_east
+        north += segment_north
     east /= len(recent) - 1
     north /= len(recent) - 1
     speed = math.hypot(east, north)
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading, east, north)
+    return speed, heading, east, north
 
 
 # Degrees of longitude at the equator covering exactly one metre of arc.
@@ -468,7 +499,7 @@ def test_mean_velocity_opposing_legs_cancel():
     ]
     v = mean_velocity(pts, 3600.0, 120)
     assert v is not None
-    assert v.speed_knots == pytest.approx(0.0, abs=1e-9)
+    assert v[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mean_velocity_window_drops_old_points():
@@ -528,13 +559,14 @@ def test_buffer_mean_velocity_matches_oracle(cap, window, steps):
         if expected is None:
             assert n_segments < 1
             continue
+        expected_speed, expected_heading, _, _ = expected
         mean_east, mean_north = prefix_mean(state)
         speed = math.hypot(mean_east, mean_north)
-        assert math.isclose(speed, expected.speed_knots, rel_tol=1e-9, abs_tol=1e-9)
-        if expected.speed_knots > 1e-6:
+        assert math.isclose(speed, expected_speed, rel_tol=1e-9, abs_tol=1e-9)
+        if expected_speed > 1e-6:
             heading = math.degrees(math.atan2(mean_east, mean_north)) % 360.0
-            turn = abs(heading_difference_deg(heading, expected.heading_deg))
-            assert turn <= math.degrees(1e-9 / expected.speed_knots) + 1e-9
+            turn = abs(heading_difference_deg(heading, expected_heading))
+            assert turn <= math.degrees(1e-9 / expected_speed) + 1e-9
 
 
 def prefix_mean(state):
@@ -561,10 +593,11 @@ def test_prefix_sums_far_from_a_restart_keep_the_mean():
         ingest_point(state, AisRecord(1, t, i * step_deg, 0.0), cfg)
         if len(state.buffer) < 2:
             continue
-        expected = mean_velocity([record for record, _, _ in state.buffer], math.inf, t)
+        records = [record for record, _, _ in state.buffer]
+        *_, expected_east, expected_north = mean_velocity(records, math.inf, t)
         mean_east, mean_north = prefix_mean(state)
-        assert abs(mean_east - expected.east_knots) <= 1e-9
-        assert abs(mean_north - expected.north_knots) <= 1e-9
+        assert abs(mean_east - expected_east) <= 1e-9
+        assert abs(mean_north - expected_north) <= 1e-9
     assert len(state.buffer) == cfg.buffer_size
     assert state.buffer[0][1] > 1e6  # no restart since the first report
 
@@ -622,9 +655,10 @@ def _buffer_push(state: _OracleState, rec: AisRecord, cap: int, v: Velocity | No
         last = buffer[-1].record
         if v is None or last is not state.last_point:
             v = segment_velocity(last, rec)
-        buffer.append(_BufferEntry(rec, v.east_knots, v.north_knots))
-        state.east_sum += v.east_knots
-        state.north_sum += v.north_knots
+        *_, east, north = v
+        buffer.append(_BufferEntry(rec, east, north))
+        state.east_sum += east
+        state.north_sum += north
     else:
         buffer.append(_BufferEntry(rec))
     while len(buffer) > cap:
@@ -668,7 +702,7 @@ def _buffer_mean_velocity(state: _OracleState, timespan_s: float, now_ts: int) -
     north = state.north_sum / n_segments
     speed = math.hypot(east, north)
     heading = math.degrees(math.atan2(east, north)) % 360.0 if speed > 0.0 else 0.0
-    return Velocity(speed, heading, east, north)
+    return speed, heading, east, north
 
 
 def _oracle_close_intervals(state: _OracleState) -> None:
@@ -745,6 +779,7 @@ def oracle_ingest_point(
 
     if v_now is None:
         v_now = segment_velocity(prev, point)
+    speed_now, heading_now, _, _ = v_now
     labels: set[Annotation] = set()
 
     # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed whole:
@@ -752,13 +787,13 @@ def oracle_ingest_point(
     anchor = state.stop_anchor
     if anchor is not None:
         displaced = haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
-        if displaced or v_now.speed_knots >= cfg.no_speed_threshold_kn:
+        if displaced or speed_now >= cfg.no_speed_threshold_kn:
             state.labels.add(Annotation.STOP_END)
             state.stop_anchor = None
         else:
             return _oracle_advance(state, point, labels)
 
-    anchored_here = v_now.speed_knots < cfg.no_speed_threshold_kn
+    anchored_here = speed_now < cfg.no_speed_threshold_kn
     if anchored_here:
         labels.add(Annotation.STOP_START)
         state.stop_anchor = point
@@ -772,11 +807,11 @@ def oracle_ingest_point(
         # Rule 3: slow motion.
         if (
             not state.in_slow_motion
-            and cfg.no_speed_threshold_kn <= v_now.speed_knots < cfg.low_speed_threshold_kn
+            and cfg.no_speed_threshold_kn <= speed_now < cfg.low_speed_threshold_kn
         ):
             labels.add(Annotation.SLOW_MOTION_START)
             state.in_slow_motion = True
-        elif state.in_slow_motion and v_now.speed_knots >= cfg.low_speed_threshold_kn:
+        elif state.in_slow_motion and speed_now >= cfg.low_speed_threshold_kn:
             state.labels.add(Annotation.SLOW_MOTION_END)
             state.in_slow_motion = False
 
@@ -784,17 +819,16 @@ def oracle_ingest_point(
         # segment ending at `point`, so the vertex is the previous report.
         if (
             v_mean is not None
-            and v_mean.speed_knots > _MIN_HEADING_SPEED_KN
-            and v_now.speed_knots > _MIN_HEADING_SPEED_KN
-            and abs(heading_difference_deg(v_now.heading_deg, v_mean.heading_deg))
-            > cfg.angle_threshold_deg
+            and v_mean[0] > _MIN_HEADING_SPEED_KN
+            and speed_now > _MIN_HEADING_SPEED_KN
+            and abs(heading_difference_deg(heading_now, v_mean[1])) > cfg.angle_threshold_deg
         ):
             state.labels.add(Annotation.CHANGE_IN_HEADING)
             turn_fired = True
 
         # Rule 5: speed change.
         if v_mean is not None:
-            exceeds = speed_change_exceeds(v_now.speed_knots, v_mean.speed_knots, cfg.speed_ratio)
+            exceeds = speed_change_exceeds(speed_now, v_mean[0], cfg.speed_ratio)
             if exceeds and not state.in_speed_change:
                 labels.add(Annotation.SPEED_CHANGE_START)
                 state.in_speed_change = True
