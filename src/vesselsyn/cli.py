@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .evaluation import Metrics, compute_metrics, evaluate_config
 from .ga import GaHyperParams, cross_validate
-from .ingest import VesselTrack, load_records, partition_tracks
+from .ingest import ParseIssue, VesselTrack, load_records, partition_tracks
 from .noise import filter_dataset
 from .presets import FITNESS_PRESETS
 from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
@@ -67,13 +67,26 @@ def _load_config(path: str | None) -> SynopsisConfig:
         raise CliError(f"config file {path}: {exc}")
 
 
+def _header_hint(path: str, issues: Sequence[ParseIssue]) -> str:
+    """Advice to pass ``--header`` when line 1 was rejected and its first field is a word."""
+    if issues[0].line_no == 1:  # never so with --header, which skips line 1 unread
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            first = fh.readline().split(",", 1)[0].strip().strip('"')
+        if first.isidentifier():
+            return f"; line 1 looks like a header row (first field {first!r}), pass --header to skip it"
+    return ""
+
+
 def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int]:
     """The clean tracks, the count of malformed rows and the count of reports the filter dropped."""
     if not os.path.exists(args.input):
         raise CliError(f"input file not found: {args.input}")
+    if not os.path.isfile(args.input):
+        raise CliError(f"input is not a regular file: {args.input}")
     records, issues = load_records(args.input, has_header=args.header)
     if issues:
-        print(f"note: rejected {len(issues)} malformed input rows", file=sys.stderr)
+        hint = _header_hint(args.input, issues)
+        print(f"note: rejected {len(issues)} malformed input rows{hint}", file=sys.stderr)
     tracks = partition_tracks(records)
     repeated = len(records) - sum(len(t.points) for t in tracks)
     if repeated:

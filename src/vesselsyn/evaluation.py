@@ -19,14 +19,14 @@ Scoring walks each track knot interval by knot interval: the reports
 strictly between two consecutive critical points are measured against the
 line between them (:func:`_interval_squares`), and the report at a critical
 point's timestamp against that point.  A report whose coordinates equal that
-point's contributes exactly 0.0, so it is not measured at all.  A caller
-scoring many synopses of the same tracks may keep a memo of each vessel's
-knot intervals, keyed by the two knots' timestamps (see
-:func:`evaluate_config`); it is exact when every knot is one of the track's
-own reports, whose unique timestamps fix the knots and the reports between.
-The walk finds each knot's report by bisecting the track, except after a
-memo hit: the stored interval holds one square per report between the
-knots, so the next knot's report lies that many reports further on.
+point's contributes exactly 0.0, so it is not measured at all.  Each
+interval's squares go to a memo keyed by the two knots' timestamps, which
+lives for one track unless the caller keeps a :data:`TuningCache`.  The memo
+is exact only for synopses whose knots are the track's own reports, whose
+unique timestamps fix the knots and the reports between.  The walk finds
+each knot's report by bisecting the track, except after a memo hit: the
+stored interval holds one square per report between the knots, so the next
+knot's report lies that many reports further on.
 
 Summation rule: each track's squared distances are summed with
 ``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
@@ -44,10 +44,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .geo import Velocity, haversine_m
 from .ingest import AisRecord, VesselTrack
-from .synopses import CriticalPoint, SynopsisConfig, compress_track
+from .synopses import CriticalPoint, SynopsisConfig, compress_track, track_segments
 
 
 _timestamp = attrgetter("timestamp")
+
+#: One tuning's cache: each vessel's MMSI maps to its track, the track's
+#: ``track_segments`` and its interval memo (two consecutive knots'
+#: timestamps to the squared distances of the reports strictly between).
+TuningCache = dict[int, tuple[VesselTrack, list[Velocity], dict[tuple[int, int], list[float]]]]
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,10 @@ def _interval_squares(
         squares.append(d * d)
 
 
-def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict | None) -> float:
+def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict) -> float:
     """``math.fsum`` of each report's squared distance to its reconstruction, interval by interval.
 
-    ``intervals`` is None or this vessel's part of the memo of :func:`evaluate_config`.
+    ``intervals`` is this track's interval memo (see :data:`TuningCache`).
 
     Raises:
         ValueError: the synopsis goes back in time.
@@ -148,21 +153,16 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals
     for b in synopsis:
         if b.timestamp < a.timestamp:
             raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
-        if intervals is None:
-            k = bisect_left(points, b.timestamp, j, key=_timestamp)
-            if k > j:
-                _interval_squares(a, b, points[j:k], squares)
+        inside = intervals.get((a.timestamp, b.timestamp))
+        if inside is not None:
+            k = j + len(inside)
+            squares.extend(inside)
         else:
-            inside = intervals.get((a.timestamp, b.timestamp))
-            if inside is not None:
-                k = j + len(inside)
+            k = bisect_left(points, b.timestamp, j, key=_timestamp)
+            if k > j:  # adjacent knots store nothing
+                inside = intervals[a.timestamp, b.timestamp] = []
+                _interval_squares(a, b, points[j:k], inside)
                 squares.extend(inside)
-            else:
-                k = bisect_left(points, b.timestamp, j, key=_timestamp)
-                if k > j:  # adjacent knots store nothing
-                    inside = intervals[a.timestamp, b.timestamp] = []
-                    _interval_squares(a, b, points[j:k], inside)
-                    squares.extend(inside)
         if k < len(points) and points[k].timestamp == b.timestamp:
             p = points[k]
             k += 1
@@ -177,10 +177,20 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals
     return math.fsum(squares)
 
 
+def _cached(cache: TuningCache, track: VesselTrack) -> tuple[VesselTrack, list[Velocity], dict]:
+    """``cache``'s entry for ``track``, filled on first sight; another track under its MMSI raises ValueError."""
+    entry = cache.get(track.mmsi)
+    if entry is None:
+        entry = cache[track.mmsi] = (track, track_segments(track), {})
+    elif entry[0] is not track:
+        raise ValueError(f"the tuning cache holds a different track of vessel {track.mmsi}")
+    return entry
+
+
 def compute_metrics(
     clean_tracks: Sequence[VesselTrack],
     synopses: Mapping[int, Sequence[CriticalPoint]],
-    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
+    cache: TuningCache | None = None,
 ) -> Metrics:
     """Aggregate ratio and RMSE of a set of synopses over their clean tracks.
 
@@ -189,13 +199,13 @@ def compute_metrics(
     sums follow the module's summation rule.
 
     Synopses are keyed by MMSI, so each track must have its own.
-    ``intervals`` is the optional per-interval memo described at
-    :func:`evaluate_config`.
+    ``cache`` is the optional :data:`TuningCache` of :func:`evaluate_config`.
 
     Raises:
         ValueError: empty dataset, two tracks with the same MMSI, a track
-            without a synopsis, an empty synopsis for a nonempty track, or a
-            synopsis that goes back in time.
+            without a synopsis, an empty synopsis for a nonempty track, a
+            synopsis that goes back in time, or a ``cache`` that holds a
+            different track under one of the MMSIs.
     """
     if not clean_tracks:
         raise ValueError("empty dataset: no clean tracks to evaluate")
@@ -214,7 +224,7 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        memo = None if intervals is None else intervals.setdefault(track.mmsi, {})
+        memo = {} if cache is None else _cached(cache, track)[2]
         track_sums.append(_square_sum(track, synopsis, memo))
         total_points += len(track.points)
         total_critical += len(synopsis)
@@ -230,32 +240,26 @@ def compute_metrics(
 
 
 def evaluate_config(
-    clean_tracks: Sequence[VesselTrack],
-    cfg: SynopsisConfig,
-    segments: Mapping[int, Sequence[Velocity]] | None = None,
-    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
+    clean_tracks: Sequence[VesselTrack], cfg: SynopsisConfig, cache: TuningCache | None = None
 ) -> Metrics:
     """Compress every clean track with ``cfg`` and measure the result.
 
-    ``segments`` maps each track's MMSI to ``track_segments(track)``;
-    callers that evaluate many configurations on the same tracks pass it so
-    that each track's geometry is computed once (see
-    :func:`vesselsyn.synopses.compress_track`).
-
-    ``intervals`` is a memo that such callers keep and pass to every call:
-    for each vessel's MMSI, it maps the timestamps of two consecutive knots
-    to the squared distances of the reports strictly between them, so each
-    knot interval is measured once.  It is exact for the knots
-    :func:`compress_track` emits, which are the track's own reports, as long
-    as every call gives an MMSI the same track.  Both caches are keyed by
-    vessel, so calls on different subsets of one set of tracks, such as the
-    folds of :func:`vesselsyn.ga.cross_validate`, may share them.
+    A caller that evaluates many configurations on the same tracks keeps
+    one :data:`TuningCache` and passes it to every call.  The first call
+    that sees a track fills its entry; later calls reuse the track's segment
+    velocities (see :func:`vesselsyn.synopses.compress_track`) and measure
+    only the knot intervals its memo lacks.  The metrics are the same bit
+    for bit: every knot :func:`compress_track` emits is one of the track's
+    own reports.  Calls on different subsets of one set of tracks, such as
+    the folds of :func:`vesselsyn.ga.cross_validate`, may share the cache,
+    as long as each MMSI always comes with the same track object.
 
     Raises:
-        KeyError: if ``segments`` holds no entry for a track's MMSI.
+        ValueError: ``cache`` holds a different track under a track's MMSI,
+            or :func:`compute_metrics` rejects the synopses.
     """
     synopses = {
-        track.mmsi: compress_track(track, cfg, None if segments is None else segments[track.mmsi])
+        track.mmsi: compress_track(track, cfg, None if cache is None else _cached(cache, track)[1])
         for track in clean_tracks
     }
-    return compute_metrics(clean_tracks, synopses, intervals)
+    return compute_metrics(clean_tracks, synopses, cache)

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .evaluation import Metrics, evaluate_config
-from .geo import EARTH_RADIUS_M, Velocity
+from .evaluation import Metrics, TuningCache, evaluate_config
+from .geo import EARTH_RADIUS_M
 from .ingest import VesselTrack, split_k_folds
-from .synopses import SynopsisConfig, track_segments
+from .synopses import SynopsisConfig
 
 if TYPE_CHECKING:
     from .rng import Pcg64
@@ -205,8 +205,7 @@ def gaussian_mutate(genome: Genome, rng: Pcg64) -> Genome:
 def run_ga(
     clean_tracks: Sequence[VesselTrack],
     hp: GaHyperParams,
-    segments: Mapping[int, Sequence[Velocity]] | None = None,
-    intervals: dict[int, dict[tuple[int, int], list[float]]] | None = None,
+    cache: TuningCache | None = None,
 ) -> tuple[SynopsisConfig, list[GenerationStats]]:
     """Evolve detection parameters against a cleaned training dataset.
 
@@ -220,21 +219,15 @@ def run_ga(
 
     Identical inputs, hyper-parameters and seed reproduce the run exactly.
     Each genome's score and metrics are held once, in a memo kept for the
-    run.  Each track's segment velocities do not depend on the genes, so they
-    are computed once, keyed by the vessel's MMSI, and reused by every
-    evaluation.  Different genes often give a track the same knot intervals,
-    so each interval's squared distances are memoized by the vessel and its
-    two knot timestamps (see :func:`vesselsyn.evaluation.evaluate_config`);
-    the metrics are the same bit for bit.
+    run.  Every evaluation shares one :data:`vesselsyn.evaluation.TuningCache`,
+    so each track's segment velocities and each knot interval's squared
+    distances are computed once; the metrics are the same bit for bit.
 
     Args:
         clean_tracks: the training dataset, already noise-filtered.
         hp: hyper-parameters, including the scoring ``r`` and ``n``.
-        segments: ``track_segments(track)`` keyed by each track's MMSI;
-            computed here when left out.
-        intervals: the interval memo of
-            :func:`vesselsyn.evaluation.evaluate_config`; a fresh one when
-            left out.  Runs over tracks of one set may share both caches.
+        cache: the tuning cache; a fresh one when left out.  Runs over
+            tracks of one set may share it.
 
     Returns:
         The best configuration found and the per-generation history.  The
@@ -249,15 +242,12 @@ def run_ga(
 
     rng = Pcg64(hp.rng_seed)
     memo: dict[Genome, tuple[float, Metrics]] = {}
-    if segments is None:
-        segments = {track.mmsi: track_segments(track) for track in clean_tracks}
-    if intervals is None:
-        intervals = {}
+    cache = {} if cache is None else cache
 
     def score(genome: Genome) -> float:
         hit = memo.get(genome)
         if hit is None:
-            metrics = evaluate_config(clean_tracks, genes_to_config(genome), segments, intervals)
+            metrics = evaluate_config(clean_tracks, genes_to_config(genome), cache)
             hit = memo[genome] = (fitness(metrics, hp.r, hp.n), metrics)
         return hit[0]
 
@@ -350,25 +340,23 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     returned, its GA history (whose last best score is the fold's
     ``train_fitness``) and its held-out metrics and score.
 
-    Every track trains in k - 1 folds and is tested in one, so its segment
-    velocities are computed once, and they and one interval memo, both
-    keyed by MMSI, serve every fold's :func:`run_ga` and held-out scoring;
-    each fold's result is the one a run with fresh caches gives.
+    Every track trains in k - 1 folds and is tested in one, so one tuning
+    cache, keyed by MMSI, serves every fold's :func:`run_ga` and held-out
+    scoring; each fold's result is the one a run with a fresh cache gives.
 
     Raises:
         ValueError: the split fails (see :func:`split_k_folds`), or two
             tracks share an MMSI.
     """
     folds = split_k_folds(tracks, k)
-    geometry = {track.mmsi: track_segments(track) for track in tracks}
-    if len(geometry) != len(tracks):
+    if len({track.mmsi for track in tracks}) != len(tracks):
         raise ValueError("two tracks share a vessel; each track needs its own MMSI")
-    intervals: dict[int, dict[tuple[int, int], list[float]]] = {}
+    cache: TuningCache = {}
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), geometry, intervals)
-        test_metrics = evaluate_config(test_fold, cfg, geometry, intervals)
+        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), cache)
+        test_metrics = evaluate_config(test_fold, cfg, cache)
         results.append(
             FoldResult(
                 index=i,

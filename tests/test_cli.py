@@ -131,6 +131,14 @@ def test_missing_input_is_a_usage_error(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
+    rc = main(["eval", "--input", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"input is not a regular file: {tmp_path}" in err
+    assert "Errno" not in err
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, straight_csv, capsys):
     rc = main([
         "compress",
@@ -326,6 +334,31 @@ def test_header_flag_skips_the_header_row(tmp_path):
         write_records(make_straight_track().points, fh)
     rc = main(["eval", "--input", str(path), "--header"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", "\ufeffsourcemmsi,t,lon,lat", '"MMSI",t'])
+def test_a_header_row_read_as_data_gets_a_hint(tmp_path, capsys, first_line):
+    path = tmp_path / "with_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    assert main(["eval", "--input", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "note: rejected 1 malformed input rows; line 1 looks like a header row" in err
+    assert "pass --header to skip it" in err
+
+
+@pytest.mark.parametrize("first_line", ["1,100,999.0,48.0,cargo", "12x,100,1.0,48.0"])
+def test_a_malformed_first_row_of_numbers_gets_no_header_hint(tmp_path, capsys, first_line):
+    path = tmp_path / "bad_first.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+        fh.write("mmsi,timestamp,lon,lat\n")  # a word, but not on line 1
+    assert main(["eval", "--input", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "rejected 2 malformed input rows" in err
+    assert "header" not in err
 
 
 def test_noise_filter_flag_controls_spike_rejection(tmp_path, capsys):

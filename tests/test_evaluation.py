@@ -312,22 +312,39 @@ def test_evaluate_config_equals_compress_then_measure(default_config):
 
 def test_evaluate_config_scores_through_compute_metrics(monkeypatch, default_config):
     # One scoring entry: every evaluate_config call, with or without the
-    # interval memo, goes through the module-level compute_metrics once.
+    # tuning cache, goes through the module-level compute_metrics once.
     calls = []
     real = evaluation.compute_metrics
 
     def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("intervals"))
+        calls.append(args[2] if len(args) > 2 else kwargs.get("cache"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "compute_metrics", counting)
     tracks = [make_corner_track(mmsi=1), make_stop_track(mmsi=2)]
-    segments = {track.mmsi: track_segments(track) for track in tracks}
-    intervals = {}
+    cache = {}
     plain = evaluate_config(tracks, default_config)
-    memoized = evaluate_config(tracks, default_config, segments, intervals)
+    memoized = evaluate_config(tracks, default_config, cache)
     assert plain == memoized
-    assert len(calls) == 2 and calls[0] is None and calls[1] is intervals
+    assert len(calls) == 2 and calls[0] is None and calls[1] is cache
+    assert {mmsi: entry[:2] for mmsi, entry in cache.items()} == {t.mmsi: (t, track_segments(t)) for t in tracks}
+
+
+def test_a_tuning_cache_rejects_another_track_of_a_cached_vessel(default_config):
+    # The cache keeps the track it was filled from; any other track object
+    # under that MMSI, even an equal copy, would be scored with the first
+    # track's geometry and interval memo.
+    track = make_corner_track(mmsi=1)
+    cache = {}
+    cached = evaluate_config([track], default_config, cache)
+    copy = VesselTrack(track.mmsi, track.vessel_type, list(track.points))
+    for other in (make_stop_track(mmsi=1), copy):
+        with pytest.raises(ValueError, match="different track of vessel 1"):
+            evaluate_config([other], default_config, cache)
+        with pytest.raises(ValueError, match="different track of vessel 1"):
+            compute_metrics([other], {1: compress_track(other, default_config)}, cache)
+    assert list(cache) == [1] and cache[1][0] is track
+    assert evaluate_config([track], default_config, cache) == cached
 
 
 def test_compute_metrics_rejects_bad_inputs(default_config):
@@ -537,14 +554,13 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
     assume({cp.timestamp for cp in compress_track(twin, base)} == kept)
     tracks = clean + [twin, make_gap_track(mmsi=1)]
-    segments = {t.mmsi: track_segments(t) for t in tracks}
     cfgs = [base] + [genes_to_config(genes) for genes in genomes] + [base]
-    intervals = {}
+    cache = {}
     for cfg in cfgs:
-        assert evaluate_config(tracks, cfg, segments, intervals) == evaluate_config(tracks, cfg)
+        assert evaluate_config(tracks, cfg, cache) == evaluate_config(tracks, cfg)
     scored = [
         (t.mmsi, pair) for cfg in cfgs for t in tracks for pair in _knot_intervals(t, compress_track(t, cfg))
     ]
-    stored = [(mmsi, pair) for mmsi, memo in intervals.items() for pair in memo]
+    stored = [(mmsi, pair) for mmsi, (_, _, memo) in cache.items() for pair in memo]
     assert sorted(stored) == sorted(set(scored))
     assert len(stored) < len(scored)

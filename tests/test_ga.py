@@ -290,11 +290,11 @@ def test_run_ga_is_deterministic_for_a_seed(monkeypatch):
     assert config1 == config2
     assert history1 == history2
 
-    # The geometry and the square sums run_ga caches per run score every
-    # genome exactly as plain evaluation does.
+    # The tuning cache run_ga keeps per run scores every genome exactly as
+    # plain evaluation does.
     fleet = make_fleet(600, 3, seed=7)
     reused = run_ga(fleet, TINY_HP)
-    monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _segments, _sums: evaluate_config(tracks, cfg))
+    monkeypatch.setattr(ga, "evaluate_config", lambda tracks, cfg, _cache: evaluate_config(tracks, cfg))
     plain = run_ga(fleet, TINY_HP)
     assert plain == reused
 
@@ -392,23 +392,24 @@ def test_cross_validate_propagates_split_errors():
 
 
 def test_cross_validate_folds_share_caches_as_fresh_runs_would_score(monkeypatch):
-    # Every fold's training and held-out scoring get the one geometry
-    # mapping and the one interval memo, and each fold returns what a
-    # stand-alone run and a plain evaluation with fresh caches return.
+    # Every fold's training and held-out scoring get the one tuning cache,
+    # and each fold returns what a stand-alone run and a plain evaluation
+    # with a fresh cache return.
     data = make_fleet(900, 4, seed=3)
     hp = GaHyperParams(population_size=6, max_generations=3, stagnation_limit=3, rng_seed=2)
     caches = []
 
-    def recording(tracks, cfg, segments, intervals):
-        caches.append((segments, intervals))
-        return evaluate_config(tracks, cfg, segments, intervals)
+    def recording(tracks, cfg, cache):
+        caches.append(cache)
+        return evaluate_config(tracks, cfg, cache)
 
     monkeypatch.setattr(ga, "evaluate_config", recording)
     result = cross_validate(data, 3, hp)
     monkeypatch.undo()
-    geometry, intervals = caches[0]
-    assert all(segments is geometry and memo is intervals for segments, memo in caches)
-    assert geometry == {t.mmsi: track_segments(t) for t in data}
+    cache = caches[0]
+    assert all(c is cache for c in caches)
+    assert {mmsi: entry[:2] for mmsi, entry in cache.items()} == {t.mmsi: (t, track_segments(t)) for t in data}
+    assert all(cache[t.mmsi][0] is t for t in data)
     folds = split_k_folds(data, 3)
     for i, fold in enumerate(result.folds):
         train = [t for j, f in enumerate(folds) if j != i for t in f]
