@@ -67,11 +67,30 @@ def _load_config(path: str | None) -> SynopsisConfig:
         raise CliError(f"config file {path}: {exc}")
 
 
+#: The first four columns ``--header`` requires line 1 to name, in any case.
+_HEADER = "mmsi,timestamp,lon,lat"
+
+
+def _line1_fields(path: str) -> list[str]:
+    """Line 1's fields without surrounding spaces or double quotes, past any byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return [field.strip().strip('"').strip() for field in fh.readline().split(",")]
+
+
+def _check_header(path: str) -> None:
+    """Exit 2 unless line 1 names ``_HEADER`` first, in any case."""
+    found = _line1_fields(path)
+    if ",".join(found[:4]).lower() != _HEADER:
+        raise CliError(
+            f"--header: line 1 must name the columns {_HEADER} first, "
+            f"found {','.join(found)!r}"
+        )
+
+
 def _header_hint(path: str, issues: Sequence[ParseIssue]) -> str:
     """Advice to pass ``--header`` when line 1 was rejected and its first field is a word."""
-    if issues[0].line_no == 1:  # never so with --header, which skips line 1 unread
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            first = fh.readline().split(",", 1)[0].strip().strip('"')
+    if issues[0].line_no == 1:  # never so with --header, whose line 1 is not parsed as a row
+        first = _line1_fields(path)[0]
         if first.isidentifier():
             return f"; line 1 looks like a header row (first field {first!r}), pass --header to skip it"
     return ""
@@ -83,6 +102,8 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int
         raise CliError(f"input file not found: {args.input}")
     if not os.path.isfile(args.input):
         raise CliError(f"input is not a regular file: {args.input}")
+    if args.header:
+        _check_header(args.input)
     records, issues = load_records(args.input, has_header=args.header)
     if issues:
         hint = _header_hint(args.input, issues)
@@ -278,7 +299,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="delimited AIS input file")
-    parser.add_argument("--header", action="store_true", help="input starts with a header row")
+    parser.add_argument("--header", action="store_true", help="line 1 is a mmsi,timestamp,lon,lat,... header")
     parser.add_argument(
         "--no-noise-filter", action="store_true", help="skip implausible-report rejection"
     )
@@ -315,10 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, help="scoring offset in metres")
     p.add_argument("--n", type=float, help="scoring exponent")
     p.add_argument("--k", type=int, default=6, help="number of folds (default 6)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--population", type=int, default=50, help="GA population size")
-    p.add_argument("--generations", type=int, default=30, help="GA generation count")
-    p.add_argument("--stagnation", type=int, default=10, help="early-stop patience")
+    defaults = GaHyperParams()
+    p.add_argument("--seed", type=int, default=defaults.rng_seed, help="random seed (default %(default)s)")
+    p.add_argument("--population", type=int, default=defaults.population_size, help="GA population size")
+    p.add_argument("--generations", type=int, default=defaults.max_generations, help="GA generation count")
+    p.add_argument("--stagnation", type=int, default=defaults.stagnation_limit, help="early-stop patience")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_tune)
 

@@ -39,15 +39,12 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import pairwise
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .geo import Velocity, haversine_m
-from .ingest import AisRecord, VesselTrack
+from .ingest import AisRecord, VesselTrack, _timestamp
 from .synopses import CriticalPoint, SynopsisConfig, compress_track, track_segments
 
-
-_timestamp = attrgetter("timestamp")
 
 #: One tuning's cache: each vessel's MMSI maps to its track, the track's
 #: ``track_segments`` and its interval memo (two consecutive knots'

@@ -8,6 +8,8 @@ Unix epoch and the coordinates in decimal degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import attrgetter
 from typing import Iterable, Sequence, TextIO
 
 
@@ -33,6 +35,10 @@ class AisRecord:
     lon: float
     lat: float
     vessel_type: str = "unknown"
+
+
+#: The time-order key of reports and critical points alike.
+_timestamp = attrgetter("timestamp")
 
 
 @dataclass(slots=True)
@@ -156,17 +162,9 @@ def partition_tracks(records: Iterable[AisRecord]) -> list[VesselTrack]:
 
     tracks: list[VesselTrack] = []
     for mmsi in sorted(by_vessel):
-        ordered = sorted(by_vessel[mmsi], key=lambda r: r.timestamp)
-        deduped: list[AisRecord] = []
-        for rec in ordered:
-            if deduped and rec.timestamp == deduped[-1].timestamp:
-                continue
-            deduped.append(rec)
-        vessel_type = "unknown"
-        for rec in deduped:
-            if rec.vessel_type != "unknown":
-                vessel_type = rec.vessel_type
-                break
+        ordered = sorted(by_vessel[mmsi], key=_timestamp)
+        deduped = ordered[:1] + [b for a, b in pairwise(ordered) if b.timestamp != a.timestamp]
+        vessel_type = next((r.vessel_type for r in deduped if r.vessel_type != "unknown"), "unknown")
         tracks.append(VesselTrack(mmsi, vessel_type, deduped))
     return tracks
 

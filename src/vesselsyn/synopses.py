@@ -450,10 +450,9 @@ def write_synopsis_csv(points: Iterable[CriticalPoint], out: TextIO) -> None:
     out.write("mmsi,timestamp,lon,lat,annotations\n")
     joined: dict[frozenset[Annotation], str] = {}
     for cp in points:
-        try:
-            labels = joined[cp.annotations]
-        except KeyError:
-            labels = joined[cp.annotations] = "|".join(sorted(a.value for a in cp.annotations))
-        except TypeError:  # a hand-built point whose labels are a mutable ``set``
-            labels = "|".join(sorted(a.value for a in cp.annotations))
+        # frozenset() hands a frozenset back as is; a hand-built point's set is copied.
+        key = frozenset(cp.annotations)
+        labels = joined.get(key)
+        if labels is None:
+            labels = joined[key] = "|".join(sorted(a.value for a in key))
         out.write(f"{cp.mmsi},{cp.timestamp},{cp.lon:.6f},{cp.lat:.6f},{labels}\n")

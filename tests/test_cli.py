@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vesselsyn
-from vesselsyn.cli import main
+from vesselsyn.cli import _TUNE_FLAGS, build_parser, main
+from vesselsyn.ga import GaHyperParams
 from vesselsyn.ingest import write_records
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_fleet, make_mixed_voyage
@@ -29,6 +30,14 @@ def write_tracks_csv(path, tracks, vessel_type=None):
             if vessel_type is not None:
                 points = [replace(p, vessel_type=vessel_type) for p in points]
             write_records(points, fh)
+
+
+def compress_outputs(path, out, *flags):
+    """``compress``'s synopsis.csv bytes and metrics.json without its ``input`` field."""
+    assert main(["compress", "--input", str(path), "--out", str(out), *flags]) == 0
+    metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    del metrics["input"]
+    return (out / "synopsis.csv").read_bytes(), metrics
 
 
 def write_config(path, mapping):
@@ -260,6 +269,31 @@ def test_repeated_timestamps_are_noted_on_stderr(tmp_path, capsys):
     assert "note: dropped 1 reports with a repeated timestamp" in captured.err
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    total=st.integers(60, 600),
+    n_vessels=st.integers(3, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_compress_output_does_not_depend_on_how_vessels_interleave(total, n_vessels, seed, data):
+    """Any merge of the vessels' rows, each vessel's kept in order, plus one repeated timestamp."""
+    fleet = make_fleet(total, n_vessels, seed=seed)
+    queues = [iter(t.points) for t in fleet]
+    picks = data.draw(st.permutations([i for i, t in enumerate(fleet) for _ in t.points]), label="picks")
+    rows = [next(queues[i]) for i in picks]
+    original = data.draw(st.integers(0, total - 1), label="original")
+    repeat = data.draw(st.integers(original + 1, total), label="repeat at")
+    # Another position at the same timestamp: only the first of the two may be kept.
+    rows.insert(repeat, replace(rows[original], lat=rows[original].lat / 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_tracks_csv(tmp / "by_vessel.csv", fleet)
+        with open(tmp / "interleaved.csv", "w", encoding="utf-8") as fh:
+            write_records(rows, fh)
+        assert compress_outputs(tmp / "interleaved.csv", tmp / "a") == compress_outputs(tmp / "by_vessel.csv", tmp / "b")
+
+
 @pytest.mark.parametrize("noise_flag", [[], ["--no-noise-filter"]])
 def test_antipodal_reports_compress_cleanly(tmp_path, capsys, noise_flag):
     path = tmp_path / "antipodal.csv"
@@ -359,6 +393,38 @@ def test_a_malformed_first_row_of_numbers_gets_no_header_hint(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "rejected 2 malformed input rows" in err
     assert "header" not in err
+
+
+@pytest.mark.parametrize("first_line", [
+    "sourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    "timestamp,mmsi,lon,lat",
+    "mmsi,timestamp,lon",
+    "",
+])
+def test_a_header_not_naming_mmsi_timestamp_lon_lat_first_is_a_usage_error(tmp_path, capsys, first_line):
+    path = tmp_path / "other_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    out = tmp_path / "out"
+    assert main(["compress", "--input", str(path), "--header", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --header: line 1 must name the columns mmsi,timestamp,lon,lat first" in err
+    assert f"found {first_line!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [
+    "mmsi,timestamp,lon,lat",
+    "mmsi,timestamp,lon,lat,vessel_type,extra",
+    '\ufeff "MMSI" ,Timestamp, LON,"lat" ',
+])
+def test_an_mmsi_timestamp_lon_lat_header_gives_the_outputs_without_it(tmp_path, header):
+    plain = tmp_path / "plain.csv"
+    write_tracks_csv(plain, make_fleet(300, 3, seed=5))
+    headed = tmp_path / "headed.csv"
+    headed.write_text(header + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert compress_outputs(headed, tmp_path / "a", "--header") == compress_outputs(plain, tmp_path / "b")
 
 
 def test_noise_filter_flag_controls_spike_rejection(tmp_path, capsys):
@@ -535,6 +601,15 @@ def test_tune_type_is_case_insensitive(tmp_path):
     lower = tune("fishing")
     assert json.loads(lower[Path("manifest.json")])["preset"] == "fishing"
     assert tune("FISHING") == lower
+
+
+def test_tune_flag_defaults_are_the_ga_defaults():
+    args = build_parser().parse_args(["tune", "--input", "in.csv", "--type", "fishing", "--out", "out"])
+    defaults = GaHyperParams()
+    for field, flag in _TUNE_FLAGS.items():
+        # --r and --n default to the --type preset's pair, not to GaHyperParams'.
+        expected = None if field in ("r", "n") else getattr(defaults, field)
+        assert getattr(args, flag[2:]) == expected, flag
 
 
 # ---------------------------------------------------------------------------
