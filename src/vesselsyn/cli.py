@@ -77,10 +77,15 @@ def _line1_fields(path: str) -> list[str]:
         return [field.strip().strip('"').strip() for field in fh.readline().split(",")]
 
 
+def _names_columns(fields: list[str]) -> bool:
+    """Whether line 1's fields begin with ``_HEADER``'s columns, in any case."""
+    return ",".join(fields[:4]).lower() == _HEADER
+
+
 def _check_header(path: str) -> None:
     """Exit 2 unless line 1 names ``_HEADER`` first, in any case."""
     found = _line1_fields(path)
-    if ",".join(found[:4]).lower() != _HEADER:
+    if not _names_columns(found):
         raise CliError(
             f"--header: line 1 must name the columns {_HEADER} first, "
             f"found {','.join(found)!r}"
@@ -88,11 +93,19 @@ def _check_header(path: str) -> None:
 
 
 def _header_hint(path: str, issues: Sequence[ParseIssue]) -> str:
-    """Advice to pass ``--header`` when line 1 was rejected and its first field is a word."""
+    """A note when line 1 was rejected and its first field is a word.
+
+    It advises ``--header`` only when line 1 names ``_HEADER`` first, since
+    ``--header`` rejects any other line 1.
+    """
     if issues[0].line_no == 1:  # never so with --header, whose line 1 is not parsed as a row
-        first = _line1_fields(path)[0]
-        if first.isidentifier():
-            return f"; line 1 looks like a header row (first field {first!r}), pass --header to skip it"
+        fields = _line1_fields(path)
+        if fields[0].isidentifier():
+            if _names_columns(fields):
+                advice = "pass --header to skip it"
+            else:
+                advice = f"but --header needs {_HEADER} first"
+            return f"; line 1 looks like a header row (first field {fields[0]!r}), {advice}"
     return ""
 
 

@@ -4,14 +4,14 @@ All distances are computed with the haversine formula on a sphere of radius
 6,371,000 m.  Speeds are expressed in knots, headings in compass degrees
 (0 = north, 90 = east, normalized to [0, 360)).
 
-Both functions run once or more per report, so they convert between degrees
-and radians by multiplying with :data:`_RAD` and :data:`_DEG` and call the
-``math`` functions bound at import.  CPython's ``math.radians(x)`` is
-exactly ``x * (pi / 180.0)`` and ``math.degrees(x)`` exactly
-``x * (180.0 / pi)``, so every value is the same bit for bit as with those
-calls.  For the same reason a segment's velocity is a plain tuple, not an
-object: a 4-tuple is built without the Python ``__init__`` that even a
-slots dataclass runs, at about a quarter of its cost.
+:func:`segment_velocity` runs once per report, so both functions convert
+between degrees and radians by multiplying with :data:`_RAD` and
+:data:`_DEG` and call the ``math`` functions bound at import.  CPython's
+``math.radians(x)`` is exactly ``x * (pi / 180.0)`` and ``math.degrees(x)``
+exactly ``x * (180.0 / pi)``, so every value is the same bit for bit as with
+those calls.  For the same reason a segment's velocity is a plain tuple,
+not an object: a 4-tuple is built without the Python ``__init__`` that even
+a slots dataclass runs, at about a quarter of its cost.
 """
 
 from __future__ import annotations
@@ -29,6 +29,20 @@ _DEG = 180.0 / math.pi
 
 #: Metres per second in one knot.
 KNOT_MS = 0.514444
+
+#: Metres of arc per degree, raised by a relative margin of 1e-9: with it,
+#: ``ARC_M_PER_DEG * (abs(lat2 - lat1) + abs(lon2 - lon1))`` is never below
+#: what :func:`haversine_m` returns for the same points.  On a sphere the
+#: great-circle distance is at most the length of a path that follows a
+#: meridian and then a parallel, and that path is at most
+#: ``EARTH_RADIUS_M * (|dlat| + |dlon|)`` with the differences in radians.
+#: The raw longitude difference is never less than the short way round, so
+#: a pair across the antimeridian only loosens the bound.  The margin covers
+#: the few units in the last place by which the floating-point haversine
+#: and the bound's own products can stray from the exact values.  A threshold
+#: test on a distance therefore needs :func:`haversine_m` only when this
+#: trig-free bound does not settle it, and then decides as before.
+ARC_M_PER_DEG = EARTH_RADIUS_M * _RAD * (1.0 + 1e-9)
 
 
 class PositionedSample(Protocol):

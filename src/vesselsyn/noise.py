@@ -18,17 +18,26 @@ sharing an MMSI, say) cannot take the track over.
 
 from __future__ import annotations
 
-from .geo import KNOT_MS, haversine_m
+from .geo import ARC_M_PER_DEG, KNOT_MS, haversine_m
 from .ingest import AisRecord, VesselTrack
 
 #: Ceiling on the speed implied between the last accepted point and the next.
 MAX_SPEED_KNOTS = 50.0
 
+#: The ceiling in metres per second, lowered by a relative margin of 1e-9:
+#: a move whose :data:`~vesselsyn.geo.ARC_M_PER_DEG` bound is at most
+#: ``dt * _CEILING_MS`` is under the ceiling as the exact test rounds it, so
+#: only the moves above that need :func:`haversine_m`.
+_CEILING_MS = MAX_SPEED_KNOTS * KNOT_MS * (1.0 - 1e-9)
+
 
 def _plausible(a: AisRecord, b: AisRecord) -> bool:
     """Whether a vessel could report ``a`` and then ``b``: the clock advances and the speed is under the ceiling."""
     dt = b.timestamp - a.timestamp
-    return dt > 0 and haversine_m(a.lon, a.lat, b.lon, b.lat) / dt / KNOT_MS <= MAX_SPEED_KNOTS
+    return dt > 0 and (
+        (abs(b.lat - a.lat) + abs(b.lon - a.lon)) * ARC_M_PER_DEG <= dt * _CEILING_MS
+        or haversine_m(a.lon, a.lat, b.lon, b.lat) / dt / KNOT_MS <= MAX_SPEED_KNOTS
+    )
 
 
 def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
@@ -49,12 +58,15 @@ def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
         points = points[1:]
     kept: list[AisRecord] = []
     for rec in points:
-        # _plausible(kept[-1], rec), written out: a call per report costs
+        # not _plausible(kept[-1], rec), written out: a call per report costs
         # about a third of the filter's time.
         if kept:
             prev = kept[-1]
             dt = rec.timestamp - prev.timestamp
-            if dt <= 0 or haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS:
+            if dt <= 0 or (
+                (abs(rec.lat - prev.lat) + abs(rec.lon - prev.lon)) * ARC_M_PER_DEG > dt * _CEILING_MS
+                and haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS
+            ):
                 continue
         kept.append(rec)
     return VesselTrack(track.mmsi, track.vessel_type, kept), len(track.points) - len(kept)

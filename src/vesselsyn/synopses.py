@@ -28,7 +28,7 @@ from itertools import chain, repeat
 from math import atan2, hypot
 from typing import Iterable, Sequence, TextIO
 
-from .geo import _DEG, Velocity, haversine_m, segment_velocity
+from .geo import _DEG, ARC_M_PER_DEG, Velocity, haversine_m, segment_velocity
 from .ingest import AisRecord, VesselTrack
 
 
@@ -286,12 +286,17 @@ def ingest_point(
 
         # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed
         # whole: the report takes no label, is not buffered, and no further
-        # rule sees it.  The speed is tested first, so the distance is taken
-        # only when it decides.
+        # rule sees it.  The speed is tested first, and the distance is
+        # taken only when it decides and the trig-free ARC_M_PER_DEG bound
+        # does not put the report inside the radius.
         anchor = state.stop_anchor
         if anchor is not None and (
             speed >= no_speed_kn
-            or haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
+            or (
+                (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG
+                >= cfg.distance_threshold_m
+                and haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
+            )
         ):
             pending.add(Annotation.STOP_END)
             state.stop_anchor = anchor = None

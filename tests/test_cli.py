@@ -379,7 +379,38 @@ def test_a_header_row_read_as_data_gets_a_hint(tmp_path, capsys, first_line):
     assert main(["eval", "--input", str(path)]) == 0
     err = capsys.readouterr().err
     assert "note: rejected 1 malformed input rows; line 1 looks like a header row" in err
+
+
+@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", '\ufeff "MMSI" ,Timestamp,LON,"lat"'])
+def test_the_header_hint_advises_header_when_line_1_names_the_columns(tmp_path, capsys, first_line):
+    path = tmp_path / "with_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    assert main(["eval", "--input", str(path)]) == 0
+    assert "line 1 looks like a header row" in (err := capsys.readouterr().err)
     assert "pass --header to skip it" in err
+    assert main(["eval", "--input", str(path), "--header"]) == 0
+    assert "header" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first_line", [
+    "sourcemmsi,t,lon,lat",
+    "\ufeffsourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    '"MMSI",t',
+])
+def test_the_header_hint_names_the_columns_when_line_1_does_not(tmp_path, capsys, first_line):
+    # Such a line 1 makes --header exit 2, so the note does not advise it.
+    path = tmp_path / "other_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    assert main(["eval", "--input", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "line 1 looks like a header row" in err
+    assert "but --header needs mmsi,timestamp,lon,lat first" in err
+    assert "pass --header" not in err
+    assert main(["eval", "--input", str(path), "--header"]) == 2
 
 
 @pytest.mark.parametrize("first_line", ["1,100,999.0,48.0,cargo", "12x,100,1.0,48.0"])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsyn.geo import (
+    ARC_M_PER_DEG,
     EARTH_RADIUS_M,
     KNOT_MS,
     haversine_m,
@@ -289,3 +290,26 @@ def test_velocity_components_cardinal():
 
 def test_knot_constant_matches_nautical_mile():
     assert KNOT_MS == pytest.approx(1852.0 / 3600.0, rel=1e-6)
+
+
+
+def _arc_bound_m(lon1, lat1, lon2, lat2):
+    return (abs(lat2 - lat1) + abs(lon2 - lon1)) * ARC_M_PER_DEG
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LONS, LATS, LONS, LATS, st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3))
+@example(0.0, 0.0, 180.0, 0.0, 1e-3, 0.0)  # antipodal, and a step along the equator
+@example(-88.6, 69.3, 91.4, -69.3, 0.0, 1e-3)  # antipodal, and a step along a meridian
+@example(179.9, 10.0, -179.9, 10.0, 0.0, 0.0)  # across the antimeridian
+@example(10.0, 89.9, -170.0, 89.9, 1e-3, 1e-3)  # over the north pole
+@example(0.0, 90.0, 90.0, 90.0, 1e-3, -1e-3)  # both points on the north pole
+def test_the_arc_bound_is_never_below_haversine(lon1, lat1, lon2, lat2, dlon, dlat):
+    """``ARC_M_PER_DEG`` times the summed degree changes is at least :func:`haversine_m`.
+
+    Along a meridian or the equator the two agree but for the margin, so
+    the short steps test the margin and the far points the geometry.
+    """
+    assert _arc_bound_m(lon1, lat1, lon2, lat2) >= haversine_m(lon1, lat1, lon2, lat2)
+    lon3, lat3 = min(180.0, max(-180.0, lon1 + dlon)), min(90.0, max(-90.0, lat1 + dlat))
+    assert _arc_bound_m(lon1, lat1, lon3, lat3) >= haversine_m(lon1, lat1, lon3, lat3)
