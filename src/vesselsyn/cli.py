@@ -1,9 +1,10 @@
 """Command-line interface: compress, eval, compare and tune.
 
 Exit codes: 0 on success, 2 for usage or configuration problems (bad flags,
-missing files, malformed config, unknown vessel type), 1 for runtime
-failures.  All numeric output is written with fixed 6-decimal formatting so
-repeated runs produce byte-identical files.
+missing or unreadable files, malformed config, an input header naming other
+columns, unknown vessel type), 1 for runtime failures.  All numeric output
+is written with fixed 6-decimal formatting so repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from .evaluation import Metrics, compute_metrics, evaluate_config
 from .ga import GaHyperParams, cross_validate
-from .ingest import ParseIssue, VesselTrack, load_records, partition_tracks
+from .ingest import HeaderError, VesselTrack, load_records, partition_tracks
 from .noise import filter_dataset
 from .presets import FITNESS_PRESETS
 from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
@@ -67,46 +68,13 @@ def _load_config(path: str | None) -> SynopsisConfig:
         raise CliError(f"config file {path}: {exc}")
 
 
-#: The first four columns ``--header`` requires line 1 to name, in any case.
-_HEADER = "mmsi,timestamp,lon,lat"
-
-
-def _line1_fields(path: str) -> list[str]:
-    """Line 1's fields without surrounding spaces or double quotes, past any byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return [field.strip().strip('"').strip() for field in fh.readline().split(",")]
-
-
-def _names_columns(fields: list[str]) -> bool:
-    """Whether line 1's fields begin with ``_HEADER``'s columns, in any case."""
-    return ",".join(fields[:4]).lower() == _HEADER
-
-
-def _check_header(path: str) -> None:
-    """Exit 2 unless line 1 names ``_HEADER`` first, in any case."""
-    found = _line1_fields(path)
-    if not _names_columns(found):
-        raise CliError(
-            f"--header: line 1 must name the columns {_HEADER} first, "
-            f"found {','.join(found)!r}"
-        )
-
-
-def _header_hint(path: str, issues: Sequence[ParseIssue]) -> str:
-    """A note when line 1 was rejected and its first field is a word.
-
-    It advises ``--header`` only when line 1 names ``_HEADER`` first, since
-    ``--header`` rejects any other line 1.
-    """
-    if issues[0].line_no == 1:  # never so with --header, whose line 1 is not parsed as a row
-        fields = _line1_fields(path)
-        if fields[0].isidentifier():
-            if _names_columns(fields):
-                advice = "pass --header to skip it"
-            else:
-                advice = f"but --header needs {_HEADER} first"
-            return f"; line 1 looks like a header row (first field {fields[0]!r}), {advice}"
-    return ""
+def _check_out(path: str) -> None:
+    """Exit 2, before any work is done, when ``--out`` or its nearest existing parent is not a directory."""
+    existing = path
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        raise CliError(f"--out {path}: {existing} is not a directory")
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int]:
@@ -115,12 +83,14 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int
         raise CliError(f"input file not found: {args.input}")
     if not os.path.isfile(args.input):
         raise CliError(f"input is not a regular file: {args.input}")
-    if args.header:
-        _check_header(args.input)
-    records, issues = load_records(args.input, has_header=args.header)
+    try:
+        records, issues = load_records(args.input)
+    except HeaderError as exc:
+        raise CliError(f"input {args.input}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read input file {args.input}: {exc}")
     if issues:
-        hint = _header_hint(args.input, issues)
-        print(f"note: rejected {len(issues)} malformed input rows{hint}", file=sys.stderr)
+        print(f"note: rejected {len(issues)} malformed input rows", file=sys.stderr)
     tracks = partition_tracks(records)
     repeated = len(records) - sum(len(t.points) for t in tracks)
     if repeated:
@@ -134,6 +104,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     cfg = _load_config(args.config)
     clean, rejected, dropped = _load_dataset(args)
     synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
@@ -167,6 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     cfg_a = _load_config(args.config_a)
     cfg_b = _load_config(args.config_b)
     clean, _, _ = _load_dataset(args)
@@ -221,6 +193,7 @@ _TUNE_FLAGS = {
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     preset_name, r, n = _resolve_scoring(args)
     try:
         hp = GaHyperParams(
@@ -312,7 +285,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="delimited AIS input file")
-    parser.add_argument("--header", action="store_true", help="line 1 is a mmsi,timestamp,lon,lat,... header")
     parser.add_argument(
         "--no-noise-filter", action="store_true", help="skip implausible-report rejection"
     )

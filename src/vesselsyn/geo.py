@@ -30,19 +30,26 @@ _DEG = 180.0 / math.pi
 #: Metres per second in one knot.
 KNOT_MS = 0.514444
 
-#: Metres of arc per degree, raised by a relative margin of 1e-9: with it,
-#: ``ARC_M_PER_DEG * (abs(lat2 - lat1) + abs(lon2 - lon1))`` is never below
-#: what :func:`haversine_m` returns for the same points.  On a sphere the
-#: great-circle distance is at most the length of a path that follows a
-#: meridian and then a parallel, and that path is at most
-#: ``EARTH_RADIUS_M * (|dlat| + |dlon|)`` with the differences in radians.
-#: The raw longitude difference is never less than the short way round, so
-#: a pair across the antimeridian only loosens the bound.  The margin covers
-#: the few units in the last place by which the floating-point haversine
-#: and the bound's own products can stray from the exact values.  A threshold
-#: test on a distance therefore needs :func:`haversine_m` only when this
-#: trig-free bound does not settle it, and then decides as before.
-ARC_M_PER_DEG = EARTH_RADIUS_M * _RAD * (1.0 + 1e-9)
+#: Metres of arc per degree, raised by a relative margin of 1e-7, and a
+#: floor in metres: with them, the trig-free bound
+#: ``(abs(lat2 - lat1) + abs(lon2 - lon1)) * ARC_M_PER_DEG + ARC_FLOOR_M`` is
+#: never below what :func:`haversine_m` returns for the same points.  On a
+#: sphere the great-circle distance is at most the length of a path along a
+#: meridian and then a parallel, at most ``EARTH_RADIUS_M * (|dlat| +
+#: |dlon|)`` in radians; the raw longitude difference is never less than the
+#: short way round, so a pair across the antimeridian only loosens the bound.
+#: The margin and the floor cover the haversine's own overshoot.  Mostly it
+#: is a few units in the last place.  Near the antipode ``1 - a`` cancels: a
+#: pair ``d`` metres short of antipodal has ``1 - a`` near ``(d / 2R)**2``,
+#: and once that is under the error of ``a``, ``c`` units of 2**-53, the
+#: haversine reads pi * R, over by up to ``6.7e-9 * sqrt(c)`` of it.  1e-7
+#: covers ``c`` up to about 200; sampling found 1.  Near zero, an ``a`` under
+#: 2**-1022 is subnormal and the haversine can be tens of per cent over, but
+#: it is then under ``2R * 2**-511``, 1.9e-147 m, which the floor covers.  A
+#: threshold test on a distance therefore needs :func:`haversine_m` only when
+#: this bound does not settle it, and then decides as before.
+ARC_M_PER_DEG = EARTH_RADIUS_M * _RAD * (1.0 + 1e-7)
+ARC_FLOOR_M = 1e-140
 
 
 class PositionedSample(Protocol):

@@ -93,16 +93,26 @@ def _parse_row(fields: Sequence[str], mmsis: dict[str, int], labels: dict[str, s
     return AisRecord(mmsi, timestamp, lon, lat, label)
 
 
-def parse_records(
-    lines: Iterable[str] | TextIO, *, has_header: bool = False
-) -> tuple[list[AisRecord], list[ParseIssue]]:
+#: The columns a header names first, in any case.
+_HEADER = "mmsi,timestamp,lon,lat"
+
+
+class HeaderError(ValueError):
+    """Line 1 is a header row that does not name ``mmsi,timestamp,lon,lat`` first."""
+
+
+def parse_records(lines: Iterable[str] | TextIO) -> tuple[list[AisRecord], list[ParseIssue]]:
     """Parse ``mmsi,timestamp,lon,lat[,vessel_type]`` lines, tallying bad rows.
+
+    Line 1 is a header when its first field, stripped of spaces and double
+    quotes, is an identifier, which no MMSI is.  A header naming
+    ``mmsi,timestamp,lon,lat`` first, in any case, is skipped; any other
+    raises :class:`HeaderError`.
 
     Malformed rows (fewer than four fields, unparseable numbers,
     out-of-range coordinates) are skipped and recorded as a
     :class:`ParseIssue` with their 1-based line number; they never abort
-    the run.  Fields past the fifth are ignored.  ``has_header`` skips the
-    first line unread.
+    the run.  Fields past the fifth are ignored.
 
     A vessel's reports repeat its MMSI and type fields, so one call parses
     each distinct raw MMSI field and each distinct raw type field once: the
@@ -115,16 +125,25 @@ def parse_records(
         order.
 
     Raises:
-        ValueError: ``has_header`` is set and the input is empty.
+        HeaderError: line 1 is a header naming other columns.
     """
     records: list[AisRecord] = []
     issues: list[ParseIssue] = []
     mmsis: dict[str, int] = {}
     labels: dict[str, str] = {}
     lines = iter(lines)
-    if has_header and next(lines, None) is None:
-        raise ValueError("input is empty, expected a header row")
-    for line_no, raw in enumerate(lines, start=2 if has_header else 1):
+    line = next(lines, "").strip()
+    names = [field.strip().strip('"').strip() for field in line.split(",")]
+    if names[0].isidentifier():
+        if ",".join(names[:4]).lower() != _HEADER:
+            found = ",".join(names)
+            raise HeaderError(f"line 1 is a header, so it must name the columns {_HEADER} first; found {found!r}")
+    elif line:
+        try:
+            records.append(_parse_row(line.split(","), mmsis, labels))
+        except ValueError as exc:
+            issues.append(ParseIssue(1, str(exc)))
+    for line_no, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -135,10 +154,10 @@ def parse_records(
     return records, issues
 
 
-def load_records(path: str, *, has_header: bool = False) -> tuple[list[AisRecord], list[ParseIssue]]:
+def load_records(path: str) -> tuple[list[AisRecord], list[ParseIssue]]:
     """Open ``path`` and parse it with :func:`parse_records`; a UTF-8 byte-order mark is skipped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_records(fh, has_header=has_header)
+        return parse_records(fh)
 
 
 def write_records(records: Iterable[AisRecord], out: TextIO) -> None:

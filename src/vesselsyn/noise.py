@@ -18,7 +18,7 @@ sharing an MMSI, say) cannot take the track over.
 
 from __future__ import annotations
 
-from .geo import ARC_M_PER_DEG, KNOT_MS, haversine_m
+from .geo import ARC_FLOOR_M, ARC_M_PER_DEG, KNOT_MS, haversine_m
 from .ingest import AisRecord, VesselTrack
 
 #: Ceiling on the speed implied between the last accepted point and the next.
@@ -35,7 +35,7 @@ def _plausible(a: AisRecord, b: AisRecord) -> bool:
     """Whether a vessel could report ``a`` and then ``b``: the clock advances and the speed is under the ceiling."""
     dt = b.timestamp - a.timestamp
     return dt > 0 and (
-        (abs(b.lat - a.lat) + abs(b.lon - a.lon)) * ARC_M_PER_DEG <= dt * _CEILING_MS
+        (abs(b.lat - a.lat) + abs(b.lon - a.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M <= dt * _CEILING_MS
         or haversine_m(a.lon, a.lat, b.lon, b.lat) / dt / KNOT_MS <= MAX_SPEED_KNOTS
     )
 
@@ -64,7 +64,7 @@ def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
             prev = kept[-1]
             dt = rec.timestamp - prev.timestamp
             if dt <= 0 or (
-                (abs(rec.lat - prev.lat) + abs(rec.lon - prev.lon)) * ARC_M_PER_DEG > dt * _CEILING_MS
+                (abs(rec.lat - prev.lat) + abs(rec.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M > dt * _CEILING_MS
                 and haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS
             ):
                 continue

@@ -28,7 +28,7 @@ from itertools import chain, repeat
 from math import atan2, hypot
 from typing import Iterable, Sequence, TextIO
 
-from .geo import _DEG, ARC_M_PER_DEG, Velocity, haversine_m, segment_velocity
+from .geo import _DEG, ARC_FLOOR_M, ARC_M_PER_DEG, Velocity, haversine_m, segment_velocity
 from .ingest import AisRecord, VesselTrack
 
 
@@ -293,7 +293,7 @@ def ingest_point(
         if anchor is not None and (
             speed >= no_speed_kn
             or (
-                (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG
+                (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
                 >= cfg.distance_threshold_m
                 and haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
             )

@@ -275,10 +275,11 @@ BREST_ENV = "VESSELSYN_BREST_CSV"
 
 @pytest.mark.skipif(
     not os.environ.get(BREST_ENV),
-    reason=f"integration run against real AIS data: set {BREST_ENV} to a headerless CSV "
-    "of mmsi,timestamp,lon,lat[,vessel_type] rows (integer Unix seconds, decimal degrees) "
-    "to enable; the Brest nari_dynamic.csv (sourcemmsi,...,lon,lat,t) is not in this "
-    "layout and is not read correctly until the reader learns its header",
+    reason=f"integration run against real AIS data: set {BREST_ENV} to a CSV of "
+    "mmsi,timestamp,lon,lat[,vessel_type] rows (integer Unix seconds, decimal degrees), "
+    "with or without a line 1 naming those columns, to enable; the Brest nari_dynamic.csv "
+    "(sourcemmsi,...,lon,lat,t) is not in this layout, and its header exits 2 until the "
+    "reader learns it",
 )
 def test_full_dataset_integration_smoke():
     """Optional end-to-end run against a real AIS extract (ignored by default)."""

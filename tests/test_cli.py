@@ -148,6 +148,33 @@ def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
     assert "Errno" not in err
 
 
+@pytest.mark.parametrize(
+    "data", [b"1,100,0.5,50.25,\xff\n", b"1,100,0.5,50.25\n1,160,0.6,50.25,p\xeache\n"], ids=["line_1", "line_2"]
+)
+def test_input_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    assert main(["eval", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read input file {path}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["compress"],
+    ["compare", "--config-a", "a.json", "--config-b", "b.json"],
+    ["tune", "--type", "fishing"],
+], ids=["compress", "compare", "tune"])
+def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(tmp_path, capsys, command):
+    # The input and the configs do not exist: the --out check comes before reading them.
+    out = tmp_path / "out"
+    out.write_text("kept\n", encoding="utf-8")
+    for path in (out, out / "sub" / "dir"):
+        assert main([*command, "--input", str(tmp_path / "missing.csv"), "--out", str(path)]) == 2
+        assert f"error: --out {path}: {out} is not a directory" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, straight_csv, capsys):
     rc = main([
         "compress",
@@ -240,8 +267,9 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 
 
 def test_unusable_input_is_a_runtime_error(tmp_path, capsys):
+    # A number leads line 1, so it is read as a row; a word-led one is a header.
     path = tmp_path / "garbage.csv"
-    path.write_text("not,a,valid,row\nstill,not,valid,here\n", encoding="utf-8")
+    path.write_text("0,not,a,row\nstill,not,valid,here\n", encoding="utf-8")
     rc = main(["eval", "--input", str(path)])
     assert rc == 1
     assert "no usable reports" in capsys.readouterr().err
@@ -361,37 +389,76 @@ def test_no_cli_input_produces_a_traceback(rows, r, n, population, generations):
         assert_strict_json_files(tmp)
 
 
-def test_header_flag_skips_the_header_row(tmp_path):
-    path = tmp_path / "with_header.csv"
+@pytest.mark.parametrize("header", [
+    "mmsi,timestamp,lon,lat",
+    "mmsi,timestamp,lon,lat,vessel_type",
+    "mmsi,timestamp,lon,lat,vessel_type,extra",
+    '\ufeff "MMSI" ,Timestamp, LON,"lat" ',
+])
+def test_an_mmsi_timestamp_lon_lat_header_gives_the_outputs_without_it(tmp_path, capsys, header):
+    plain = tmp_path / "plain.csv"
+    write_tracks_csv(plain, make_fleet(300, 3, seed=5))
+    headed = tmp_path / "headed.csv"
+    headed.write_text(header + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert compress_outputs(headed, tmp_path / "a") == compress_outputs(plain, tmp_path / "b")
+    capsys.readouterr()
+    assert main(["eval", "--input", str(headed)]) == 0
+    headed_eval = capsys.readouterr()
+    assert main(["eval", "--input", str(plain)]) == 0
+    assert capsys.readouterr() == headed_eval
+
+
+@pytest.mark.parametrize("first_line", [
+    "sourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    "\ufeffsourcemmsi,t,lon,lat",
+    "timestamp,mmsi,lon,lat",
+    "mmsi,timestamp,lon",
+    '"MMSI",t',
+    "not,a,valid,row",
+])
+def test_a_header_not_naming_mmsi_timestamp_lon_lat_first_is_a_usage_error(tmp_path, capsys, first_line):
+    # A word leads line 1, so it is a header, and it names other columns.
+    path = tmp_path / "other_header.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mmsi,timestamp,lon,lat,vessel_type\n")
+        fh.write(first_line + "\n")
         write_records(make_straight_track().points, fh)
-    rc = main(["eval", "--input", str(path), "--header"])
-    assert rc == 0
+    out = tmp_path / "out"
+    assert main(["compress", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: input {path}: line 1 is a header, so it must name the columns mmsi,timestamp,lon,lat first" in err
+    assert f"found {first_line.lstrip(chr(0xFEFF)).replace(chr(34), '')!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", "\ufeffsourcemmsi,t,lon,lat", '"MMSI",t'])
 def test_a_header_row_read_as_data_gets_a_hint(tmp_path, capsys, first_line):
+    # No header row is read as data any more: it is skipped, or the run stops
+    # with a message on line 1, never a count of rejected rows.
     path = tmp_path / "with_header.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(first_line + "\n")
         write_records(make_straight_track().points, fh)
-    assert main(["eval", "--input", str(path)]) == 0
+    names_columns = first_line.startswith("mmsi,timestamp,lon,lat")
+    assert main(["eval", "--input", str(path)]) == (0 if names_columns else 2)
     err = capsys.readouterr().err
-    assert "note: rejected 1 malformed input rows; line 1 looks like a header row" in err
+    assert "malformed" not in err
+    assert ("line 1 is a header" in err) is not names_columns
 
 
 @pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", '\ufeff "MMSI" ,Timestamp,LON,"lat"'])
 def test_the_header_hint_advises_header_when_line_1_names_the_columns(tmp_path, capsys, first_line):
-    path = tmp_path / "with_header.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first_line + "\n")
+    # Such a line 1 is skipped without a flag, so there is nothing to advise.
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w", encoding="utf-8") as fh:
         write_records(make_straight_track().points, fh)
+    path = tmp_path / "with_header.csv"
+    path.write_text(first_line + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
     assert main(["eval", "--input", str(path)]) == 0
-    assert "line 1 looks like a header row" in (err := capsys.readouterr().err)
-    assert "pass --header to skip it" in err
-    assert main(["eval", "--input", str(path), "--header"]) == 0
-    assert "header" not in capsys.readouterr().err
+    headed_eval = capsys.readouterr()
+    assert headed_eval.err == ""
+    assert main(["eval", "--input", str(plain)]) == 0
+    assert capsys.readouterr() == headed_eval
 
 
 @pytest.mark.parametrize("first_line", [
@@ -400,17 +467,16 @@ def test_the_header_hint_advises_header_when_line_1_names_the_columns(tmp_path, 
     '"MMSI",t',
 ])
 def test_the_header_hint_names_the_columns_when_line_1_does_not(tmp_path, capsys, first_line):
-    # Such a line 1 makes --header exit 2, so the note does not advise it.
+    # The message names the wanted columns and advises no flag, since none skips such a line 1.
     path = tmp_path / "other_header.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(first_line + "\n")
         write_records(make_straight_track().points, fh)
-    assert main(["eval", "--input", str(path)]) == 0
-    err = capsys.readouterr().err
-    assert "line 1 looks like a header row" in err
-    assert "but --header needs mmsi,timestamp,lon,lat first" in err
-    assert "pass --header" not in err
-    assert main(["eval", "--input", str(path), "--header"]) == 2
+    assert main(["eval", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must name the columns mmsi,timestamp,lon,lat first" in captured.err
+    assert "--header" not in captured.err
 
 
 @pytest.mark.parametrize("first_line", ["1,100,999.0,48.0,cargo", "12x,100,1.0,48.0"])
@@ -424,38 +490,6 @@ def test_a_malformed_first_row_of_numbers_gets_no_header_hint(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "rejected 2 malformed input rows" in err
     assert "header" not in err
-
-
-@pytest.mark.parametrize("first_line", [
-    "sourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
-    "timestamp,mmsi,lon,lat",
-    "mmsi,timestamp,lon",
-    "",
-])
-def test_a_header_not_naming_mmsi_timestamp_lon_lat_first_is_a_usage_error(tmp_path, capsys, first_line):
-    path = tmp_path / "other_header.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first_line + "\n")
-        write_records(make_straight_track().points, fh)
-    out = tmp_path / "out"
-    assert main(["compress", "--input", str(path), "--header", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: --header: line 1 must name the columns mmsi,timestamp,lon,lat first" in err
-    assert f"found {first_line!r}" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("header", [
-    "mmsi,timestamp,lon,lat",
-    "mmsi,timestamp,lon,lat,vessel_type,extra",
-    '\ufeff "MMSI" ,Timestamp, LON,"lat" ',
-])
-def test_an_mmsi_timestamp_lon_lat_header_gives_the_outputs_without_it(tmp_path, header):
-    plain = tmp_path / "plain.csv"
-    write_tracks_csv(plain, make_fleet(300, 3, seed=5))
-    headed = tmp_path / "headed.csv"
-    headed.write_text(header + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
-    assert compress_outputs(headed, tmp_path / "a", "--header") == compress_outputs(plain, tmp_path / "b")
 
 
 def test_noise_filter_flag_controls_spike_rejection(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsyn.geo import (
+    ARC_FLOOR_M,
     ARC_M_PER_DEG,
     EARTH_RADIUS_M,
     KNOT_MS,
@@ -294,7 +295,7 @@ def test_knot_constant_matches_nautical_mile():
 
 
 def _arc_bound_m(lon1, lat1, lon2, lat2):
-    return (abs(lat2 - lat1) + abs(lon2 - lon1)) * ARC_M_PER_DEG
+    return (abs(lat2 - lat1) + abs(lon2 - lon1)) * ARC_M_PER_DEG + ARC_FLOOR_M
 
 
 @settings(max_examples=1000, deadline=None)
@@ -304,11 +305,15 @@ def _arc_bound_m(lon1, lat1, lon2, lat2):
 @example(179.9, 10.0, -179.9, 10.0, 0.0, 0.0)  # across the antimeridian
 @example(10.0, 89.9, -170.0, 89.9, 1e-3, 1e-3)  # over the north pole
 @example(0.0, 90.0, 90.0, 90.0, 1e-3, -1e-3)  # both points on the north pole
+@example(180.0, 0.0, 8.603021788591132e-07, 0.0, 0.0, 0.0)  # 0.1 m short of antipodal: haversine reads pi * R
+@example(0.0, 0.0, 0.0, 9.086559045610901e-160, 0.0, 0.0)  # a subnormal haversine a, 1% too far
 def test_the_arc_bound_is_never_below_haversine(lon1, lat1, lon2, lat2, dlon, dlat):
-    """``ARC_M_PER_DEG`` times the summed degree changes is at least :func:`haversine_m`.
+    """``ARC_M_PER_DEG`` times the summed degree changes, plus ``ARC_FLOOR_M``, is at least :func:`haversine_m`.
 
     Along a meridian or the equator the two agree but for the margin, so
-    the short steps test the margin and the far points the geometry.
+    the short steps test the margin and the far points the geometry; the
+    near-antipodal and the nearly coincident examples test the haversine's
+    own overshoot, which the margin and the floor cover.
     """
     assert _arc_bound_m(lon1, lat1, lon2, lat2) >= haversine_m(lon1, lat1, lon2, lat2)
     lon3, lat3 = min(180.0, max(-180.0, lon1 + dlon)), min(90.0, max(-90.0, lat1 + dlat))

@@ -4,11 +4,12 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vesselsyn.ingest import (
     AisRecord,
+    HeaderError,
     ParseIssue,
     VesselTrack,
     parse_records,
@@ -93,7 +94,7 @@ def test_parse_accepts_boundary_coordinates():
 
 def test_parse_header_row_skipped_with_index_mapping():
     lines = ["mmsi,timestamp,lon,lat,vessel_type", "7,100,0.5,50.25,tug"]
-    records, issues = parse_records(lines, has_header=True)
+    records, issues = parse_records(lines)
     assert records == [AisRecord(7, 100, 0.5, 50.25, "tug")]
     assert issues == []
 
@@ -235,10 +236,29 @@ _FIELD = st.one_of(
 _LINE = st.one_of(st.text(), st.lists(_FIELD, max_size=7).map(",".join))
 
 
+def _line_1_kind(lines):
+    """How line 1 reads: ``"row"``, ``"ours"`` (a header to skip) or ``"foreign"`` (a header to refuse)."""
+    fields = [field.strip().strip('"').strip() for field in (lines[0] if lines else "").split(",")]
+    if not fields[0].isidentifier():
+        return "row"
+    return "ours" if [f.lower() for f in fields[:4]] == ["mmsi", "timestamp", "lon", "lat"] else "foreign"
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_LINE, max_size=8))
+@example([' "MMSI" ,Timestamp,LON,lat,type', "1,100,0.5,50.25", "x"])
+@example(["sourcemmsi,t,lon,lat", "1,100,0.5,50.25"])
+@example(["", "mmsi,t"])
 def test_parse_records_never_raises_and_accounts_for_every_row(lines):
+    """It raises only on a foreign header; otherwise every non-blank line but a skipped header is a record or an issue."""
+    kind = _line_1_kind(lines)
+    if kind == "foreign":
+        with pytest.raises(HeaderError):
+            parse_records(lines)
+        return
     records, issues = parse_records(lines)
-    assert len(records) + len(issues) == sum(1 for line in lines if line.strip())
+    rows = [line_no for line_no, line in enumerate(lines, start=1) if line.strip()][kind == "ours":]
+    assert len(records) + len(issues) == len(rows)
+    assert set(issue.line_no for issue in issues) <= set(rows)
     for rec in records:
         assert -180.0 <= rec.lon <= 180.0 and -90.0 <= rec.lat <= 90.0

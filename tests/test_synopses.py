@@ -876,6 +876,17 @@ def oracle_compress_track(track, cfg, segments=None, mean=_buffer_mean_velocity)
     return synopsis
 
 
+def assert_detector_equals_the_oracle(track, cfg):
+    for segments in (None, track_segments(track)):
+        assert compress_track(track, cfg, segments) == oracle_compress_track(track, cfg, segments)
+        state, oracle = VesselState(), _OracleState()
+        incoming = [None] * len(track.points) if segments is None else [None, *segments]
+        for point, v_now in zip(track.points, incoming):
+            ingest_point(state, point, cfg, v_now)
+            oracle_ingest_point(oracle, point, cfg, v_now)
+            assert [record for record, _, _ in state.buffer] == [e.record for e in oracle.buffer]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), cfg=_configs)
 # Seed 13 at the default config absorbs stop reports, so some pushed
@@ -887,14 +898,30 @@ def test_detector_equals_the_oracle(seed, cfg):
     After every report both states also buffer the same records.
     """
     for track in make_fleet(1500, 3, seed=seed):
-        for segments in (None, track_segments(track)):
-            assert compress_track(track, cfg, segments) == oracle_compress_track(track, cfg, segments)
-            state, oracle = VesselState(), _OracleState()
-            incoming = [None] * len(track.points) if segments is None else [None, *segments]
-            for point, v_now in zip(track.points, incoming):
-                ingest_point(state, point, cfg, v_now)
-                oracle_ingest_point(oracle, point, cfg, v_now)
-                assert [record for record, _, _ in state.buffer] == [e.record for e in oracle.buffer]
+        assert_detector_equals_the_oracle(track, cfg)
+
+
+@pytest.mark.parametrize("cfg, points", [
+    # 0.1 m short of the antipode of the stop's anchor, haversine_m reads
+    # pi * R: over a radius just under that.
+    (
+        SynopsisConfig(
+            no_speed_threshold_kn=1e9, low_speed_threshold_kn=2e9, distance_threshold_m=20015086.75, gap_period_s=1e9
+        ),
+        [(179.9999, 0.0, 0), (180.0, 0.0, 100), (8.603021788591132e-07, 0.0, 10**7), (8.603021788591132e-07, 0.0, 2 * 10**7)],
+    ),
+    # 1e-159 degrees from the anchor, haversine_m's ``a`` is subnormal and it
+    # reads 1% too far: over a radius that the exact distance is under.
+    (
+        SynopsisConfig(distance_threshold_m=1.02e-154),
+        [(0.0, 0.0, 0), (0.0, 0.0, 600), (0.0, 9.086559045610901e-160, 1200), (0.0, 9.086559045610901e-160, 1800)],
+    ),
+], ids=["antipode", "subnormal"])
+def test_detector_equals_the_oracle_where_haversine_overshoots(cfg, points):
+    # The trig-free bound must not settle these stop-radius tests on its own.
+    track = VesselTrack(1, "unknown", [AisRecord(1, t, lon, lat) for lon, lat, t in points])
+    assert Annotation.STOP_END in {label for cp in oracle_compress_track(track, cfg) for label in cp.annotations}
+    assert_detector_equals_the_oracle(track, cfg)
 
 
 @settings(max_examples=60, deadline=None)
