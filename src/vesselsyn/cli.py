@@ -69,7 +69,9 @@ def _load_config(path: str | None) -> SynopsisConfig:
 
 
 def _check_out(path: str) -> None:
-    """Exit 2, before any work is done, when ``--out`` or its nearest existing parent is not a directory."""
+    """Exit 2, before any work is done, when ``--out`` is empty or its nearest existing parent is not a directory."""
+    if not path:
+        raise CliError("--out is an empty path")
     existing = path
     while not os.path.exists(existing):
         existing = os.path.dirname(existing) or "."
@@ -87,7 +89,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int
         records, issues = load_records(args.input)
     except HeaderError as exc:
         raise CliError(f"input {args.input}: {exc}")
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read input file {args.input}: {exc}")
     if issues:
         print(f"note: rejected {len(issues)} malformed input rows", file=sys.stderr)

@@ -31,13 +31,20 @@ MAX_SPEED_KNOTS = 50.0
 _CEILING_MS = MAX_SPEED_KNOTS * KNOT_MS * (1.0 - 1e-9)
 
 
-def _plausible(a: AisRecord, b: AisRecord) -> bool:
-    """Whether a vessel could report ``a`` and then ``b``: the clock advances and the speed is under the ceiling."""
-    dt = b.timestamp - a.timestamp
-    return dt > 0 and (
-        (abs(b.lat - a.lat) + abs(b.lon - a.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M <= dt * _CEILING_MS
-        or haversine_m(a.lon, a.lat, b.lon, b.lat) / dt / KNOT_MS <= MAX_SPEED_KNOTS
-    )
+def _kept(points: list[AisRecord]) -> list[AisRecord]:
+    """The reports that advance the clock and stay under the ceiling against the last report kept."""
+    kept: list[AisRecord] = []
+    for rec in points:
+        if kept:
+            prev = kept[-1]
+            dt = rec.timestamp - prev.timestamp
+            if dt <= 0 or (
+                (abs(rec.lat - prev.lat) + abs(rec.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M > dt * _CEILING_MS
+                and haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS
+            ):
+                continue
+        kept.append(rec)
+    return kept
 
 
 def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
@@ -49,26 +56,10 @@ def filter_track(track: VesselTrack) -> tuple[VesselTrack, int]:
     against the last kept one.
     """
     points = track.points
-    if (
-        len(points) >= 3
-        and _plausible(points[1], points[2])
-        and not _plausible(points[0], points[1])
-        and not _plausible(points[0], points[2])
-    ):
+    # The first report keeps neither of the next two, and they keep each other.
+    if len(_kept(points[:3])) == 1 and len(_kept(points[1:3])) == 2:
         points = points[1:]
-    kept: list[AisRecord] = []
-    for rec in points:
-        # not _plausible(kept[-1], rec), written out: a call per report costs
-        # about a third of the filter's time.
-        if kept:
-            prev = kept[-1]
-            dt = rec.timestamp - prev.timestamp
-            if dt <= 0 or (
-                (abs(rec.lat - prev.lat) + abs(rec.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M > dt * _CEILING_MS
-                and haversine_m(prev.lon, prev.lat, rec.lon, rec.lat) / dt / KNOT_MS > MAX_SPEED_KNOTS
-            ):
-                continue
-        kept.append(rec)
+    kept = _kept(points)
     return VesselTrack(track.mmsi, track.vessel_type, kept), len(track.points) - len(kept)
 
 

@@ -160,11 +160,25 @@ def test_input_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [
+def test_an_unreadable_input_is_a_usage_error_naming_the_file(straight_csv, capsys, monkeypatch):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("vesselsyn.cli.load_records", denied)
+    assert main(["eval", "--input", straight_csv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read input file {straight_csv}: [Errno 13] Permission denied" in err
+    assert "Traceback" not in err
+
+
+OUT_COMMANDS = pytest.mark.parametrize("command", [
     ["compress"],
     ["compare", "--config-a", "a.json", "--config-b", "b.json"],
     ["tune", "--type", "fishing"],
 ], ids=["compress", "compare", "tune"])
+
+
+@OUT_COMMANDS
 def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(tmp_path, capsys, command):
     # The input and the configs do not exist: the --out check comes before reading them.
     out = tmp_path / "out"
@@ -173,6 +187,15 @@ def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(tmp_pat
         assert main([*command, "--input", str(tmp_path / "missing.csv"), "--out", str(path)]) == 2
         assert f"error: --out {path}: {out} is not a directory" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+@OUT_COMMANDS
+def test_an_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # As above, the missing input and configs prove that the check comes first.
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--input", "missing.csv", "--out", ""]) == 2
+    assert "error: --out is an empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, straight_csv, capsys):

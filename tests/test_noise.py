@@ -306,14 +306,16 @@ def assert_filter_equals_the_oracle(points):
 def test_filter_equals_the_exact_oracle_on_fleets_with_far_off_reports(seed, vessel, data):
     points = list(make_fleet(300, 3, seed=seed)[vessel].points)
     for _ in range(data.draw(st.integers(1, 6), label="reports")):
-        i = data.draw(st.integers(1, len(points) - 1), label="index")
-        assume(points[i].timestamp - points[i - 1].timestamp > 1)
-        t = data.draw(st.integers(points[i - 1].timestamp + 1, points[i].timestamp - 1), label="time")
+        # Index 0 puts the report before the first, up to a minute earlier.
+        i = data.draw(st.one_of(st.just(0), st.integers(1, len(points) - 1)), label="index")
+        earliest = points[i - 1].timestamp + 1 if i else points[0].timestamp - 60
+        assume(earliest < points[i].timestamp)
+        t = data.draw(st.integers(earliest, points[i].timestamp - 1), label="time")
         near = points[i]
         lon, lat = data.draw(
             st.one_of(
                 st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
-                st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)).map(
+                st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)).map(
                     lambda d: (near.lon + d[0], near.lat + d[1])
                 ),
             ),
@@ -367,6 +369,39 @@ def test_filter_equals_the_exact_oracle_near_the_poles_and_the_antimeridian(firs
     # poles, and a stay repeats it: a coincident pair.
     points = [AisRecord(1, 0, *first)]
     for (kind, x, y), dt in zip(moves, steps):
+        last = points[-1]
+        if kind == "jump":
+            lon, lat = x, y
+        else:
+            lon, lat = _wrap_lon(last.lon + x), max(-90.0, min(90.0, last.lat + y))
+        points.append(AisRecord(1, last.timestamp + dt, lon, lat))
+    assert_filter_equals_the_oracle(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    first=st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+    moves=st.lists(
+        st.tuples(
+            st.one_of(
+                st.tuples(st.just("jump"), st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+                st.tuples(st.just("nudge"), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+            ),
+            st.one_of(st.just(0), st.integers(1, 120), st.integers(3_600, 10**7)),
+        ),
+        max_size=4,
+    ),
+)
+@example(first=(0.0, 0.0), moves=[(("nudge", 0.0, 0.0), 0), (("nudge", 0.001, 0.0), 60)])
+@example(first=(90.0, 0.0), moves=[(("jump", 0.0, 0.0), 60), (("nudge", 0.001, 0.0), 60)])
+def test_filter_equals_the_exact_oracle_on_short_tracks(first, moves):
+    # Tracks of 1 to 5 reports, so the first report's rule decides often: a
+    # jump goes anywhere, a nudge moves the last position by at most 0.05 deg
+    # each way, and a step of 0 repeats the last timestamp.  The examples
+    # keep a first report that only the third confirms, and drop one that
+    # neither the second nor the third confirms.
+    points = [AisRecord(1, 0, *first)]
+    for (kind, x, y), dt in moves:
         last = points[-1]
         if kind == "jump":
             lon, lat = x, y
