@@ -51,15 +51,13 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_config(path: str | None) -> SynopsisConfig:
     if path is None:
         return SynopsisConfig()
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     try:
@@ -69,11 +67,11 @@ def _load_config(path: str | None) -> SynopsisConfig:
 
 
 def _check_out(path: str) -> None:
-    """Exit 2, before any work is done, when ``--out`` is empty or its nearest existing parent is not a directory."""
+    """Exit 2, before any work is done, when ``--out`` is empty or its nearest existing path, a dangling link included, is not a directory."""
     if not path:
         raise CliError("--out is an empty path")
     existing = path
-    while not os.path.exists(existing):
+    while not os.path.lexists(existing):
         existing = os.path.dirname(existing) or "."
     if not os.path.isdir(existing):
         raise CliError(f"--out {path}: {existing} is not a directory")
@@ -81,10 +79,6 @@ def _check_out(path: str) -> None:
 
 def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int]:
     """The clean tracks, the count of malformed rows and the count of reports the filter dropped."""
-    if not os.path.exists(args.input):
-        raise CliError(f"input file not found: {args.input}")
-    if not os.path.isfile(args.input):
-        raise CliError(f"input is not a regular file: {args.input}")
     try:
         records, issues = load_records(args.input)
     except HeaderError as exc:

@@ -104,10 +104,10 @@ class HeaderError(ValueError):
 def parse_records(lines: Iterable[str] | TextIO) -> tuple[list[AisRecord], list[ParseIssue]]:
     """Parse ``mmsi,timestamp,lon,lat[,vessel_type]`` lines, tallying bad rows.
 
-    Line 1 is a header when its first field, stripped of spaces and double
-    quotes, is an identifier, which no MMSI is.  A header naming
-    ``mmsi,timestamp,lon,lat`` first, in any case, is skipped; any other
-    raises :class:`HeaderError`.
+    Line 1 is a header when it fails as a row and its first field, stripped
+    of spaces and double quotes, is an identifier, which no MMSI is.  A
+    header naming ``mmsi,timestamp,lon,lat`` first, in any case, is skipped;
+    any other raises :class:`HeaderError`.
 
     Malformed rows (fewer than four fields, unparseable numbers,
     out-of-range coordinates) are skipped and recorded as a
@@ -131,25 +131,22 @@ def parse_records(lines: Iterable[str] | TextIO) -> tuple[list[AisRecord], list[
     issues: list[ParseIssue] = []
     mmsis: dict[str, int] = {}
     labels: dict[str, str] = {}
-    lines = iter(lines)
-    line = next(lines, "").strip()
-    names = [field.strip().strip('"').strip() for field in line.split(",")]
-    if names[0].isidentifier():
-        if ",".join(names[:4]).lower() != _HEADER:
-            found = ",".join(names)
-            raise HeaderError(f"line 1 is a header, so it must name the columns {_HEADER} first; found {found!r}")
-    elif line:
-        try:
-            records.append(_parse_row(line.split(","), mmsis, labels))
-        except ValueError as exc:
-            issues.append(ParseIssue(1, str(exc)))
-    for line_no, raw in enumerate(lines, start=2):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
             records.append(_parse_row(line.split(","), mmsis, labels))
         except ValueError as exc:
+            if line_no == 1:
+                names = [field.strip().strip('"').strip() for field in line.split(",")]
+                if names[0].isidentifier():
+                    if ",".join(names[:4]).lower() != _HEADER:
+                        found = ",".join(names)
+                        raise HeaderError(
+                            f"line 1 is a header, so it must name the columns {_HEADER} first; found {found!r}"
+                        ) from None
+                    continue
             issues.append(ParseIssue(line_no, str(exc)))
     return records, issues
 

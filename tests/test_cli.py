@@ -144,8 +144,21 @@ def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
     rc = main(["eval", "--input", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"input is not a regular file: {tmp_path}" in err
-    assert "Errno" not in err
+    assert f"error: cannot read input file {tmp_path}: " in err
+    assert "Traceback" not in err
+
+
+def test_a_pipe_as_input_gives_the_outputs_of_the_file(tmp_path):
+    data = tmp_path / "fleet.csv"
+    write_tracks_csv(data, make_fleet(600, 3, seed=1))
+    piped = tmp_path / "piped"
+    command = "import sys\nfrom vesselsyn.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    args = ["compress", "--input", "/dev/stdin", "--out", str(piped)]
+    result = run_python(command, *args, input=data.read_text(encoding="utf-8"))
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads((piped / "metrics.json").read_text(encoding="utf-8"))
+    assert metrics.pop("input") == "/dev/stdin"
+    assert ((piped / "synopsis.csv").read_bytes(), metrics) == compress_outputs(data, tmp_path / "file")
 
 
 @pytest.mark.parametrize(
@@ -183,10 +196,13 @@ def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(tmp_pat
     # The input and the configs do not exist: the --out check comes before reading them.
     out = tmp_path / "out"
     out.write_text("kept\n", encoding="utf-8")
-    for path in (out, out / "sub" / "dir"):
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere")
+    for path, blocker in ((out, out), (out / "sub" / "dir", out), (dangling, dangling), (dangling / "sub", dangling)):
         assert main([*command, "--input", str(tmp_path / "missing.csv"), "--out", str(path)]) == 2
-        assert f"error: --out {path}: {out} is not a directory" in capsys.readouterr().err
+        assert f"error: --out {path}: {blocker} is not a directory" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [dangling, out]
 
 
 @OUT_COMMANDS
@@ -215,6 +231,16 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, straight_csv, capsys):
     rc = main(["eval", "--input", straight_csv, "--config", str(bad)])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"buffer_size": ' + "9" * 5000 + "}", "[" * 200_000], ids=["long_integer", "deep_nesting"]
+)
+def test_config_json_cannot_decode_is_a_usage_error_naming_the_file(tmp_path, straight_csv, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["eval", "--input", straight_csv, "--config", str(bad)]) == 2
+    assert f"error: config file {bad} is not valid JSON: " in capsys.readouterr().err
 
 
 def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, straight_csv, capsys):
@@ -704,11 +730,11 @@ def test_tune_flag_defaults_are_the_ga_defaults():
 # numpy: no command needs it
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_python(code, *args, input=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package, piping ``input`` to its stdin."""
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=env, input=input, capture_output=True, text=True
     )
 
 

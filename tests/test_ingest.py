@@ -262,3 +262,38 @@ def test_parse_records_never_raises_and_accounts_for_every_row(lines):
     assert set(issue.line_no for issue in issues) <= set(rows)
     for rec in records:
         assert -180.0 <= rec.lon <= 180.0 and -90.0 <= rec.lat <= 90.0
+
+
+#: Identifiers, ASCII and not: a letter or underscore, then letters, digits and underscores.
+_IDENTIFIER = st.one_of(
+    st.sampled_from(["mmsi", "MMSI", "mMsI", "sourcemmsi", "_"]),
+    st.tuples(
+        st.characters(categories=["Lu", "Ll", "Lo"]) | st.just("_"),
+        st.text(st.characters(categories=["Lu", "Ll", "Lo", "Nd"]) | st.just("_"), max_size=5),
+    ).map("".join).filter(str.isidentifier),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    word=_IDENTIFIER,
+    outer=st.sampled_from(["", " ", "\t "]),
+    quote=st.sampled_from(["", '"']),
+    inner=st.sampled_from(["", " "]),
+    rest=st.sampled_from(["0,0.0,0.0", "timestamp,lon,lat", "Timestamp,LON,lat,vessel_type", "t,lon,lat"]),
+)
+@example(word="μ", outer="", quote="", inner="", rest="0,0.0,0.0")
+@example(word="MMSI", outer=" ", quote='"', inner=" ", rest="timestamp,lon,lat")
+def test_a_word_led_line_is_a_header_only_on_line_1(word, outer, quote, inner, rest):
+    """After line 1 such a line is a malformed row; as line 1 it is skipped when it names the columns, else refused."""
+    line = f"{outer}{quote}{inner}{word}{inner}{quote}{outer},{rest}"
+    row = "1,100,0.5,50.25"
+    records, issues = parse_records([row, line])
+    assert records == [AisRecord(1, 100, 0.5, 50.25)]
+    assert [issue.line_no for issue in issues] == [2]
+    if word.lower() == "mmsi" and rest.lower().startswith("timestamp,lon,lat"):
+        assert parse_records([line, row]) == (records, [])
+    else:
+        with pytest.raises(HeaderError) as refused:
+            parse_records([line, row])
+        assert str(refused.value).endswith(f"found {word + ',' + rest!r}")
