@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for usage or configuration problems (bad flags,
 missing or unreadable files, malformed config, an input header naming other
-columns, unknown vessel type), 1 for runtime failures.  All numeric output
-is written with fixed 6-decimal formatting so repeated runs produce
-byte-identical files.
+columns, unknown vessel type, an ``--out`` that cannot be made), 1 for
+runtime failures.  All numeric output is written with fixed 6-decimal
+formatting so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -66,15 +66,12 @@ def _load_config(path: str | None) -> SynopsisConfig:
         raise CliError(f"config file {path}: {exc}")
 
 
-def _check_out(path: str) -> None:
-    """Exit 2, before any work is done, when ``--out`` is empty or its nearest existing path, a dangling link included, is not a directory."""
-    if not path:
-        raise CliError("--out is an empty path")
-    existing = path
-    while not os.path.lexists(existing):
-        existing = os.path.dirname(existing) or "."
-    if not os.path.isdir(existing):
-        raise CliError(f"--out {path}: {existing} is not a directory")
+def _make_out(path: str) -> None:
+    """Make the ``--out`` directory; whatever the OS refuses exits 2, naming the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make --out directory {path}: {exc}")
 
 
 def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int]:
@@ -100,12 +97,11 @@ def _load_dataset(args: argparse.Namespace) -> tuple[list[VesselTrack], int, int
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     cfg = _load_config(args.config)
     clean, rejected, dropped = _load_dataset(args)
+    _make_out(args.out)
     synopses = {t.mmsi: compress_track(t, cfg) for t in clean}
     metrics = compute_metrics(clean, synopses)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "synopsis.csv"), "w", encoding="utf-8") as fh:
         write_synopsis_csv((cp for mmsi in sorted(synopses) for cp in synopses[mmsi]), fh)
     _write_json(
@@ -134,13 +130,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     cfg_a = _load_config(args.config_a)
     cfg_b = _load_config(args.config_b)
     clean, _, _ = _load_dataset(args)
+    _make_out(args.out)
     metrics_a = evaluate_config(clean, cfg_a)
     metrics_b = evaluate_config(clean, cfg_b)
-    os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "comparison.json"),
         {
@@ -189,7 +184,6 @@ _TUNE_FLAGS = {
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    _check_out(args.out)
     preset_name, r, n = _resolve_scoring(args)
     try:
         hp = GaHyperParams(
@@ -210,12 +204,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if not selected:
         available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
         raise CliError(f"no tracks of vessel type {args.type!r} in input (available: {available})")
+    _make_out(args.out)
     try:
         result = cross_validate(selected, args.k, hp)
     except ValueError as exc:
         raise CliError(str(exc))
 
-    os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "manifest.json"),
         {

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from math import atan2, cos, sin, sqrt
-from typing import Protocol
+
+from .ingest import AisRecord
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -52,14 +53,6 @@ ARC_M_PER_DEG = EARTH_RADIUS_M * _RAD * (1.0 + 1e-7)
 ARC_FLOOR_M = 1e-140
 
 
-class PositionedSample(Protocol):
-    """Anything carrying a timestamped lon/lat position."""
-
-    timestamp: int
-    lon: float
-    lat: float
-
-
 #: A segment's velocity: ``(speed_knots, heading_deg, east_knots,
 #: north_knots)``.  The last two are the (east, north) components of the
 #: same motion, the form a vector mean sums.
@@ -87,7 +80,7 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * atan2(sqrt(a), sqrt(1.0 - a))
 
 
-def segment_velocity(a: PositionedSample, b: PositionedSample) -> Velocity:
+def segment_velocity(a: AisRecord, b: AisRecord) -> Velocity:
     """Instantaneous velocity implied by two consecutive reports, as a :data:`Velocity` tuple.
 
     Speed is the haversine distance over the elapsed time, converted to

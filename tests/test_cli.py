@@ -191,27 +191,75 @@ OUT_COMMANDS = pytest.mark.parametrize("command", [
 ], ids=["compress", "compare", "tune"])
 
 
+@pytest.fixture()
+def run_in_tmp(tmp_path, monkeypatch):
+    """Run a command in ``tmp_path`` on ``fishing.csv`` and the configs ``a.json`` and ``b.json``.
+
+    Compressing, scoring or tuning fails the test, so a run that returns
+    has judged ``--out`` before any of that work.
+    """
+    monkeypatch.chdir(tmp_path)
+    write_tracks_csv(tmp_path / "fishing.csv", [make_slow_motion_track()], vessel_type="fishing")
+    write_config(tmp_path / "a.json", {})
+    write_config(tmp_path / "b.json", {"buffer_size": 7})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("--out was judged after the work began")
+
+    for name in ("compress_track", "evaluate_config", "cross_validate"):
+        monkeypatch.setattr(f"vesselsyn.cli.{name}", unreachable)
+
+    def run(command, out, input="fishing.csv"):
+        return main([*command, "--input", input, "--out", str(out)])
+
+    return run
+
+
+def assert_out_refused(capsys, out):
+    err = capsys.readouterr().err
+    assert f"error: cannot make --out directory {out}: [Errno " in err
+    assert "Traceback" not in err
+
+
 @OUT_COMMANDS
-def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(tmp_path, capsys, command):
-    # The input and the configs do not exist: the --out check comes before reading them.
+def test_an_out_that_is_not_a_directory_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, run_in_tmp, command
+):
+    # The input is read first; no report is compressed or tuned.  The last
+    # two cases are ENAMETOOLONG and EACCES, the latter from a patched
+    # makedirs, since root ignores permission bits.
     out = tmp_path / "out"
     out.write_text("kept\n", encoding="utf-8")
     dangling = tmp_path / "dangling"
     dangling.symlink_to(tmp_path / "nowhere")
-    for path, blocker in ((out, out), (out / "sub" / "dir", out), (dangling, dangling), (dangling / "sub", dangling)):
-        assert main([*command, "--input", str(tmp_path / "missing.csv"), "--out", str(path)]) == 2
-        assert f"error: --out {path}: {blocker} is not a directory" in capsys.readouterr().err
+    before = sorted(tmp_path.iterdir())
+    for path in (out, out / "sub" / "dir", dangling, dangling / "sub", "x" * 300):
+        assert run_in_tmp(command, path) == 2
+        assert_out_refused(capsys, path)
+
+    def denied(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("vesselsyn.cli.os.makedirs", denied)
+    assert run_in_tmp(command, "denied") == 2
+    assert_out_refused(capsys, "denied")
     assert out.read_text(encoding="utf-8") == "kept\n"
-    assert sorted(tmp_path.iterdir()) == [dangling, out]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @OUT_COMMANDS
-def test_an_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command):
-    # As above, the missing input and configs prove that the check comes first.
-    monkeypatch.chdir(tmp_path)
-    assert main([*command, "--input", "missing.csv", "--out", ""]) == 2
-    assert "error: --out is an empty path" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+def test_an_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, run_in_tmp, command):
+    before = sorted(tmp_path.iterdir())
+    assert run_in_tmp(command, "") == 2
+    assert_out_refused(capsys, "")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@OUT_COMMANDS
+def test_an_input_error_comes_before_out_is_made(tmp_path, capsys, run_in_tmp, command):
+    assert run_in_tmp(command, "fresh", input="missing.csv") == 2
+    assert "error: cannot read input file missing.csv: [Errno 2]" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, straight_csv, capsys):
