@@ -7,6 +7,7 @@ Unix epoch and the coordinates in decimal degrees.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
@@ -172,9 +173,9 @@ def partition_tracks(records: Iterable[AisRecord]) -> list[VesselTrack]:
     occurrence.  The track's type label is the first non-"unknown" label seen
     in time order.  Tracks are returned sorted by mmsi.
     """
-    by_vessel: dict[int, list[AisRecord]] = {}
+    by_vessel: defaultdict[int, list[AisRecord]] = defaultdict(list)
     for rec in records:
-        by_vessel.setdefault(rec.mmsi, []).append(rec)
+        by_vessel[rec.mmsi].append(rec)
 
     tracks: list[VesselTrack] = []
     for mmsi in sorted(by_vessel):

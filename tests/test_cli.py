@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import gc
 import json
 import math
 import os
@@ -772,6 +773,84 @@ def test_tune_flag_defaults_are_the_ga_defaults():
         # --r and --n default to the --type preset's pair, not to GaHyperParams'.
         expected = None if field in ("r", "n") else getattr(defaults, field)
         assert getattr(args, flag[2:]) == expected, flag
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector: off for a command, handed back as found
+
+
+@pytest.fixture()
+def restore_gc():
+    """Give the collector back to pytest in the state the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, failure, code", [
+    (["eval", "--input", "in.csv"], None, 0),
+    (["eval", "--input", "missing.csv"], None, 2),
+    (["eval", "--input", "in.csv"], ValueError, 1),
+    (["eval", "--bogus"], None, 2),
+    (["eval", "--help"], None, 0),
+    (["eval", "--input", "in.csv"], KeyboardInterrupt, None),
+], ids=["ok", "usage-error", "runtime-error", "bad-flag", "help", "escaping-exception"])
+def test_main_hands_the_collector_back_as_it_found_it(
+    tmp_path, capsys, monkeypatch, restore_gc, enabled, argv, failure, code
+):
+    monkeypatch.chdir(tmp_path)
+    write_tracks_csv(tmp_path / "in.csv", [make_straight_track()])
+    seen = []
+
+    def recording_parser():
+        seen.append(gc.isenabled())
+        return build_parser()
+
+    def fail(*args):
+        raise failure("injected")
+
+    monkeypatch.setattr("vesselsyn.cli.build_parser", recording_parser)
+    if failure is not None:
+        monkeypatch.setattr("vesselsyn.cli.filter_dataset", fail)
+    (gc.enable if enabled else gc.disable)()
+    if code is None:
+        with pytest.raises(failure):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+    assert seen == [False], "the command ran with the collector on"
+    capsys.readouterr()
+
+
+def cyclic_garbage_after(argv):
+    """The count of unreachable objects ``main(argv)`` leaves when run with the collector off."""
+    gc.collect()
+    gc.disable()
+    assert main(argv) == 0
+    return gc.collect()
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(tmp_path, capsys, restore_gc):
+    # The garbage is the argument parser and its like, whose count varies
+    # across Python versions, so two sizes are compared with each other.
+    counts = []
+    for n_reports in (400, 3_000):
+        data = tmp_path / f"fleet{n_reports}.csv"
+        write_tracks_csv(data, make_fleet(n_reports, 3, seed=1))
+        counts.append(cyclic_garbage_after(["compress", "--input", str(data), "--out", str(tmp_path / "c")]))
+    assert counts[0] == counts[1], f"compress on 400 and 3,000 reports left {counts}"
+
+    data = tmp_path / "fishing.csv"
+    write_tracks_csv(data, make_fleet(600, 3, seed=1), vessel_type="fishing")
+    counts = []
+    for population, generations in ((4, 2), (8, 4)):
+        tune = ["tune", "--input", str(data), "--type", "fishing", "--k", "2", "--seed", "3"]
+        budget = ["--population", str(population), "--generations", str(generations)]
+        counts.append(cyclic_garbage_after([*tune, *budget, "--out", str(tmp_path / f"t{population}")]))
+    assert counts[0] == counts[1], f"tune at 4x2 and 8x4 left {counts}"
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from pathlib import Path
 import vesselsyn
 from vesselsyn import ga, noise
 from vesselsyn.cli import build_parser
+from vesselsyn.evaluation import evaluate_config
+from vesselsyn.synopses import SynopsisConfig
+from vesselsyn.synthetic import make_fleet
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -70,6 +73,23 @@ def test_readme_states_the_fixed_filter_and_operator_settings():
     assert figure(r"mutation \(probability ([\d.]+) per child") == ga.MUTATION_PROB
     assert figure(r"each gene then changes with probability ([\d.]+)") == ga.PER_GENE_PROB
     assert figure(r"σ = (\d+)% of its range") / 100 == ga.SIGMA_FRACTION
+
+
+def test_readme_states_the_default_compression_of_the_synthetic_fleet():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    match = re.search(
+        r"`make_fleet\(([\d_]+), (\d+), seed=(\d+)\)` keeps ([\d.]+)% of its reports "
+        r"\(([\d,]+) of ([\d,]+)\) at a reconstruction RMSE of ([\d.]+) m",
+        text,
+    )
+    assert match, "README no longer states the default compression of the synthetic fleet"
+    reports, vessels, seed, percent, kept, total, rmse = match.groups()
+    tracks, _ = noise.filter_dataset(make_fleet(int(reports), int(vessels), seed=int(seed)))
+    metrics = evaluate_config(tracks, SynopsisConfig())
+    assert metrics.critical_count == int(kept.replace(",", ""))
+    assert metrics.noiseless_count == int(total.replace(",", ""))
+    assert f"{100 * metrics.ratio:.1f}" == percent
+    assert f"{metrics.rmse_m:.1f}" == rmse
 
 
 def test_readme_cli_section_names_exactly_the_accepted_flags():
