@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 for usage or configuration problems (bad flags,
 missing or unreadable files, malformed config, an input header naming other
-columns, unknown vessel type, an ``--out`` that cannot be made), 1 for
-runtime failures.  All numeric output is written with fixed 6-decimal
-formatting so repeated runs produce byte-identical files.
+columns, unknown vessel type, fewer tracks of the type than ``--k``, an
+``--out`` that cannot be made), 1 for runtime failures.  All numeric output
+is written with fixed 6-decimal formatting so repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def _rounded(obj: SynopsisConfig | Metrics) -> dict:
         key: _round6(value) if isinstance(value, float) else value
         for key, value in obj.to_dict().items()
     }
+
+
+def _scored(cfg: SynopsisConfig, metrics: Metrics) -> dict:
+    """The record every command reports for one config: the config and its metrics, rounded."""
+    return {"config": _rounded(cfg), **_rounded(metrics)}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -109,8 +115,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         os.path.join(args.out, "metrics.json"),
         {
             "input": args.input,
-            "config": _rounded(cfg),
-            **_rounded(metrics),
+            **_scored(cfg, metrics),
             "rows_rejected_parse": rejected,
             "reports_rejected_filter": dropped,
         },
@@ -125,35 +130,22 @@ def cmd_compress(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     clean, _, _ = _load_dataset(args)
-    metrics = evaluate_config(clean, cfg)
-    print(json.dumps({"config": _rounded(cfg), **_rounded(metrics)}, indent=2, sort_keys=True))
+    print(json.dumps(_scored(cfg, evaluate_config(clean, cfg)), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg_a = _load_config(args.config_a)
-    cfg_b = _load_config(args.config_b)
+    configs = {"a": _load_config(args.config_a), "b": _load_config(args.config_b)}
     clean, _, _ = _load_dataset(args)
     _make_out(args.out)
-    metrics_a = evaluate_config(clean, cfg_a)
-    metrics_b = evaluate_config(clean, cfg_b)
-    _write_json(
-        os.path.join(args.out, "comparison.json"),
-        {
-            "input": args.input,
-            "a": {"config": _rounded(cfg_a), **_rounded(metrics_a)},
-            "b": {"config": _rounded(cfg_b), **_rounded(metrics_b)},
-        },
-    )
-    with open(os.path.join(args.out, "plot.csv"), "w", encoding="utf-8") as fh:
-        fh.write("config,metric,value\n")
-        for label, metrics in (("a", metrics_a), ("b", metrics_b)):
-            fh.write(f"{label},rmse_m,{metrics.rmse_m:.6f}\n")
-            fh.write(f"{label},ratio,{metrics.ratio:.6f}\n")
-    print(
-        f"a: rmse {metrics_a.rmse_m:.6f} m ratio {metrics_a.ratio:.6f} | "
-        f"b: rmse {metrics_b.rmse_m:.6f} m ratio {metrics_b.ratio:.6f}"
-    )
+    comparison: dict = {"input": args.input}
+    summary = []
+    for label, cfg in configs.items():
+        metrics = evaluate_config(clean, cfg)
+        comparison[label] = _scored(cfg, metrics)
+        summary.append(f"{label}: rmse {metrics.rmse_m:.6f} m ratio {metrics.ratio:.6f}")
+    _write_json(os.path.join(args.out, "comparison.json"), comparison)
+    print(" | ".join(summary))
     return 0
 
 
@@ -205,11 +197,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if not selected:
         available = ", ".join(sorted({t.vessel_type for t in clean})) or "none"
         raise CliError(f"no tracks of vessel type {args.type!r} in input (available: {available})")
+    if len(selected) < args.k:
+        raise CliError(f"--k: cannot split {len(selected)} {args.type} tracks into {args.k} folds")
     _make_out(args.out)
-    try:
-        result = cross_validate(selected, args.k, hp)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = cross_validate(selected, args.k, hp)
 
     _write_json(
         os.path.join(args.out, "manifest.json"),
@@ -323,22 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector off.
 
@@ -351,7 +326,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if was_enabled:
             gc.enable()

@@ -87,7 +87,7 @@ def test_eval_prints_metrics_json(straight_csv, capsys):
     assert payload["config"]["buffer_size"] == 5
 
 
-def test_compare_emits_both_configs_and_plot_rows(tmp_path, capsys):
+def test_compare_writes_both_configs_to_comparison_json_only(tmp_path, capsys):
     data = tmp_path / "fishing.csv"
     write_tracks_csv(data, [make_slow_motion_track()], vessel_type="fishing")
     cfg_a = write_config(tmp_path / "a.json", {})
@@ -104,15 +104,31 @@ def test_compare_emits_both_configs_and_plot_rows(tmp_path, capsys):
         "--out", str(out),
     ])
     assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.json"]
     comparison = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
     assert comparison["a"]["config"] == SynopsisConfig().to_dict()
     assert comparison["b"]["config"]["angle_threshold_deg"] == 18.99
     for side in ("a", "b"):
         assert 0.0 < comparison[side]["ratio"] <= 1.0
-    plot_lines = (out / "plot.csv").read_text(encoding="utf-8").splitlines()
-    assert plot_lines[0] == "config,metric,value"
-    assert len(plot_lines) == 5  # two metrics for each of the two configs
     assert capsys.readouterr().out.startswith("a: rmse")
+
+
+def test_each_side_of_compare_is_what_eval_prints(tmp_path, capsys):
+    data = tmp_path / "fleet.csv"
+    write_tracks_csv(data, make_fleet(600, 3, seed=1))
+    configs = {
+        "a": write_config(tmp_path / "a.json", {}),
+        "b": write_config(tmp_path / "b.json", {"buffer_size": 7, "gap_period_s": 600.0}),
+    }
+    out = tmp_path / "cmp"
+    argv = ["compare", "--input", str(data), "--config-a", configs["a"], "--config-b", configs["b"]]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    comparison = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+    assert comparison["a"] != comparison["b"]
+    for side, path in configs.items():
+        assert main(["eval", "--input", str(data), "--config", path]) == 0
+        assert comparison[side] == json.loads(capsys.readouterr().out), side
 
 
 def test_compare_identical_configs_agree(tmp_path, straight_csv):
@@ -188,7 +204,7 @@ def test_an_unreadable_input_is_a_usage_error_naming_the_file(straight_csv, caps
 OUT_COMMANDS = pytest.mark.parametrize("command", [
     ["compress"],
     ["compare", "--config-a", "a.json", "--config-b", "b.json"],
-    ["tune", "--type", "fishing"],
+    ["tune", "--type", "fishing", "--k", "2"],
 ], ids=["compress", "compare", "tune"])
 
 
@@ -196,11 +212,13 @@ OUT_COMMANDS = pytest.mark.parametrize("command", [
 def run_in_tmp(tmp_path, monkeypatch):
     """Run a command in ``tmp_path`` on ``fishing.csv`` and the configs ``a.json`` and ``b.json``.
 
+    ``fishing.csv`` holds two tracks, enough for tune's two folds.
     Compressing, scoring or tuning fails the test, so a run that returns
     has judged ``--out`` before any of that work.
     """
     monkeypatch.chdir(tmp_path)
-    write_tracks_csv(tmp_path / "fishing.csv", [make_slow_motion_track()], vessel_type="fishing")
+    tracks = [make_slow_motion_track(), make_slow_motion_track(mmsi=2)]
+    write_tracks_csv(tmp_path / "fishing.csv", tracks, vessel_type="fishing")
     write_config(tmp_path / "a.json", {})
     write_config(tmp_path / "b.json", {"buffer_size": 7})
 
@@ -710,13 +728,15 @@ def test_tune_rejects_half_of_the_scoring_pair(tmp_path, passenger_csv, capsys):
 
 
 def test_tune_with_more_folds_than_tracks_fails_cleanly(tmp_path, passenger_csv, capsys):
+    out = tmp_path / "x"
     rc = main(
         ["tune", "--input", passenger_csv, "--type", "passenger", "--k", "3",
          "--seed", "3", "--population", "6", "--generations", "2", "--stagnation", "2",
-         "--out", str(tmp_path / "x")]
+         "--out", str(out)]
     )
     assert rc == 2
-    assert "folds" in capsys.readouterr().err
+    assert "error: --k: cannot split 2 passenger tracks into 3 folds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
