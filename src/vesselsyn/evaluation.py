@@ -19,14 +19,14 @@ Scoring walks each track knot interval by knot interval: the reports
 strictly between two consecutive critical points are measured against the
 line between them (:func:`_interval_squares`), and the report at a critical
 point's timestamp against that point.  A report whose coordinates equal that
-point's contributes exactly 0.0, so it is not measured at all.  Each
-interval's squares go to a memo keyed by the two knots' timestamps, which
-lives for one track unless the caller keeps a :data:`TuningCache`.  The memo
-is exact only for synopses whose knots are the track's own reports, whose
-unique timestamps fix the knots and the reports between.  The walk finds
-each knot's report by bisecting the track, except after a memo hit: the
-stored interval holds one square per report between the knots, so the next
-knot's report lies that many reports further on.
+point's contributes exactly 0.0, so it is not measured at all.  Without a
+:data:`TuningCache` scoring stores nothing.  With one, a copy of each
+interval's squares goes to the cache's memo, keyed by the two knots'
+timestamps.  The memo is exact only for synopses whose knots are the
+track's own reports, whose unique timestamps fix the knots and the reports
+between.  The walk finds each knot's report by bisecting the track, except
+after a memo hit: the stored interval holds one square per report between
+the knots, so the next knot's report lies that many reports further on.
 
 Summation rule: each track's squared distances are summed with
 ``math.fsum``, and the per-track sums are folded with ``math.fsum``, so the
@@ -39,7 +39,7 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import pairwise
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .geo import Velocity, haversine_m
 from .ingest import AisRecord, VesselTrack, _timestamp
@@ -87,36 +87,29 @@ def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[
     b = synopsis[i]
     if i == 0 or b.timestamp == tau:
         return b.lon, b.lat
-    return next(_interpolated(synopsis[i - 1], b, (tau,)))
+    return _interpolated(synopsis[i - 1], b, tau)
 
 
-def _interpolated(a: CriticalPoint, b: CriticalPoint, times: Iterable[int]) -> Iterator[tuple[float, float]]:
-    """Reconstructed lon/lat at each of ``times``, all strictly between knots ``a`` and ``b``.
+def _interpolated(a: CriticalPoint, b: CriticalPoint, tau: int) -> tuple[float, float]:
+    """Reconstructed lon/lat at ``tau``, strictly between knots ``a`` and ``b``.
 
     The one interpolation rule, behind :func:`synchronized_position` and
-    :func:`_interval_squares`.  The pair's constants are computed once.
-    Longitude is wrapped only where it leaves [-180, 180], so a track that
-    never crosses the antimeridian gets plain linear interpolation, bit for
-    bit.
+    :func:`_interval_squares`.  Longitude is wrapped only where it leaves
+    [-180, 180], so a track that never crosses the antimeridian gets plain
+    linear interpolation, bit for bit.
     """
-    t0 = a.timestamp
-    span = b.timestamp - t0
-    lon0 = a.lon
-    lat0 = a.lat
-    dlon = b.lon - lon0
+    f = (tau - a.timestamp) / (b.timestamp - a.timestamp)
+    dlon = b.lon - a.lon
     if dlon > 180.0:
         dlon -= 360.0
     elif dlon < -180.0:
         dlon += 360.0
-    dlat = b.lat - lat0
-    for tau in times:
-        f = (tau - t0) / span
-        lon = lon0 + f * dlon
-        if lon > 180.0:
-            lon -= 360.0
-        elif lon < -180.0:
-            lon += 360.0
-        yield lon, lat0 + f * dlat
+    lon = a.lon + f * dlon
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
+    return lon, a.lat + f * (b.lat - a.lat)
 
 
 def _interval_squares(
@@ -127,15 +120,17 @@ def _interval_squares(
     Scores one knot interval; a caller that emits ``b`` may call it as soon
     as it does.
     """
-    for p, (lon, lat) in zip(inside, _interpolated(a, b, map(_timestamp, inside))):
+    for p in inside:
+        lon, lat = _interpolated(a, b, p.timestamp)
         d = haversine_m(p.lon, p.lat, lon, lat)
         squares.append(d * d)
 
 
-def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict) -> float:
+def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals: dict | None) -> float:
     """``math.fsum`` of each report's squared distance to its reconstruction, interval by interval.
 
-    ``intervals`` is this track's interval memo (see :data:`TuningCache`).
+    ``intervals`` is this track's interval memo (see :data:`TuningCache`),
+    or None to store nothing.
 
     Raises:
         ValueError: the synopsis goes back in time.
@@ -150,16 +145,16 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals
     for b in synopsis:
         if b.timestamp < a.timestamp:
             raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
-        inside = intervals.get((a.timestamp, b.timestamp))
+        inside = None if intervals is None else intervals.get((a.timestamp, b.timestamp))
         if inside is not None:
             k = j + len(inside)
             squares.extend(inside)
         else:
             k = bisect_left(points, b.timestamp, j, key=_timestamp)
             if k > j:  # adjacent knots store nothing
-                inside = intervals[a.timestamp, b.timestamp] = []
-                _interval_squares(a, b, points[j:k], inside)
-                squares.extend(inside)
+                _interval_squares(a, b, points[j:k], squares)
+                if intervals is not None:
+                    intervals[a.timestamp, b.timestamp] = squares[j - k:]  # the interval's k - j squares
         if k < len(points) and points[k].timestamp == b.timestamp:
             p = points[k]
             k += 1
@@ -221,7 +216,7 @@ def compute_metrics(
             raise ValueError(f"no synopsis for vessel {track.mmsi}")
         if not synopsis:
             raise ValueError(f"empty synopsis for vessel {track.mmsi}")
-        memo = {} if cache is None else _cached(cache, track)[2]
+        memo = None if cache is None else _cached(cache, track)[2]
         track_sums.append(_square_sum(track, synopsis, memo))
         total_points += len(track.points)
         total_critical += len(synopsis)

@@ -510,6 +510,7 @@ def test_no_cli_input_produces_a_traceback(rows, r, n, population, generations):
     "mmsi,timestamp,lon,lat,vessel_type",
     "mmsi,timestamp,lon,lat,vessel_type,extra",
     '\ufeff "MMSI" ,Timestamp, LON,"lat" ',
+    '\ufeff "MMSI" ,Timestamp,LON,"lat"',
 ])
 def test_an_mmsi_timestamp_lon_lat_header_gives_the_outputs_without_it(tmp_path, capsys, header):
     plain = tmp_path / "plain.csv"
@@ -520,12 +521,15 @@ def test_an_mmsi_timestamp_lon_lat_header_gives_the_outputs_without_it(tmp_path,
     capsys.readouterr()
     assert main(["eval", "--input", str(headed)]) == 0
     headed_eval = capsys.readouterr()
+    assert headed_eval.err == ""  # the header is skipped, not read as a malformed row
     assert main(["eval", "--input", str(plain)]) == 0
     assert capsys.readouterr() == headed_eval
 
 
 @pytest.mark.parametrize("first_line", [
     "sourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    "\ufeffsourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    "sourcemmsi,t,lon,lat",
     "\ufeffsourcemmsi,t,lon,lat",
     "timestamp,mmsi,lon,lat",
     "mmsi,timestamp,lon",
@@ -539,64 +543,20 @@ def test_a_header_not_naming_mmsi_timestamp_lon_lat_first_is_a_usage_error(tmp_p
         fh.write(first_line + "\n")
         write_records(make_straight_track().points, fh)
     out = tmp_path / "out"
-    assert main(["compress", "--input", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: input {path}: line 1 is a header, so it must name the columns mmsi,timestamp,lon,lat first" in err
-    assert f"found {first_line.lstrip(chr(0xFEFF)).replace(chr(34), '')!r}" in err
-    assert "Traceback" not in err
+    for command in (["compress", "--out", str(out)], ["eval"]):
+        assert main([*command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert f"error: input {path}: line 1 is a header, so it must name the columns mmsi,timestamp,lon,lat first" in err
+        assert f"found {first_line.lstrip(chr(0xFEFF)).replace(chr(34), '')!r}" in err
+        for absent in ("malformed", "--header", "Traceback"):
+            assert absent not in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", "\ufeffsourcemmsi,t,lon,lat", '"MMSI",t'])
-def test_a_header_row_read_as_data_gets_a_hint(tmp_path, capsys, first_line):
-    # No header row is read as data any more: it is skipped, or the run stops
-    # with a message on line 1, never a count of rejected rows.
-    path = tmp_path / "with_header.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first_line + "\n")
-        write_records(make_straight_track().points, fh)
-    names_columns = first_line.startswith("mmsi,timestamp,lon,lat")
-    assert main(["eval", "--input", str(path)]) == (0 if names_columns else 2)
-    err = capsys.readouterr().err
-    assert "malformed" not in err
-    assert ("line 1 is a header" in err) is not names_columns
-
-
-@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", '\ufeff "MMSI" ,Timestamp,LON,"lat"'])
-def test_the_header_hint_advises_header_when_line_1_names_the_columns(tmp_path, capsys, first_line):
-    # Such a line 1 is skipped without a flag, so there is nothing to advise.
-    plain = tmp_path / "plain.csv"
-    with open(plain, "w", encoding="utf-8") as fh:
-        write_records(make_straight_track().points, fh)
-    path = tmp_path / "with_header.csv"
-    path.write_text(first_line + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
-    assert main(["eval", "--input", str(path)]) == 0
-    headed_eval = capsys.readouterr()
-    assert headed_eval.err == ""
-    assert main(["eval", "--input", str(plain)]) == 0
-    assert capsys.readouterr() == headed_eval
-
-
-@pytest.mark.parametrize("first_line", [
-    "sourcemmsi,t,lon,lat",
-    "\ufeffsourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
-    '"MMSI",t',
-])
-def test_the_header_hint_names_the_columns_when_line_1_does_not(tmp_path, capsys, first_line):
-    # The message names the wanted columns and advises no flag, since none skips such a line 1.
-    path = tmp_path / "other_header.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(first_line + "\n")
-        write_records(make_straight_track().points, fh)
-    assert main(["eval", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must name the columns mmsi,timestamp,lon,lat first" in captured.err
-    assert "--header" not in captured.err
-
-
 @pytest.mark.parametrize("first_line", ["1,100,999.0,48.0,cargo", "12x,100,1.0,48.0"])
-def test_a_malformed_first_row_of_numbers_gets_no_header_hint(tmp_path, capsys, first_line):
+def test_a_numeric_line_1_is_a_malformed_row_not_a_header(tmp_path, capsys, first_line):
     path = tmp_path / "bad_first.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(first_line + "\n")

@@ -479,14 +479,32 @@ def _odd_synopses(track, synopsis, pick):
     return variants
 
 
+def _near(pole, lat):
+    """``lat`` within a degree of ``pole`` (90.0 or -90.0), or unmoved where ``pole`` is None.
+
+    The test fleets lie between 47 and 53°N: 50°N goes to the pole, the band
+    is squeezed threefold, and a latitude north of 50°N folds back from the
+    pole, so no latitude leaves [-90, 90].
+    """
+    return lat if pole is None else math.copysign(90.0 - abs(50.0 - lat) / 3.0, pole)
+
+
+poles = st.sampled_from([None, 90.0, -90.0])
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0), pick=st.integers(0, 10_000))
-@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3)
-@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0, pick=0)
-def test_compute_metrics_equals_the_merge_walk_oracle(seed, genes, offset, pick):
-    """The interval walk gives the former merge walk's RMSE bit for bit, on odd synopses too."""
+@given(
+    seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0),
+    pick=st.integers(0, 10_000), pole=poles,
+)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3, pole=None)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0, pick=0, pole=None)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3, pole=90.0)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0, pick=0, pole=-90.0)
+def test_compute_metrics_equals_the_merge_walk_oracle(seed, genes, offset, pick, pole):
+    """The interval walk gives the former merge walk's RMSE bit for bit, on odd synopses and near the poles too."""
     fleet = make_fleet(500, 3, seed=seed)
-    rotated = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))
+    rotated = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, _near(pole, lat)))
     clean, _ = filter_dataset(rotated)
     cfg = genes_to_config(genes)
     per_track = [_odd_synopses(t, compress_track(t, cfg), pick) for t in clean]
@@ -498,11 +516,17 @@ def test_compute_metrics_equals_the_merge_walk_oracle(seed, genes, offset, pick)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0), pick=st.integers(0, 10_000))
-@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3)
-def test_synchronized_position_equals_the_oracle(seed, genes, offset, pick):
-    """At in-range, knot and clamped times, on odd synopses too."""
-    track = _moved(make_fleet(300, 1, seed=seed), lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, lat))[0]
+@given(
+    seed=st.integers(0, 10_000), genes=gene_vectors, offset=st.floats(-180.0, 180.0),
+    pick=st.integers(0, 10_000), pole=poles,
+)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3, pole=None)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=-175.5, pick=3, pole=90.0)
+@example(seed=11, genes=tuple((g.lower + g.upper) / 2 for g in GENE_SPEC), offset=0.0, pick=0, pole=-90.0)
+def test_synchronized_position_equals_the_oracle(seed, genes, offset, pick, pole):
+    """At in-range, knot and clamped times, on odd synopses and near the poles too."""
+    fleet = make_fleet(300, 1, seed=seed)
+    track = _moved(fleet, lambda lon, lat: ((lon + offset + 180.0) % 360.0 - 180.0, _near(pole, lat)))[0]
     for synopsis in _odd_synopses(track, compress_track(track, genes_to_config(genes)), pick):
         times = [cp.timestamp for cp in synopsis]
         queries = [p.timestamp for p in track.points] + times + [times[0] - 7, times[-1] + 7]
