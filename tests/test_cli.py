@@ -555,6 +555,54 @@ def test_a_header_not_naming_mmsi_timestamp_lon_lat_first_is_a_usage_error(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", "\ufeffsourcemmsi,t,lon,lat", '"MMSI",t'])
+def test_a_header_row_read_as_data_gets_a_hint(tmp_path, capsys, first_line):
+    # No header row is read as data any more: it is skipped, or the run stops
+    # with a message on line 1, never a count of rejected rows.
+    path = tmp_path / "with_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    names_columns = first_line.startswith("mmsi,timestamp,lon,lat")
+    assert main(["eval", "--input", str(path)]) == (0 if names_columns else 2)
+    err = capsys.readouterr().err
+    assert "malformed" not in err
+    assert ("line 1 is a header" in err) is not names_columns
+
+
+@pytest.mark.parametrize("first_line", ["mmsi,timestamp,lon,lat,vessel_type", '\ufeff "MMSI" ,Timestamp,LON,"lat"'])
+def test_the_header_hint_advises_header_when_line_1_names_the_columns(tmp_path, capsys, first_line):
+    # Such a line 1 is skipped without a flag, so there is nothing to advise.
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w", encoding="utf-8") as fh:
+        write_records(make_straight_track().points, fh)
+    path = tmp_path / "with_header.csv"
+    path.write_text(first_line + "\n" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["eval", "--input", str(path)]) == 0
+    headed_eval = capsys.readouterr()
+    assert headed_eval.err == ""
+    assert main(["eval", "--input", str(plain)]) == 0
+    assert capsys.readouterr() == headed_eval
+
+
+@pytest.mark.parametrize("first_line", [
+    "sourcemmsi,t,lon,lat",
+    "\ufeffsourcemmsi,navigationalstatus,rateofturn,speedoverground,courseoverground,trueheading,lon,lat,t",
+    '"MMSI",t',
+])
+def test_the_header_hint_names_the_columns_when_line_1_does_not(tmp_path, capsys, first_line):
+    # The message names the wanted columns and advises no flag, since none skips such a line 1.
+    path = tmp_path / "other_header.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(first_line + "\n")
+        write_records(make_straight_track().points, fh)
+    assert main(["eval", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must name the columns mmsi,timestamp,lon,lat first" in captured.err
+    assert "--header" not in captured.err
+
+
 @pytest.mark.parametrize("first_line", ["1,100,999.0,48.0,cargo", "12x,100,1.0,48.0"])
 def test_a_numeric_line_1_is_a_malformed_row_not_a_header(tmp_path, capsys, first_line):
     path = tmp_path / "bad_first.csv"
