@@ -8,7 +8,8 @@ points, called critical points, carry one or more annotations naming the
 events they witness; together they form a synopsis from which the original
 track can be approximately reconstructed by linear interpolation.  A
 point's annotations are an immutable ``frozenset``, one object shared by
-every point with the same labels.
+every point with the same labels; until it emits a point, the detector
+holds its labels as an int with one bit per annotation.
 
 Detection relies on two velocity estimates: ``v_now``, the instantaneous
 velocity implied by the latest pair of reports, and ``v_mean``, the vector
@@ -51,6 +52,10 @@ class Annotation(str, enum.Enum):
     GAP_END = "gapEnd"
     TRACK_START = "trackStart"
     TRACK_END = "trackEnd"
+
+
+(_STOP_START, _STOP_END, _SLOW_MOTION_START, _SLOW_MOTION_END, _CHANGE_IN_HEADING, _SPEED_CHANGE_START,
+ _SPEED_CHANGE_END, _GAP_START, _GAP_END, _TRACK_START, _TRACK_END) = (1 << i for i in range(len(Annotation)))
 
 
 @dataclass(frozen=True)
@@ -137,17 +142,23 @@ class SynopsisConfig:
         return cls(**kwargs)
 
 
-#: The one frozenset of each label combination emitted so far, keyed by
-#: itself; 11 annotations bound it to 2**11 entries.
-_SHARED_ANNOTATIONS: dict[frozenset[Annotation], frozenset[Annotation]] = {}
+class _LabelTable(dict):
+    """The one frozenset of each label mask, made on its first lookup; bit ``1 << i`` is the ``i``-th annotation."""
+
+    def __missing__(self, mask: int) -> frozenset[Annotation]:
+        labels = self[mask] = frozenset(a for i, a in enumerate(Annotation) if mask >> i & 1)
+        return labels
+
+
+_LABELS = _LabelTable()
 
 
 @dataclass(slots=True)
 class CriticalPoint:
     """A retained report plus the event annotations that justified keeping it.
 
-    ``annotations`` is immutable: points built by :meth:`from_record` with
-    equal labels share one ``frozenset``.
+    ``annotations`` is immutable: the detector gives every point with equal
+    labels the one ``frozenset`` that ``_LABELS`` holds for their bits.
     """
 
     mmsi: int
@@ -155,12 +166,6 @@ class CriticalPoint:
     lon: float
     lat: float
     annotations: frozenset[Annotation]
-
-    @classmethod
-    def from_record(cls, rec: AisRecord, annotations: Iterable[Annotation]) -> "CriticalPoint":
-        labels = frozenset(annotations)
-        labels = _SHARED_ANNOTATIONS.setdefault(labels, labels)
-        return cls(rec.mmsi, rec.timestamp, rec.lon, rec.lat, labels)
 
 
 @dataclass(slots=True)
@@ -181,18 +186,18 @@ class VesselState:
     of the sums since the last restart, so a detection decision can move
     only where a threshold comparison lands within that rounding.
 
-    ``labels`` are the annotations ``last_point`` has gathered so far.  The
-    next report or :func:`finalize_track` may still add to them, so the
-    report is emitted, as a critical point, only when it is replaced as
-    ``last_point`` (or the track is closed) with labels.  It is one set for
-    the life of the state, emptied when its point is emitted.
+    ``labels`` are the bits of the annotations ``last_point`` has gathered
+    so far, 0 for none.  The next report or :func:`finalize_track` may
+    still add to them, so the report is emitted, as a critical point, only
+    when it is replaced as ``last_point`` (or the track is closed) with
+    labels.  It is written only when it changes.
     ``stop_anchor`` is the report an open stop is anchored at, ``None``
     outside a stop.
     """
 
     buffer: deque[tuple[AisRecord, float, float]] = field(default_factory=deque)
     last_point: AisRecord | None = None
-    labels: set[Annotation] = field(default_factory=set)
+    labels: int = 0
     stop_anchor: AisRecord | None = None
     in_slow_motion: bool = False
     in_speed_change: bool = False
@@ -231,14 +236,15 @@ def ingest_point(
     them; this call therefore returns at most the previous report's critical
     point, and :func:`finalize_track` emits the last one.  Concatenating
     every call's result and ``finalize_track`` gives the synopsis; consumers
-    need no merge.  A report that gains no label allocates no label
-    container: its labels are a tuple made only when a rule adds one.
+    need no merge.
 
-    Every report, whether it starts the track, ends a gap, is absorbed by a
-    stop or moves, leaves through one tail: the previous report is emitted
-    if it has labels, and ``point`` takes its place as ``last_point`` with
-    its own.  That tail is the only emission here; :func:`finalize_track`
-    holds the other.
+    A rule sets its label's bit in ``pending`` (the previous report's) or
+    ``labels`` (``point``'s).  Every report, whether it starts the track,
+    ends a gap, is absorbed by a stop or moves, leaves through one tail: the
+    previous report is emitted with the frozenset ``_LABELS`` holds for
+    ``pending``, if that is not 0, and ``point`` takes its place as
+    ``last_point`` with ``labels``, written only when they change.  That tail
+    is the only emission here; :func:`finalize_track` holds the other.
 
     The buffer work is done here in O(1) amortized per report: reports that
     fell before ``now - historical_timespan_s`` leave the front of the
@@ -264,9 +270,9 @@ def ingest_point(
     """
     prev = state.last_point
     pending = state.labels
-    labels: tuple[Annotation, ...] = ()
+    labels = 0
     if prev is None:
-        labels = (Annotation.TRACK_START,)
+        labels = _TRACK_START
         _restart_buffer(state, point)
     elif (now_ts := point.timestamp) <= (prev_ts := prev.timestamp):
         raise ValueError(f"timestamps must increase within a track: {prev_ts} -> {now_ts}")
@@ -274,10 +280,9 @@ def ingest_point(
         # Rule 1: communication gap.  A gap invalidates the buffered history
         # and closes any interval left open, because whatever happened during
         # the silence is unknown.
-        pending.add(Annotation.GAP_START)
-        _close_intervals(state)
+        pending |= _GAP_START | _close_intervals(state)
         _restart_buffer(state, point)
-        labels = (Annotation.GAP_END,)
+        labels = _GAP_END
     else:
         if v_now is None:
             v_now = segment_velocity(prev, point)
@@ -298,12 +303,12 @@ def ingest_point(
                 and haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
             )
         ):
-            pending.add(Annotation.STOP_END)
+            pending |= _STOP_END
             state.stop_anchor = anchor = None
         if anchor is None:
             buffer = state.buffer
             if speed < no_speed_kn:
-                labels = (Annotation.STOP_START,)
+                labels = _STOP_START
                 state.stop_anchor = point
             else:
                 # Rules 3 to 5 are suppressed at the point that anchors a
@@ -318,10 +323,10 @@ def ingest_point(
                 low_speed_kn = cfg.low_speed_threshold_kn
                 in_slow_motion = state.in_slow_motion
                 if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
-                    labels = (Annotation.SLOW_MOTION_START,)
+                    labels = _SLOW_MOTION_START
                     state.in_slow_motion = True
                 elif in_slow_motion and speed >= low_speed_kn:
-                    pending.add(Annotation.SLOW_MOTION_END)
+                    pending |= _SLOW_MOTION_END
                     state.in_slow_motion = False
 
                 n_segments = len(buffer) - 1
@@ -341,7 +346,7 @@ def ingest_point(
                         mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
                         turn = (v_now[1] - mean_heading + 180.0) % 360.0 - 180.0
                         if abs(turn) > cfg.angle_threshold_deg:
-                            pending.add(Annotation.CHANGE_IN_HEADING)
+                            pending |= _CHANGE_IN_HEADING
                             # Re-reference the mean velocity at the turn: the
                             # retained vertex starts a new course, and keeping
                             # pre-turn segments in the buffer would re-detect
@@ -356,10 +361,10 @@ def ingest_point(
                     exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
                     in_speed_change = state.in_speed_change
                     if exceeds and not in_speed_change:
-                        labels += (Annotation.SPEED_CHANGE_START,)
+                        labels |= _SPEED_CHANGE_START
                         state.in_speed_change = True
                     elif not exceeds and in_speed_change:
-                        labels += (Annotation.SPEED_CHANGE_END,)
+                        labels |= _SPEED_CHANGE_END
                         state.in_speed_change = False
 
             # Push the report with the segment reaching it from the buffer's
@@ -375,27 +380,25 @@ def ingest_point(
             else:
                 buffer.append((point, 0.0, 0.0))
 
-    emitted: tuple[CriticalPoint, ...] = ()
-    if pending:
-        emitted = (CriticalPoint.from_record(prev, pending),)
-        pending.clear()
-    if labels:
-        pending.update(labels)
     state.last_point = point
-    return emitted
+    if pending:
+        state.labels = labels
+        return (CriticalPoint(prev.mmsi, prev.timestamp, prev.lon, prev.lat, _LABELS[pending]),)
+    if labels:
+        state.labels = labels
+    return ()
 
 
-def _close_intervals(state: VesselState) -> None:
-    """End every open stop, slow-motion or speed-change interval at ``last_point``."""
-    if state.stop_anchor is not None:
-        state.labels.add(Annotation.STOP_END)
-        state.stop_anchor = None
-    if state.in_slow_motion:
-        state.labels.add(Annotation.SLOW_MOTION_END)
-        state.in_slow_motion = False
-    if state.in_speed_change:
-        state.labels.add(Annotation.SPEED_CHANGE_END)
-        state.in_speed_change = False
+def _close_intervals(state: VesselState) -> int:
+    """End every open stop, slow-motion or speed-change interval; return the bits that end them."""
+    closed = (
+        (_STOP_END if state.stop_anchor is not None else 0)
+        | (_SLOW_MOTION_END if state.in_slow_motion else 0)
+        | (_SPEED_CHANGE_END if state.in_speed_change else 0)
+    )
+    state.stop_anchor = None
+    state.in_slow_motion = state.in_speed_change = False
+    return closed
 
 
 def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
@@ -407,14 +410,11 @@ def finalize_track(state: VesselState) -> tuple[CriticalPoint, ...]:
     last = state.last_point
     if last is None:
         return ()
-    pending = state.labels
-    pending.add(Annotation.TRACK_END)
-    _close_intervals(state)
-    emitted = (CriticalPoint.from_record(last, pending),)
-    pending.clear()
+    labels = state.labels | _TRACK_END | _close_intervals(state)
+    state.labels = 0
     state.buffer.clear()
     state.last_point = None
-    return emitted
+    return (CriticalPoint(last.mmsi, last.timestamp, last.lon, last.lat, _LABELS[labels]),)
 
 
 def compress_track(

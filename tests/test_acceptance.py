@@ -83,7 +83,8 @@ def test_01_metric_identities_under_full_retention():
         ]
         for track in fixtures:
             synopsis = [
-                CriticalPoint.from_record(p, (Annotation.TRACK_START,)) for p in track.points
+                CriticalPoint(p.mmsi, p.timestamp, p.lon, p.lat, frozenset({Annotation.TRACK_START}))
+                for p in track.points
             ]
             metrics = compute_metrics([track], {track.mmsi: synopsis})
             assert metrics.rmse_m == 0.0

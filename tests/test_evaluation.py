@@ -32,7 +32,8 @@ from tracks import make_corner_track, make_gap_track, make_slow_motion_track, ma
 
 def full_retention(track):
     """A synopsis that keeps every single report."""
-    return [CriticalPoint.from_record(p, (Annotation.TRACK_START,)) for p in track.points]
+    labels = frozenset({Annotation.TRACK_START})
+    return [CriticalPoint(p.mmsi, p.timestamp, p.lon, p.lat, labels) for p in track.points]
 
 
 def distance_oracle_m(lon1, lat1, lon2, lat2):
@@ -537,10 +538,10 @@ def test_synchronized_position_equals_the_oracle(seed, genes, offset, pick, pole
 def test_compute_metrics_rejects_a_synopsis_that_goes_back_in_time():
     points = [AisRecord(7, 60 * i, 0.001 * i, 0.001 * (i % 2)) for i in range(4)]
     track = VesselTrack(7, "unknown", points)
-    knots = [CriticalPoint.from_record(points[i], ()) for i in (0, 2, 1, 3)]
+    knots = [CriticalPoint(p.mmsi, p.timestamp, p.lon, p.lat, frozenset()) for p in points]
     with pytest.raises(ValueError, match="vessel 7"):
-        compute_metrics([track], {7: knots})
-    shared = [CriticalPoint.from_record(points[i], ()) for i in (0, 2, 2, 3)]
+        compute_metrics([track], {7: [knots[i] for i in (0, 2, 1, 3)]})
+    shared = [knots[i] for i in (0, 2, 2, 3)]
     assert compute_metrics([track], {7: shared}).rmse_m > 0.0  # equal timestamps stay allowed
 
 

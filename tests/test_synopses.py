@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vesselsyn import synopses
 from vesselsyn.ga import GENE_SPEC, genes_to_config
 from vesselsyn.geo import (
     EARTH_RADIUS_M,
@@ -24,6 +25,7 @@ from vesselsyn.geo import (
 )
 from vesselsyn.ingest import AisRecord, VesselTrack
 from vesselsyn.synopses import (
+    _LABELS,
     _MIN_HEADING_SPEED_KN,
     Annotation,
     CriticalPoint,
@@ -46,6 +48,7 @@ from vesselsyn.synthetic import (
 
 from rules import heading_difference_deg, speed_change_exceeds
 from tracks import (
+    make_circle_track,
     make_corner_track,
     make_gap_pair,
     make_gap_track,
@@ -420,6 +423,34 @@ def test_heading_threshold_sweep_on_the_corner():
             for cp in compress_track(track, cfg)
             if Annotation.CHANGE_IN_HEADING in cp.annotations
         ], f"threshold {threshold}"
+
+
+_SLOW_TURN = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 11: the mean heading follows a turn this slow, so rule 4 never fires"
+)
+
+
+@pytest.mark.parametrize("turn_deg", [
+    pytest.param(0.25, marks=_SLOW_TURN),
+    pytest.param(0.5, marks=_SLOW_TURN),
+    pytest.param(1.0, marks=_SLOW_TURN),
+    pytest.param(1.5, marks=_SLOW_TURN),
+    2.0,
+    2.5,
+    3.0,
+])
+def test_no_knot_interval_of_a_steady_turn_spans_much_course(turn_deg):
+    # The course a knot interval spans is the turn summed over the segments
+    # between its two knots; the turns at the knots themselves are kept.
+    cfg = SynopsisConfig()
+    for speed_knots in (3.0, 10.0, 20.0):
+        track = make_circle_track(turn_deg, speed_knots)
+        headings = [v[1] for v in track_segments(track)]
+        index = {p.timestamp: i for i, p in enumerate(track.points)}
+        knots = [index[cp.timestamp] for cp in compress_track(track, cfg)]
+        for a, b in zip(knots, knots[1:]):
+            spanned = sum(abs(heading_difference_deg(headings[j], headings[j - 1])) for j in range(a + 1, b))
+            assert spanned <= 3 * cfg.angle_threshold_deg, f"{speed_knots} kn: reports {a}-{b} span {spanned:.1f} deg"
 
 
 def test_low_speed_threshold_at_or_below_stop_threshold_disables_slow_motion():
@@ -1017,6 +1048,24 @@ def test_synopsis_csv_writes_a_set_of_labels_like_a_frozenset():
     rows = buf.getvalue().splitlines()[1:]
     assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
     assert rows[0].endswith(",gapStart|trackStart")
+
+
+def test_every_label_combination_is_one_shared_frozenset():
+    # Bit 1 << i stands for the i-th annotation, and each rule's bit for its own.
+    members = list(Annotation)
+    for i, annotation in enumerate(members):
+        assert getattr(synopses, f"_{annotation.name}") == 1 << i
+    rec = make_gap_pair().points[0]
+    for mask in range(2 ** len(members)):
+        labels = _LABELS[mask]
+        assert type(labels) is frozenset
+        assert labels == {a for i, a in enumerate(members) if mask & (1 << i)}
+        assert _LABELS[mask] is labels
+        buf = io.StringIO()
+        write_synopsis_csv([CriticalPoint(rec.mmsi, rec.timestamp, rec.lon, rec.lat, labels)], buf)
+        field = buf.getvalue().splitlines()[1].split(",")[4]
+        names = field.split("|") if field else []
+        assert names == sorted(a.value for a in labels) and len(set(names)) == len(labels)
 
 
 def test_golden_mixed_voyage_regression():

@@ -2,9 +2,10 @@
 
 Each builder makes a small, fully reproducible track that exercises one
 mobility event in isolation: a straight run, a stop with jitter, a sharp
-corner, a silence gap, speed steps or slow motion.  The tests freeze the
-synopsis of each by hand-simulating the event rules.  They walk from the
-package's default start position with :func:`vesselsyn.synthetic._walk`.
+corner, a silence gap, speed steps, slow motion or a steady turn.  The
+tests freeze the synopsis of each by hand-simulating the event rules.  They
+walk from the package's default start position with
+:func:`vesselsyn.synthetic._walk`.
 """
 
 from vesselsyn.geo import KNOT_MS
@@ -87,3 +88,9 @@ def make_slow_motion_track(*, mmsi: int = DEFAULT_MMSI, vessel_type: str = "unkn
     speeds = [10.0] * 5 + [2.5] * 6 + [10.0] * 6
     steps = [(60, s, 90.0) for s in speeds]
     return _walk(mmsi, vessel_type, DEFAULT_LON, DEFAULT_LAT, DEFAULT_T0, steps)
+
+
+def make_circle_track(turn_deg: float, speed_knots: float) -> VesselTrack:
+    """One full circle at a constant speed, reports 60 s apart, the course turning ``turn_deg`` per report."""
+    steps = [(60, speed_knots, (90.0 + turn_deg * i) % 360.0) for i in range(round(360.0 / turn_deg))]
+    return _walk(DEFAULT_MMSI, "unknown", DEFAULT_LON, DEFAULT_LAT, DEFAULT_T0, steps)
