@@ -29,7 +29,7 @@ from itertools import chain, repeat
 from math import atan2, hypot
 from typing import Iterable, Sequence, TextIO
 
-from .geo import _DEG, ARC_FLOOR_M, ARC_M_PER_DEG, Velocity, haversine_m, segment_velocity
+from .geo import _DEG, ARC_FLOOR_M, ARC_M_PER_DEG, KNOT_MS, Velocity, haversine_m, segment_velocity
 from .ingest import AisRecord, VesselTrack
 
 
@@ -259,11 +259,11 @@ def ingest_point(
         v_now: the velocity of the segment from the previous report of this
             vessel to ``point``, a ``(speed, heading, east, north)`` tuple as
             built by :func:`track_segments`; ignored for the first report.
-            Online callers leave it out and it is computed here, once.  Each
-            field is read by index where a rule needs it, so a report a stop
-            absorbs reads only the speed.  A caller that passes it must pass
-            the velocity of exactly these two reports, or the detector
-            decides on wrong geometry.
+            Online callers leave it out: it is computed here, once, unless
+            the trig-free bounds let an open stop absorb the report.  Each
+            field is read by index where a rule needs it.  A caller that
+            passes it must pass the velocity of exactly these two reports,
+            or the detector decides on wrong geometry.
 
     Raises:
         ValueError: if ``point`` does not advance the clock.
@@ -283,6 +283,19 @@ def ingest_point(
         pending |= _GAP_START | _close_intervals(state)
         _restart_buffer(state, point)
         labels = _GAP_END
+    elif (
+        (anchor := state.stop_anchor) is not None
+        and v_now is None
+        and ((abs(point.lat - prev.lat) + abs(point.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M)
+        / (now_ts - prev_ts) / KNOT_MS < cfg.no_speed_threshold_kn
+        and (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
+        < cfg.distance_threshold_m
+    ):
+        # Rule 2 below, settled on trig-free bounds: the stop absorbs the
+        # report.  Exact: the bound is never below haversine_m, which is
+        # segment_velocity's distance bit for bit, and / dt / KNOT_MS is
+        # monotone under round-to-nearest, so the speed is at most the bound's.
+        pass
     else:
         if v_now is None:
             v_now = segment_velocity(prev, point)
@@ -290,11 +303,8 @@ def ingest_point(
         no_speed_kn = cfg.no_speed_threshold_kn
 
         # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed
-        # whole: the report takes no label, is not buffered, and no further
-        # rule sees it.  The speed is tested first, and the distance is
-        # taken only when it decides and the trig-free ARC_M_PER_DEG bound
-        # does not put the report inside the radius.
-        anchor = state.stop_anchor
+        # whole: no label, no buffer, no further rule.  The speed decides
+        # first, then the radius bound, then haversine_m where it is open.
         if anchor is not None and (
             speed >= no_speed_kn
             or (

@@ -1,8 +1,11 @@
-"""Reference forms of the detector's turn and speed-change rules.
+"""Reference forms of the detector's turn and speed-change rules, and of its stop speed bound.
 
-``vesselsyn.synopses.ingest_point`` computes both inline; the tests hold it
-to these functions through the oracle detector in ``test_synopses.py``.
+``vesselsyn.synopses.ingest_point`` computes all three inline; the tests
+hold it to the rules through the oracle detector in ``test_synopses.py``,
+and the bound to ``segment_velocity``'s speed in ``test_geo.py``.
 """
+
+from vesselsyn.geo import ARC_FLOOR_M, ARC_M_PER_DEG, KNOT_MS
 
 
 def heading_difference_deg(a: float, b: float) -> float:
@@ -23,3 +26,13 @@ def speed_change_exceeds(v_now_knots: float, v_mean_knots: float, ratio: float) 
     if v_now_knots == 0.0:
         return False
     return abs((v_now_knots - v_mean_knots) / v_now_knots) > ratio
+
+
+def speed_bound_kn(a, b) -> float:
+    """The stop rule's trig-free bound on the speed from report ``a`` to ``b``, in knots.
+
+    It is written in the detector's operation order, so it is the value the
+    detector compares with ``no_speed_threshold_kn``.
+    """
+    bound_m = (abs(b.lat - a.lat) + abs(b.lon - a.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
+    return bound_m / (b.timestamp - a.timestamp) / KNOT_MS

@@ -17,7 +17,7 @@ from vesselsyn.geo import (
 )
 from vesselsyn.ingest import AisRecord
 
-from rules import heading_difference_deg
+from rules import heading_difference_deg, speed_bound_kn
 
 # Degrees of longitude at the equator covering exactly one metre of arc.
 DEG_PER_M_EQUATOR = 1.0 / (EARTH_RADIUS_M * math.pi / 180.0)
@@ -318,3 +318,26 @@ def test_the_arc_bound_is_never_below_haversine(lon1, lat1, lon2, lat2, dlon, dl
     assert _arc_bound_m(lon1, lat1, lon2, lat2) >= haversine_m(lon1, lat1, lon2, lat2)
     lon3, lat3 = min(180.0, max(-180.0, lon1 + dlon)), min(90.0, max(-90.0, lat1 + dlat))
     assert _arc_bound_m(lon1, lat1, lon3, lat3) >= haversine_m(lon1, lat1, lon3, lat3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LONS, LATS, LONS, LATS, st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3), st.integers(1, 10**6))
+@example(0.0, 0.0, 180.0, 0.0, 1e-3, 0.0, 1)  # antipodal, and a step along the equator
+@example(-88.6, 69.3, 91.4, -69.3, 0.0, 1e-3, 60)  # antipodal, and a step along a meridian
+@example(179.9, 10.0, -179.9, 10.0, 0.0, 0.0, 60)  # across the antimeridian
+@example(10.0, 89.9, -170.0, 89.9, 1e-3, 1e-3, 60)  # over the north pole
+@example(0.0, 90.0, 90.0, 90.0, 1e-3, -1e-3, 60)  # both points on the north pole
+@example(180.0, 0.0, 8.603021788591132e-07, 0.0, 0.0, 0.0, 1)  # 0.1 m short of antipodal
+@example(0.0, 0.0, 0.0, 9.086559045610901e-160, 0.0, 0.0, 1)  # a subnormal haversine a
+@example(12.5, 45.0, 12.5, 45.0, 0.0, 0.0, 1)  # coincident
+@example(-180.0, -90.0, -180.0, -90.0, 0.0, 0.0, 10**6)  # coincident at a corner of the range
+def test_the_speed_bound_is_never_below_segment_velocity(lon1, lat1, lon2, lat2, dlon, dlat, dt):
+    """The stop rule's bound speed, as the detector computes it, is at least the segment's speed.
+
+    The bound is over ``haversine_m``, which is the segment's distance bit
+    for bit, and both are divided by the same ``dt`` and then ``KNOT_MS``.
+    """
+    a = AisRecord(1, 0, lon1, lat1)
+    lon3, lat3 = min(180.0, max(-180.0, lon1 + dlon)), min(90.0, max(-90.0, lat1 + dlat))
+    for b in (AisRecord(1, dt, lon2, lat2), AisRecord(1, dt, lon3, lat3)):
+        assert speed_bound_kn(a, b) >= segment_velocity(a, b)[0]

@@ -46,7 +46,7 @@ from vesselsyn.synthetic import (
     offset_position,
 )
 
-from rules import heading_difference_deg, speed_change_exceeds
+from rules import heading_difference_deg, speed_bound_kn, speed_change_exceeds
 from tracks import (
     make_circle_track,
     make_corner_track,
@@ -953,6 +953,67 @@ def test_detector_equals_the_oracle_where_haversine_overshoots(cfg, points):
     track = VesselTrack(1, "unknown", [AisRecord(1, t, lon, lat) for lon, lat, t in points])
     assert Annotation.STOP_END in {label for cp in oracle_compress_track(track, cfg) for label in cp.annotations}
     assert_detector_equals_the_oracle(track, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Online, a report that an open stop absorbs on the trig-free bounds of its
+# speed and of its distance to the anchor never calls segment_velocity.
+
+
+def count_segment_velocity(monkeypatch):
+    """Count the detector's ``segment_velocity`` calls; the oracle's go uncounted."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return segment_velocity(a, b)
+
+    monkeypatch.setattr(synopses, "segment_velocity", counted)
+    return calls
+
+
+@pytest.mark.parametrize("settled", [True, False], ids=["bound-under", "bound-at"])
+def test_a_stop_absorbs_a_report_on_its_bound_speed_without_segment_velocity(monkeypatch, settled):
+    # A still report anchors the stop; the next steps diagonally, so its
+    # speed is well under its bound speed, and well inside the radius.
+    anchor = AisRecord(1, 600, 0.0, 0.0)
+    step = AisRecord(1, 1200, 1e-5, 1e-5)
+    bound = speed_bound_kn(anchor, step)
+    assert segment_velocity(anchor, step)[0] < bound / 1.4
+    # The bound is the largest float under the threshold, or the threshold.
+    threshold = math.nextafter(bound, math.inf) if settled else bound
+    cfg = SynopsisConfig(no_speed_threshold_kn=threshold)
+    track = VesselTrack(1, "unknown", [AisRecord(1, 0, 0.0, 0.0), anchor, step])
+    calls = count_segment_velocity(monkeypatch)
+    state = VesselState()
+    ingest_point(state, track.points[0], cfg)
+    ingest_point(state, anchor, cfg)
+    assert state.stop_anchor is anchor
+    calls.clear()
+    ingest_point(state, step, cfg)
+    assert state.stop_anchor is anchor
+    assert calls == ([] if settled else [(anchor, step)])
+    assert layout(track, cfg) == {0: {"trackStart"}, 1: {"stopStart"}, 2: {"stopEnd", "trackEnd"}}
+    assert_detector_equals_the_oracle(track, cfg)
+
+
+def test_a_stop_threshold_inside_the_drift_absorbs_reports_with_and_without_segment_velocity(monkeypatch):
+    # The fleet's stops drift at 0.01-0.05 kn, and at its latitude the bound
+    # speed is up to about 1.8 times the speed, so at 0.04 kn some absorbed
+    # reports are settled on their bound and some need their speed.
+    cfg = SynopsisConfig(no_speed_threshold_kn=0.04)
+    calls = count_segment_velocity(monkeypatch)
+    settled = unsettled = 0
+    for track in make_fleet(1500, 3, seed=1):
+        state = VesselState()
+        for point in track.points:
+            anchor, before = state.stop_anchor, len(calls)
+            ingest_point(state, point, cfg)
+            if anchor is not None and state.stop_anchor is anchor:
+                settled += len(calls) == before
+                unsettled += len(calls) == before + 1
+        assert_detector_equals_the_oracle(track, cfg)
+    assert settled > 0 and unsettled > 0, (settled, unsettled)
 
 
 @settings(max_examples=60, deadline=None)
