@@ -22,9 +22,11 @@ point's timestamp against that point.  A report whose coordinates equal that
 point's contributes exactly 0.0, so it is not measured at all.  Without a
 :data:`TuningCache` scoring stores nothing.  With one, a copy of each
 interval's squares goes to the cache's memo, keyed by the two knots'
-timestamps.  The memo is exact only for synopses whose knots are the
-track's own reports, whose unique timestamps fix the knots and the reports
-between.  The walk finds each knot's report by bisecting the track, except
+timestamps.  An interval is looked up and stored only where both knots are
+the track's reports at their timestamps, coordinates and all, as every
+knot :func:`compress_track` emits is: the track's unique timestamps then
+fix the knots and the reports between, so the memo is exact for any
+synopsis.  The walk finds each knot's report by bisecting the track, except
 after a memo hit: the stored interval holds one square per report between
 the knots, so the next knot's report lies that many reports further on.
 
@@ -48,7 +50,8 @@ from .synopses import CriticalPoint, SynopsisConfig, compress_track, track_segme
 
 #: One tuning's cache: each vessel's MMSI maps to its track, the track's
 #: ``track_segments`` and its interval memo (two consecutive knots'
-#: timestamps to the squared distances of the reports strictly between).
+#: timestamps to the squared distances of the reports strictly between),
+#: which holds only intervals whose two knots are the track's reports.
 TuningCache = dict[int, tuple[VesselTrack, list[Velocity], dict[tuple[int, int], list[float]]]]
 
 
@@ -142,25 +145,26 @@ def _square_sum(track: VesselTrack, synopsis: Sequence[CriticalPoint], intervals
     for p in points[:j]:  # before the synopsis: clamped to its first knot
         d = haversine_m(p.lon, p.lat, a.lon, a.lat)
         squares.append(d * d)
+    memo = None  # ``intervals`` while knot ``a`` is the report at its timestamp, coordinates and all
     for b in synopsis:
         if b.timestamp < a.timestamp:
             raise ValueError(f"synopsis of vessel {track.mmsi} goes back in time at {b.timestamp}")
-        inside = None if intervals is None else intervals.get((a.timestamp, b.timestamp))
-        if inside is not None:
-            k = j + len(inside)
+        inside = None if memo is None else memo.get((a.timestamp, b.timestamp))
+        k = bisect_left(points, b.timestamp, j, key=_timestamp) if inside is None else j + len(inside)
+        p = points[k] if k < len(points) and points[k].timestamp == b.timestamp else None
+        own = p is not None and p.lon == b.lon and p.lat == b.lat
+        if inside is not None and own:
             squares.extend(inside)
-        else:
-            k = bisect_left(points, b.timestamp, j, key=_timestamp)
-            if k > j:  # adjacent knots store nothing
-                _interval_squares(a, b, points[j:k], squares)
-                if intervals is not None:
-                    intervals[a.timestamp, b.timestamp] = squares[j - k:]  # the interval's k - j squares
-        if k < len(points) and points[k].timestamp == b.timestamp:
-            p = points[k]
+        elif k > j:  # adjacent knots store nothing
+            _interval_squares(a, b, points[j:k], squares)
+            if memo is not None and own:
+                memo[a.timestamp, b.timestamp] = squares[j - k:]  # the interval's k - j squares
+        if p is not None:
             k += 1
-            if p.lon != b.lon or p.lat != b.lat:
+            if not own:
                 d = haversine_m(p.lon, p.lat, b.lon, b.lat)
                 squares.append(d * d)
+        memo = intervals if own else None
         j = k
         a = b
     for p in points[j:]:  # after the synopsis: clamped to its last knot
@@ -241,10 +245,10 @@ def evaluate_config(
     that sees a track fills its entry; later calls reuse the track's segment
     velocities (see :func:`vesselsyn.synopses.compress_track`) and measure
     only the knot intervals its memo lacks.  The metrics are the same bit
-    for bit: every knot :func:`compress_track` emits is one of the track's
-    own reports.  Calls on different subsets of one set of tracks, such as
-    the folds of :func:`vesselsyn.ga.cross_validate`, may share the cache,
-    as long as each MMSI always comes with the same track object.
+    for bit, as they are for any synopses :func:`compute_metrics` scores
+    with the cache.  Calls on different subsets of one set of tracks, such
+    as the folds of :func:`vesselsyn.ga.cross_validate`, may share the
+    cache, as long as each MMSI always comes with the same track object.
 
     Raises:
         ValueError: ``cache`` holds a different track under a track's MMSI,

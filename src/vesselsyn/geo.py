@@ -4,10 +4,10 @@ All distances are computed with the haversine formula on a sphere of radius
 6,371,000 m.  Speeds are expressed in knots, headings in compass degrees
 (0 = north, 90 = east, normalized to [0, 360)).
 
-:func:`segment_velocity` runs for every report a stop does not absorb on
-trig-free bounds, so both functions convert degrees by multiplying with
-:data:`_RAD` and :data:`_DEG` and call the ``math`` functions bound at
-import.  CPython's ``math.radians(x)`` is exactly ``x * (pi / 180.0)`` and
+:func:`segment_velocity` runs for every report but those an open stop
+absorbs on the trig-free bound of their speed, so both functions convert
+degrees by multiplying with :data:`_RAD` and :data:`_DEG` and call the
+``math`` functions bound at import.  CPython's ``math.radians(x)`` is exactly ``x * (pi / 180.0)`` and
 ``math.degrees(x)`` exactly ``x * (180.0 / pi)``, so every value is the same
 bit for bit as with those calls.  For the same reason a segment's velocity
 is a plain tuple, not an object: a 4-tuple is built without the Python

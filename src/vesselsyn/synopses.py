@@ -238,13 +238,15 @@ def ingest_point(
     every call's result and ``finalize_track`` gives the synopsis; consumers
     need no merge.
 
-    A rule sets its label's bit in ``pending`` (the previous report's) or
-    ``labels`` (``point``'s).  Every report, whether it starts the track,
-    ends a gap, is absorbed by a stop or moves, leaves through one tail: the
-    previous report is emitted with the frozenset ``_LABELS`` holds for
-    ``pending``, if that is not 0, and ``point`` takes its place as
-    ``last_point`` with ``labels``, written only when they change.  That tail
-    is the only emission here; :func:`finalize_track` holds the other.
+    The rules are one chain, one branch per situation: the track's first
+    report, a clock that does not advance, a gap, a report an open stop
+    absorbs, and any other report.  A rule sets its label's bit in
+    ``pending`` (the previous report's) or ``labels`` (``point``'s).  Every
+    report leaves through one tail: the previous report is emitted with the
+    frozenset ``_LABELS`` holds for ``pending``, if that is not 0, and
+    ``point`` takes its place as ``last_point`` with ``labels``, written
+    only when they change.  That tail is the only emission here;
+    :func:`finalize_track` holds the other.
 
     The buffer work is done here in O(1) amortized per report: reports that
     fell before ``now - historical_timespan_s`` leave the front of the
@@ -259,11 +261,13 @@ def ingest_point(
         v_now: the velocity of the segment from the previous report of this
             vessel to ``point``, a ``(speed, heading, east, north)`` tuple as
             built by :func:`track_segments`; ignored for the first report.
-            Online callers leave it out: it is computed here, once, unless
-            the trig-free bounds let an open stop absorb the report.  Each
-            field is read by index where a rule needs it.  A caller that
-            passes it must pass the velocity of exactly these two reports,
-            or the detector decides on wrong geometry.
+            Online callers leave it out.  The stop rule is one test for
+            both: where ``v_now`` is left out, a trig-free bound on its
+            speed decides first, and it is computed here, once, only where
+            the bound leaves the test open or the stop does not absorb the
+            report.  Each field is read by index where a rule needs it.  A
+            caller that passes it must pass the velocity of exactly these
+            two reports, or the detector decides on wrong geometry.
 
     Raises:
         ValueError: if ``point`` does not advance the clock.
@@ -271,6 +275,7 @@ def ingest_point(
     prev = state.last_point
     pending = state.labels
     labels = 0
+    no_speed_kn = cfg.no_speed_threshold_kn
     if prev is None:
         labels = _TRACK_START
         _restart_buffer(state, point)
@@ -283,112 +288,105 @@ def ingest_point(
         pending |= _GAP_START | _close_intervals(state)
         _restart_buffer(state, point)
         labels = _GAP_END
-    elif (
-        (anchor := state.stop_anchor) is not None
-        and v_now is None
-        and ((abs(point.lat - prev.lat) + abs(point.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M)
-        / (now_ts - prev_ts) / KNOT_MS < cfg.no_speed_threshold_kn
-        and (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
+    elif (anchor := state.stop_anchor) is not None and (
+        v_now[0] < no_speed_kn
+        if v_now is not None
+        else ((abs(point.lat - prev.lat) + abs(point.lon - prev.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M)
+        / (now_ts - prev_ts) / KNOT_MS < no_speed_kn
+        or (v_now := segment_velocity(prev, point))[0] < no_speed_kn
+    ) and (
+        (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
         < cfg.distance_threshold_m
+        or haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) < cfg.distance_threshold_m
     ):
-        # Rule 2 below, settled on trig-free bounds: the stop absorbs the
-        # report.  Exact: the bound is never below haversine_m, which is
+        # Rule 2: stop.  While anchored, a report under the stop speed and
+        # within the radius is jitter, absorbed whole: no label, no buffer,
+        # no further rule.  A trig-free bound decides each test first.
+        # Exact: the bound is never below haversine_m, which is
         # segment_velocity's distance bit for bit, and / dt / KNOT_MS is
         # monotone under round-to-nearest, so the speed is at most the bound's.
         pass
     else:
+        # Rule 2, continued: a report the stop does not absorb ends it.
+        if anchor is not None:
+            pending |= _STOP_END
+            state.stop_anchor = None
         if v_now is None:
             v_now = segment_velocity(prev, point)
         speed = v_now[0]
-        no_speed_kn = cfg.no_speed_threshold_kn
+        buffer = state.buffer
+        if speed < no_speed_kn:
+            labels = _STOP_START
+            state.stop_anchor = point
+        else:
+            # Rules 3 to 5 are suppressed at the point that anchors a stop:
+            # around an anchor, v_now's heading and speed are jitter, not
+            # motion.  Here the buffer forgets the reports that fell before
+            # the time window.
+            cutoff = now_ts - cfg.historical_timespan_s
+            while buffer and buffer[0][0].timestamp < cutoff:
+                buffer.popleft()
 
-        # Rule 2: stop.  While anchored, sub-threshold jitter is absorbed
-        # whole: no label, no buffer, no further rule.  The speed decides
-        # first, then the radius bound, then haversine_m where it is open.
-        if anchor is not None and (
-            speed >= no_speed_kn
-            or (
-                (abs(point.lat - anchor.lat) + abs(point.lon - anchor.lon)) * ARC_M_PER_DEG + ARC_FLOOR_M
-                >= cfg.distance_threshold_m
-                and haversine_m(anchor.lon, anchor.lat, point.lon, point.lat) >= cfg.distance_threshold_m
-            )
-        ):
-            pending |= _STOP_END
-            state.stop_anchor = anchor = None
-        if anchor is None:
-            buffer = state.buffer
-            if speed < no_speed_kn:
-                labels = _STOP_START
-                state.stop_anchor = point
-            else:
-                # Rules 3 to 5 are suppressed at the point that anchors a
-                # stop: around an anchor, v_now's heading and speed are
-                # jitter, not motion.  Here the buffer forgets the reports
-                # that fell before the time window.
-                cutoff = now_ts - cfg.historical_timespan_s
-                while buffer and buffer[0][0].timestamp < cutoff:
-                    buffer.popleft()
+            # Rule 3: slow motion.
+            low_speed_kn = cfg.low_speed_threshold_kn
+            in_slow_motion = state.in_slow_motion
+            if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
+                labels = _SLOW_MOTION_START
+                state.in_slow_motion = True
+            elif in_slow_motion and speed >= low_speed_kn:
+                pending |= _SLOW_MOTION_END
+                state.in_slow_motion = False
 
-                # Rule 3: slow motion.
-                low_speed_kn = cfg.low_speed_threshold_kn
-                in_slow_motion = state.in_slow_motion
-                if not in_slow_motion and no_speed_kn <= speed < low_speed_kn:
-                    labels = _SLOW_MOTION_START
-                    state.in_slow_motion = True
-                elif in_slow_motion and speed >= low_speed_kn:
-                    pending |= _SLOW_MOTION_END
-                    state.in_slow_motion = False
+            n_segments = len(buffer) - 1
+            if n_segments > 0:
+                _, first_east, first_north = buffer[0]
+                _, last_east, last_north = buffer[-1]
+                mean_east = (last_east - first_east) / n_segments
+                mean_north = (last_north - first_north) / n_segments
+                mean_speed = hypot(mean_east, mean_north)
 
-                n_segments = len(buffer) - 1
-                if n_segments > 0:
-                    _, first_east, first_north = buffer[0]
-                    _, last_east, last_north = buffer[-1]
-                    mean_east = (last_east - first_east) / n_segments
-                    mean_north = (last_north - first_north) / n_segments
-                    mean_speed = hypot(mean_east, mean_north)
+                # Rule 4: change in heading.  The deviation became visible
+                # with the segment ending at `point`, so the vertex is the
+                # previous report.  The turn is the circular difference of
+                # the two headings folded into [-180, 180), whose size is the
+                # angle between them.
+                if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
+                    mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
+                    turn = (v_now[1] - mean_heading + 180.0) % 360.0 - 180.0
+                    if abs(turn) > cfg.angle_threshold_deg:
+                        pending |= _CHANGE_IN_HEADING
+                        # Re-reference the mean velocity at the turn: the
+                        # retained vertex starts a new course, and keeping
+                        # pre-turn segments in the buffer would re-detect the
+                        # same turn for the next buffer_size reports.
+                        _restart_buffer(state, prev)
 
-                    # Rule 4: change in heading.  The deviation became
-                    # visible with the segment ending at `point`, so the
-                    # vertex is the previous report.  The turn is the
-                    # circular difference of the two headings folded into
-                    # [-180, 180), whose size is the angle between them.
-                    if mean_speed > _MIN_HEADING_SPEED_KN and speed > _MIN_HEADING_SPEED_KN:
-                        mean_heading = atan2(mean_east, mean_north) * _DEG % 360.0
-                        turn = (v_now[1] - mean_heading + 180.0) % 360.0 - 180.0
-                        if abs(turn) > cfg.angle_threshold_deg:
-                            pending |= _CHANGE_IN_HEADING
-                            # Re-reference the mean velocity at the turn: the
-                            # retained vertex starts a new course, and keeping
-                            # pre-turn segments in the buffer would re-detect
-                            # the same turn for the next buffer_size reports.
-                            _restart_buffer(state, prev)
+                # Rule 5: speed change, relative to the instantaneous speed.
+                # This branch runs only for speed >= no_speed_threshold_kn,
+                # which SynopsisConfig requires to be positive, so the
+                # divisor is never zero: motionless intervals are the stop
+                # rule's business.
+                exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
+                in_speed_change = state.in_speed_change
+                if exceeds and not in_speed_change:
+                    labels |= _SPEED_CHANGE_START
+                    state.in_speed_change = True
+                elif not exceeds and in_speed_change:
+                    labels |= _SPEED_CHANGE_END
+                    state.in_speed_change = False
 
-                    # Rule 5: speed change, relative to the instantaneous
-                    # speed.  This branch runs only for speed >=
-                    # no_speed_threshold_kn, which SynopsisConfig requires to
-                    # be positive, so the divisor is never zero: motionless
-                    # intervals are the stop rule's business.
-                    exceeds = abs((speed - mean_speed) / speed) > cfg.speed_ratio
-                    in_speed_change = state.in_speed_change
-                    if exceeds and not in_speed_change:
-                        labels |= _SPEED_CHANGE_START
-                        state.in_speed_change = True
-                    elif not exceeds and in_speed_change:
-                        labels |= _SPEED_CHANGE_END
-                        state.in_speed_change = False
-
-            # Push the report with the segment reaching it from the buffer's
-            # last entry: v_now, unless absorbed stop reports left the buffer
-            # ending at an earlier report.
-            if buffer:
-                last, east, north = buffer[-1]
-                if last is not prev:
-                    v_now = segment_velocity(last, point)
-                buffer.append((point, east + v_now[2], north + v_now[3]))
-                while len(buffer) > cfg.buffer_size:
-                    buffer.popleft()
-            else:
-                buffer.append((point, 0.0, 0.0))
+        # Push the report with the segment reaching it from the buffer's last
+        # entry: v_now, unless absorbed stop reports left the buffer ending at
+        # an earlier report.
+        if buffer:
+            last, east, north = buffer[-1]
+            if last is not prev:
+                v_now = segment_velocity(last, point)
+            buffer.append((point, east + v_now[2], north + v_now[3]))
+            while len(buffer) > cfg.buffer_size:
+                buffer.popleft()
+        else:
+            _restart_buffer(state, point)
 
     state.last_point = point
     if pending:

@@ -567,7 +567,9 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     configuration is scored again at the end, so the memo always hits.
     There the gap track's knots (reports 0, 2, 3 and 5) hit an interval,
     meet adjacent knots, which store nothing, at the very next report, and
-    hit the last interval.
+    hit the last interval.  Last, the same synopses with their interior
+    knots moved off the reports have the memo's knot timestamps but not its
+    knots: they are measured afresh and store nothing.
     """
     clean, _ = filter_dataset(make_fleet(900, 3, seed=seed))
     base = SynopsisConfig()
@@ -583,6 +585,13 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     cache = {}
     for cfg in cfgs:
         assert evaluate_config(tracks, cfg, cache) == evaluate_config(tracks, cfg)
+    memos = {mmsi: dict(memo) for mmsi, (_, _, memo) in cache.items()}
+    displaced = {}
+    for t in tracks:
+        synopsis = compress_track(t, cfgs[-1])
+        displaced[t.mmsi] = [synopsis[0], *(replace(cp, lat=cp.lat + 0.01) for cp in synopsis[1:-1]), synopsis[-1]]
+    assert compute_metrics(tracks, displaced, cache) == compute_metrics(tracks, displaced)
+    assert {mmsi: memo for mmsi, (_, _, memo) in cache.items()} == memos
     scored = [
         (t.mmsi, pair) for cfg in cfgs for t in tracks for pair in _knot_intervals(t, compress_track(t, cfg))
     ]

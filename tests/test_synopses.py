@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from vesselsyn import synopses
 from vesselsyn.ga import GENE_SPEC, genes_to_config
 from vesselsyn.geo import (
+    ARC_FLOOR_M,
+    ARC_M_PER_DEG,
     EARTH_RADIUS_M,
     KNOT_MS,
     Velocity,
@@ -972,17 +974,28 @@ def count_segment_velocity(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("settled", [True, False], ids=["bound-under", "bound-at"])
-def test_a_stop_absorbs_a_report_on_its_bound_speed_without_segment_velocity(monkeypatch, settled):
+@pytest.mark.parametrize("case", ["bound-under", "bound-at", "radius-open"])
+def test_a_stop_absorbs_a_report_on_its_bound_speed_without_segment_velocity(monkeypatch, case):
     # A still report anchors the stop; the next steps diagonally, so its
-    # speed is well under its bound speed, and well inside the radius.
+    # speed is well under its bound speed.  In the first two cases the step
+    # lies well inside the radius, and the threshold is the largest float
+    # over the bound speed (no call) or the bound speed itself (one call,
+    # still absorbed).  In the third the radius lies between the step's
+    # distance and its bound, so haversine_m settles the radius, and the
+    # bound speed still settles the speed.
     anchor = AisRecord(1, 600, 0.0, 0.0)
-    step = AisRecord(1, 1200, 1e-5, 1e-5)
-    bound = speed_bound_kn(anchor, step)
-    assert segment_velocity(anchor, step)[0] < bound / 1.4
-    # The bound is the largest float under the threshold, or the threshold.
-    threshold = math.nextafter(bound, math.inf) if settled else bound
-    cfg = SynopsisConfig(no_speed_threshold_kn=threshold)
+    if case == "radius-open":
+        step = AisRecord(1, 1200, 1e-4, 1e-4)
+        distance = haversine_m(anchor.lon, anchor.lat, step.lon, step.lat)
+        radius_bound = (step.lat + step.lon) * ARC_M_PER_DEG + ARC_FLOOR_M
+        assert 15.7 < distance < 15.8 and 22.2 < radius_bound < 22.3
+        cfg = SynopsisConfig(no_speed_threshold_kn=0.1, distance_threshold_m=(distance + radius_bound) / 2)
+        assert speed_bound_kn(anchor, step) < 0.1
+    else:
+        step = AisRecord(1, 1200, 1e-5, 1e-5)
+        bound = speed_bound_kn(anchor, step)
+        assert segment_velocity(anchor, step)[0] < bound / 1.4
+        cfg = SynopsisConfig(no_speed_threshold_kn=math.nextafter(bound, math.inf) if case == "bound-under" else bound)
     track = VesselTrack(1, "unknown", [AisRecord(1, 0, 0.0, 0.0), anchor, step])
     calls = count_segment_velocity(monkeypatch)
     state = VesselState()
@@ -992,7 +1005,7 @@ def test_a_stop_absorbs_a_report_on_its_bound_speed_without_segment_velocity(mon
     calls.clear()
     ingest_point(state, step, cfg)
     assert state.stop_anchor is anchor
-    assert calls == ([] if settled else [(anchor, step)])
+    assert calls == ([(anchor, step)] if case == "bound-at" else [])
     assert layout(track, cfg) == {0: {"trackStart"}, 1: {"stopStart"}, 2: {"stopEnd", "trackEnd"}}
     assert_detector_equals_the_oracle(track, cfg)
 
