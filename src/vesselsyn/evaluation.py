@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
 from itertools import pairwise
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .geo import Velocity, haversine_m
 from .ingest import AisRecord, VesselTrack, _timestamp
@@ -55,9 +54,8 @@ from .synopses import CriticalPoint, SynopsisConfig, compress_track, track_segme
 TuningCache = dict[int, tuple[VesselTrack, list[Velocity], dict[tuple[int, int], list[float]]]]
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Compression quality over one cleaned dataset."""
+class Metrics(NamedTuple):
+    """Compression quality over one cleaned dataset, as an immutable tuple."""
 
     rmse_m: float
     ratio: float
@@ -65,7 +63,7 @@ class Metrics:
     critical_count: int
 
     def to_dict(self) -> dict[str, float | int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def synchronized_position(synopsis: Sequence[CriticalPoint], tau: int) -> tuple[float, float]:

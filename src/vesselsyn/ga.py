@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .evaluation import Metrics, TuningCache, evaluate_config
 from .geo import EARTH_RADIUS_M
@@ -40,9 +40,8 @@ if TYPE_CHECKING:
     from .rng import Pcg64
 
 
-@dataclass(frozen=True)
-class Gene:
-    """Bounds and kind of one tunable parameter."""
+class Gene(NamedTuple):
+    """Bounds and kind of one tunable parameter, as an immutable tuple."""
 
     name: str
     lower: float
@@ -116,9 +115,8 @@ class GaHyperParams:
                 raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    """One history row: the state of the population after a generation."""
+class GenerationStats(NamedTuple):
+    """One history row, an immutable tuple: the state of the population after a generation."""
 
     generation: int
     best_fitness: float
@@ -301,9 +299,11 @@ def run_ga(
     return genes_to_config(elite), history
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    """Outcome of tuning on all-but-one fold and testing on the held-out one."""
+class FoldResult(NamedTuple):
+    """Outcome of tuning on all-but-one fold and testing on the held-out one.
+
+    An immutable tuple; its ``index`` field shadows ``tuple.index``.
+    """
 
     index: int
     train_mmsis: tuple[int, ...]
@@ -319,8 +319,9 @@ class FoldResult:
         return self.history[-1].best_fitness
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
+class CrossValidationResult(NamedTuple):
+    """The folds' results and the chosen fold's index, as an immutable tuple."""
+
     folds: tuple[FoldResult, ...]
     chosen_index: int
 

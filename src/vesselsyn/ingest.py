@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 
 @dataclass(slots=True)
@@ -54,9 +54,8 @@ class VesselTrack:
         return len(self.points)
 
 
-@dataclass(frozen=True, slots=True)
-class ParseIssue:
-    """A malformed input row: its 1-based line number and why it was skipped."""
+class ParseIssue(NamedTuple):
+    """A malformed input row as an immutable tuple: its 1-based line number and why it was skipped."""
 
     line_no: int
     reason: str

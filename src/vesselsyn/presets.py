@@ -9,12 +9,11 @@ unless ``--r``/``--n`` are given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FitnessPreset:
-    """Scoring knobs for one vessel category; see ``fitness`` in :mod:`vesselsyn.ga`."""
+class FitnessPreset(NamedTuple):
+    """Scoring knobs for one vessel category, an immutable tuple; see ``fitness`` in :mod:`vesselsyn.ga`."""
 
     r: float
     n: float

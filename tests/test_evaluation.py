@@ -222,10 +222,18 @@ def test_rmse_scores_a_report_against_the_knot_at_its_timestamp():
 def test_importing_the_package_does_not_load_numpy():
     """Neither the package's names nor the command-line interface, which every
     command imports, may pull numpy in; the GA draws from :mod:`vesselsyn.rng`.
+
+    Every command pays for what this import loads, so the generator and the
+    synthetic fleets stay out too: ``run_ga`` imports ``vesselsyn.rng`` only
+    when a run starts.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
-    code = "import sys, vesselsyn, vesselsyn.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys, vesselsyn, vesselsyn.cli; "
+        "print(' '.join(m for m in ('numpy', 'vesselsyn.rng', 'vesselsyn.synthetic') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == [], f"importing vesselsyn.cli loaded {run.stdout.strip()}"
 
 
 def test_synchronized_position_rejects_empty_synopsis():

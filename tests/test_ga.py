@@ -12,7 +12,10 @@ from vesselsyn.geo import EARTH_RADIUS_M
 from vesselsyn.ga import (
     GENE_SPEC,
     CrossValidationResult,
+    FoldResult,
     GaHyperParams,
+    Gene,
+    GenerationStats,
     cross_validate,
     fitness,
     gaussian_mutate,
@@ -22,7 +25,8 @@ from vesselsyn.ga import (
     tournament_select,
     uniform_genome,
 )
-from vesselsyn.ingest import split_k_folds
+from vesselsyn.ingest import ParseIssue, split_k_folds
+from vesselsyn.presets import FitnessPreset
 from vesselsyn.rng import Pcg64
 from vesselsyn.synopses import SynopsisConfig, track_segments
 from vesselsyn.synthetic import make_fleet
@@ -424,3 +428,52 @@ def test_cross_validate_rejects_two_tracks_of_one_vessel():
     data = tiny_dataset() + [make_corner_track(mmsi=999), make_stop_track(mmsi=999)]
     with pytest.raises(ValueError, match="share a vessel"):
         cross_validate(data, 2, TINY_HP)
+
+
+# ---------------------------------------------------------------------------
+# result records
+
+
+def test_result_records_build_by_keyword_and_refuse_assignment():
+    """The seven immutable result records: each is built by keyword, holds its
+    fields in order, rejects assignment to any of them, and derives its
+    properties from them.
+    """
+    metric_fields = dict(rmse_m=12.5, ratio=0.25, noiseless_count=400, critical_count=100)
+    metrics = Metrics(**metric_fields)
+    history = (
+        GenerationStats(generation=0, best_fitness=9.0, mean_fitness=20.0, best_rmse=30.0, best_ratio=0.3),
+        GenerationStats(generation=1, best_fitness=7.5, mean_fitness=18.0, best_rmse=25.0, best_ratio=0.3),
+    )
+    fold_fields = dict(train_mmsis=(1, 2), test_mmsis=(3,), config=SynopsisConfig(), test_metrics=metrics)
+    folds = (
+        FoldResult(index=0, **fold_fields, test_score=3.0, history=history),
+        FoldResult(index=1, **fold_fields, test_score=2.0, history=history[:1]),
+    )
+    built = [
+        (Gene, dict(name="speed_ratio", lower=0.01, upper=0.8, integer=False)),
+        (FitnessPreset, dict(r=17.0, n=0.8)),
+        (ParseIssue, dict(line_no=3, reason="row has 2 fields, expected at least 4")),
+        (Metrics, metric_fields),
+        (GenerationStats, dict(generation=1, best_fitness=7.5, mean_fitness=18.0, best_rmse=25.0, best_ratio=0.3)),
+        (FoldResult, dict(index=0, **fold_fields, test_score=3.0, history=history)),
+        (CrossValidationResult, dict(folds=folds, chosen_index=1)),
+    ]
+    assert Gene(name="speed_ratio", lower=0.01, upper=0.8).integer is False
+    for cls, kwargs in built:
+        record = cls(**kwargs)
+        assert record == cls(*kwargs.values()), cls.__name__
+        for name, value in kwargs.items():
+            assert getattr(record, name) is value, (cls.__name__, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+
+    assert list(metrics.to_dict().items()) == [
+        ("rmse_m", 12.5),
+        ("ratio", 0.25),
+        ("noiseless_count", 400),
+        ("critical_count", 100),
+    ]
+    assert [fold.train_fitness for fold in folds] == [history[-1].best_fitness, history[0].best_fitness]
+    result = CrossValidationResult(folds=folds, chosen_index=1)
+    assert result.chosen is folds[1]
