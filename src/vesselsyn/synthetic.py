@@ -6,6 +6,22 @@ cycle through every mobility event for end-to-end runs.  Positions are
 stepped in metres and converted to lon/lat with a local flat-earth
 approximation, which is plenty accurate at the few-kilometre scale of each
 step.
+
+A voyage's traffic is one data row, walked by one loop: ``MIXED_VOYAGE``
+holds a cruise speed range in knots, the phases of a cycle as
+``(reports lo, hi, seconds apart, speed, heading)``, and the range in
+seconds of the reporting gap that ends every second cycle.  Each cycle draws
+its cruise speed, then walks the phases in order, drawing each phase's
+report count from ``lo..hi``.  Per report:
+
+* speed is a ``(lo, hi)`` range in knots, or ``None`` for the cycle's cruise
+  speed +/- 0.2 kn;
+* heading is a ``(lo, hi)`` drift added to the kept heading and drawn
+  *before* the speed, ``None`` to keep the heading, or ``"random"`` for a
+  direction drawn *after* the speed and not kept (an anchored stop's jitter).
+
+The order of draws is part of the output: the same seed gives the same
+bytes only while every draw comes in the same order.
 """
 
 from __future__ import annotations
@@ -64,6 +80,20 @@ def make_curve_track() -> VesselTrack:
     return _walk(DEFAULT_MMSI, "unknown", DEFAULT_LON, DEFAULT_LAT, DEFAULT_T0, steps)
 
 
+# make_mixed_voyage's row; the module docstring gives its layout and draw order.
+MIXED_VOYAGE = (
+    (9.0, 14.0),
+    (
+        (10, 16, 60, None, (-0.5, 0.5)),  # cruise
+        (6, 10, 60, None, (2.5, 5.0)),  # gentle turn
+        (6, 10, 60, (2.0, 3.5), None),  # slow motion
+        (8, 12, 120, (0.01, 0.05), "random"),  # anchored stop
+        (8, 14, 60, (15.0, 18.0), (-0.5, 0.5)),  # fast departure
+    ),
+    (2000, 3000),
+)
+
+
 def make_mixed_voyage(
     n_points: int,
     *,
@@ -79,47 +109,41 @@ def make_mixed_voyage(
     fast departure, and every few cycles a reporting gap is inserted, so a
     long enough voyage exhibits all five mobility events several times.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points!r}")
     rng = random.Random(seed)
+    cruise, phases, gap = MIXED_VOYAGE
     steps: list[tuple[int, float, float]] = []
     heading = rng.uniform(0.0, 360.0)
     cycle = 0
     while len(steps) < n_points - 1:
         cycle += 1
-        cruise_speed = rng.uniform(9.0, 14.0)
-        for _ in range(rng.randint(10, 16)):
-            heading += rng.uniform(-0.5, 0.5)
-            steps.append((60, cruise_speed + rng.uniform(-0.2, 0.2), heading % 360.0))
-        for _ in range(rng.randint(6, 10)):
-            heading += rng.uniform(2.5, 5.0)
-            steps.append((60, cruise_speed + rng.uniform(-0.2, 0.2), heading % 360.0))
-        for _ in range(rng.randint(6, 10)):
-            steps.append((60, rng.uniform(2.0, 3.5), heading % 360.0))
-        for _ in range(rng.randint(8, 12)):
-            steps.append((120, rng.uniform(0.01, 0.05), rng.uniform(0.0, 360.0)))
-        for _ in range(rng.randint(8, 14)):
-            heading += rng.uniform(-0.5, 0.5)
-            steps.append((60, rng.uniform(15.0, 18.0), heading % 360.0))
+        cruise_speed = rng.uniform(*cruise)
+        for lo, hi, dt, speed, turn in phases:
+            for _ in range(rng.randint(lo, hi)):
+                if isinstance(turn, tuple):
+                    heading += rng.uniform(*turn)
+                speed_kn = rng.uniform(*speed) if speed else cruise_speed + rng.uniform(-0.2, 0.2)
+                steps.append((dt, speed_kn, rng.uniform(0.0, 360.0) if turn == "random" else heading % 360.0))
         if cycle % 2 == 0:
-            steps.append((rng.randint(2000, 3000), cruise_speed, heading % 360.0))
-    steps = steps[: n_points - 1]
-    return _walk(mmsi, vessel_type, start_lon, start_lat, DEFAULT_T0, steps)
+            steps.append((rng.randint(*gap), cruise_speed, heading % 360.0))
+    return _walk(mmsi, vessel_type, start_lon, start_lat, DEFAULT_T0, steps[: n_points - 1])
 
 
 def make_fleet(total_points: int = 500, n_vessels: int = 3, *, seed: int = 11) -> list[VesselTrack]:
     """Several mixed voyages adding up to exactly ``total_points`` reports."""
-    base = total_points // n_vessels
-    counts = [base + (1 if i < total_points % n_vessels else 0) for i in range(n_vessels)]
+    if not 1 <= n_vessels <= total_points:
+        raise ValueError(f"n_vessels must be between 1 and total_points ({total_points!r}), got {n_vessels!r}")
+    base, extra = divmod(total_points, n_vessels)
     types = ["passenger", "cargo", "fishing", "tug", "military", "unknown"]
-    fleet = []
-    for i, count in enumerate(counts):
-        fleet.append(
-            make_mixed_voyage(
-                count,
-                mmsi=DEFAULT_MMSI + i,
-                seed=seed + i,
-                vessel_type=types[i % len(types)],
-                start_lon=DEFAULT_LON + 0.2 * i,
-                start_lat=DEFAULT_LAT - 0.1 * i,
-            )
+    return [
+        make_mixed_voyage(
+            base + (i < extra),
+            mmsi=DEFAULT_MMSI + i,
+            seed=seed + i,
+            vessel_type=types[i % len(types)],
+            start_lon=DEFAULT_LON + 0.2 * i,
+            start_lat=DEFAULT_LAT - 0.1 * i,
         )
-    return fleet
+        for i in range(n_vessels)
+    ]

@@ -56,3 +56,26 @@ def test_make_mixed_voyage_writes_the_pinned_bytes(n_points, kwargs, digest):
     track = make_mixed_voyage(n_points, **kwargs)
     assert len(track.points) == n_points
     assert _sha256(track.points) == digest
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_a_voyage_of_no_reports_is_refused(n_points):
+    with pytest.raises(ValueError, match=rf"n_points must be >= 1, got {n_points}"):
+        make_mixed_voyage(n_points)
+
+
+@pytest.mark.parametrize(("total_points", "n_vessels"), [
+    (10, 0),  # no vessel to share the reports among
+    (10, -1),
+    (2, 3),  # a vessel would get no report
+    (0, 1),
+])
+def test_a_fleet_that_cannot_give_each_vessel_a_report_is_refused(total_points, n_vessels):
+    match = rf"n_vessels must be between 1 and total_points \({total_points}\), got {n_vessels}"
+    with pytest.raises(ValueError, match=match):
+        make_fleet(total_points, n_vessels)
+
+
+def test_a_fleet_of_one_report_per_vessel_has_exactly_total_points():
+    fleet = make_fleet(3, 3)
+    assert [len(t.points) for t in fleet] == [1, 1, 1]
