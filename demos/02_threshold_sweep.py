@@ -10,8 +10,6 @@ Two one-dimensional sweeps on synthetic fixtures:
 Run:  python demos/02_threshold_sweep.py
 """
 
-from dataclasses import replace
-
 from vesselsyn.evaluation import evaluate_config
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_curve_track, make_mixed_voyage
@@ -20,7 +18,7 @@ from vesselsyn.synthetic import make_curve_track, make_mixed_voyage
 def sweep(track, field, values):
     print(f"{field:>22}    ratio    rmse_m")
     for value in values:
-        cfg = replace(SynopsisConfig(), **{field: value})
+        cfg = SynopsisConfig()._replace(**{field: value})
         metrics = evaluate_config([track], cfg)
         print(f"{value:>22}    {metrics.ratio:.3f}    {metrics.rmse_m:8.2f}")
     print()

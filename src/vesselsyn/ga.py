@@ -28,12 +28,11 @@ configuration that tested best.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .evaluation import Metrics, TuningCache, evaluate_config
 from .geo import EARTH_RADIUS_M
-from .ingest import VesselTrack, split_k_folds
+from .ingest import VesselTrack, _FrozenRecord, split_k_folds
 from .synopses import SynopsisConfig
 
 if TYPE_CHECKING:
@@ -78,18 +77,20 @@ SIGMA_FRACTION = 0.1
 Genome = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class GaHyperParams:
-    """Everything that shapes one tuning run, including the scoring knobs."""
+class GaHyperParams(_FrozenRecord):
+    """Everything that shapes one tuning run, including the scoring knobs; frozen."""
 
-    r: float = 10.0
-    n: float = 1.0
-    population_size: int = 50
-    max_generations: int = 30
-    stagnation_limit: int = 10
-    rng_seed: int = 0
+    __slots__ = _fields = ("r", "n", "population_size", "max_generations", "stagnation_limit", "rng_seed")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        r: float = 10.0,
+        n: float = 1.0,
+        population_size: int = 50,
+        max_generations: int = 30,
+        stagnation_limit: int = 10,
+        rng_seed: int = 0,
+    ) -> None:
         """Reject values the search cannot run with; each message starts with the field.
 
         ``r`` and ``n`` must keep every score finite.  No RMSE exceeds half
@@ -97,6 +98,8 @@ class GaHyperParams:
         ratio is at most 1, so ``(r + pi * EARTH_RADIUS_M) ** n`` bounds the
         score.
         """
+        for name, value in zip(self._fields, (r, n, population_size, max_generations, stagnation_limit, rng_seed)):
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
         if not (math.isfinite(self.n) and self.n > 0):
@@ -356,7 +359,7 @@ def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> 
     results: list[FoldResult] = []
     for i, test_fold in enumerate(folds):
         train = [t for j, fold in enumerate(folds) if j != i for t in fold]
-        cfg, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i), cache)
+        cfg, history = run_ga(train, hp._replace(rng_seed=hp.rng_seed + i), cache)
         test_metrics = evaluate_config(test_fold, cfg, cache)
         results.append(
             FoldResult(

@@ -11,7 +11,7 @@ degrees by multiplying with :data:`_RAD` and :data:`_DEG` and call the
 ``math.degrees(x)`` exactly ``x * (180.0 / pi)``, so every value is the same
 bit for bit as with those calls.  For the same reason a segment's velocity
 is a plain tuple, not an object: a 4-tuple is built without the Python
-``__init__`` that even a slots dataclass runs, at about a quarter of its cost.
+``__init__`` that even a ``__slots__`` class runs, at about a quarter of its cost.
 """
 
 from __future__ import annotations

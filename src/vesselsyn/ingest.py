@@ -8,18 +8,73 @@ Unix epoch and the coordinates in decimal degrees.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 
-@dataclass(slots=True)
-class AisRecord:
+class _Record:
+    """Base of the package's slot classes, each naming its attributes in ``_fields``.
+
+    A subclass lists its fields, in constructor order, as ``__slots__`` and
+    ``_fields`` and writes its own ``__init__``.  From ``_fields`` the base
+    gives ``==`` field by field between instances of one class, a ``repr``
+    and ``_replace(**changes)``, the copy method of the package's
+    ``NamedTuple`` records, which builds the copy through ``__init__``.
+    Defining ``__eq__`` leaves instances unhashable; :class:`_FrozenRecord`
+    hashes.  A slot field reads in about half the time a ``NamedTuple``
+    field takes, and the records are read for every report.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        """The field values, in ``_fields`` order."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied; ``__init__`` checks them and refuses unknown names."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` whose ``__init__`` sets each field once with ``object.__setattr__``.
+
+    Setting or deleting an attribute afterwards raises ``AttributeError``;
+    instances hash by their fields.  ``pickle`` and ``copy`` rebuild one
+    through ``__init__``, because restoring slot state would set attributes.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class AisRecord(_Record):
     """One received position report.
 
     The pipeline treats instances as read-only values.  The class is not
-    ``frozen`` because a frozen constructor sets each field through
+    frozen because a frozen constructor sets each field through
     ``object.__setattr__``, which made building one cost about 3x, and one
     is built per input row.
 
@@ -31,24 +86,29 @@ class AisRecord:
         vessel_type: lowercase category label; "unknown" when absent.
     """
 
-    mmsi: int
-    timestamp: int
-    lon: float
-    lat: float
-    vessel_type: str = "unknown"
+    __slots__ = _fields = ("mmsi", "timestamp", "lon", "lat", "vessel_type")
+
+    def __init__(self, mmsi: int, timestamp: int, lon: float, lat: float, vessel_type: str = "unknown") -> None:
+        self.mmsi = mmsi
+        self.timestamp = timestamp
+        self.lon = lon
+        self.lat = lat
+        self.vessel_type = vessel_type
 
 
 #: The time-order key of reports and critical points alike.
 _timestamp = attrgetter("timestamp")
 
 
-@dataclass(slots=True)
-class VesselTrack:
+class VesselTrack(_Record):
     """All reports of one vessel, strictly increasing in time."""
 
-    mmsi: int
-    vessel_type: str
-    points: list[AisRecord]
+    __slots__ = _fields = ("mmsi", "vessel_type", "points")
+
+    def __init__(self, mmsi: int, vessel_type: str, points: list[AisRecord]) -> None:
+        self.mmsi = mmsi
+        self.vessel_type = vessel_type
+        self.points = points
 
     def __len__(self) -> int:
         return len(self.points)

@@ -24,13 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from math import atan2, hypot
 from typing import Iterable, Sequence, TextIO
 
 from .geo import _DEG, ARC_FLOOR_M, ARC_M_PER_DEG, KNOT_MS, Velocity, haversine_m, segment_velocity
-from .ingest import AisRecord, VesselTrack
+from .ingest import AisRecord, VesselTrack, _FrozenRecord, _Record
 
 
 #: Below this mean speed (knots) a heading is considered undefined and the
@@ -58,9 +57,8 @@ class Annotation(str, enum.Enum):
  _SPEED_CHANGE_END, _GAP_START, _GAP_END, _TRACK_START, _TRACK_END) = (1 << i for i in range(len(Annotation)))
 
 
-@dataclass(frozen=True)
-class SynopsisConfig:
-    """The eight tunable detection parameters.
+class SynopsisConfig(_FrozenRecord):
+    """The eight tunable detection parameters, frozen.
 
     Attributes:
         angle_threshold_deg: smallest heading deviation of ``v_now`` from the
@@ -82,24 +80,29 @@ class SynopsisConfig:
     simply disables slow-motion detection.
     """
 
-    angle_threshold_deg: float = 4.0
-    buffer_size: int = 5
-    gap_period_s: float = 1800.0
-    historical_timespan_s: float = 3600.0
-    no_speed_threshold_kn: float = 0.5
-    low_speed_threshold_kn: float = 5.0
-    speed_ratio: float = 0.25
-    distance_threshold_m: float = 50.0
+    __slots__ = _fields = ("angle_threshold_deg", "buffer_size", "gap_period_s", "historical_timespan_s",
+                           "no_speed_threshold_kn", "low_speed_threshold_kn", "speed_ratio", "distance_threshold_m")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        angle_threshold_deg: float = 4.0,
+        buffer_size: int = 5,
+        gap_period_s: float = 1800.0,
+        historical_timespan_s: float = 3600.0,
+        no_speed_threshold_kn: float = 0.5,
+        low_speed_threshold_kn: float = 5.0,
+        speed_ratio: float = 0.25,
+        distance_threshold_m: float = 50.0,
+    ) -> None:
         """Reject configurations the engine cannot run with.
 
         Every value must be a finite, positive int or float (booleans and
         numeric strings are not numbers here), and ``buffer_size`` an int of
         at least 2.  Integer values of the float fields are stored as floats.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
+        values = (angle_threshold_deg, buffer_size, gap_period_s, historical_timespan_s,
+                  no_speed_threshold_kn, low_speed_threshold_kn, speed_ratio, distance_threshold_m)
+        for name, value in zip(self._fields, values):
             try:
                 finite = (
                     isinstance(value, (int, float))
@@ -109,18 +112,17 @@ class SynopsisConfig:
             except OverflowError:  # ints beyond float range
                 finite = False
             if not finite:
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
             if not value > 0:
-                raise ValueError(f"{f.name} must be positive, got {value!r}")
-            if f.name != "buffer_size":
-                object.__setattr__(self, f.name, float(value))
-        if not isinstance(self.buffer_size, int):
-            raise ValueError(f"buffer_size must be an integer, got {self.buffer_size!r}")
-        if self.buffer_size < 2:
-            raise ValueError(f"buffer_size must be an integer >= 2, got {self.buffer_size!r}")
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value if name == "buffer_size" else float(value))
+        if not isinstance(buffer_size, int):
+            raise ValueError(f"buffer_size must be an integer, got {buffer_size!r}")
+        if buffer_size < 2:
+            raise ValueError(f"buffer_size must be an integer >= 2, got {buffer_size!r}")
 
     def to_dict(self) -> dict[str, float | int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values()))
 
     @classmethod
     def from_dict(cls, data: dict[str, float | int]) -> "SynopsisConfig":
@@ -131,7 +133,7 @@ class SynopsisConfig:
         float ``buffer_size``, as JSON may spell it, becomes an int: 7.0
         becomes 7, while 7.9 raises.
         """
-        known = {f.name for f in fields(cls)}
+        known = set(cls._fields)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}; expected a subset of {sorted(known)}")
@@ -153,23 +155,24 @@ class _LabelTable(dict):
 _LABELS = _LabelTable()
 
 
-@dataclass(slots=True)
-class CriticalPoint:
+class CriticalPoint(_Record):
     """A retained report plus the event annotations that justified keeping it.
 
     ``annotations`` is immutable: the detector gives every point with equal
     labels the one ``frozenset`` that ``_LABELS`` holds for their bits.
     """
 
-    mmsi: int
-    timestamp: int
-    lon: float
-    lat: float
-    annotations: frozenset[Annotation]
+    __slots__ = _fields = ("mmsi", "timestamp", "lon", "lat", "annotations")
+
+    def __init__(self, mmsi: int, timestamp: int, lon: float, lat: float, annotations: frozenset[Annotation]) -> None:
+        self.mmsi = mmsi
+        self.timestamp = timestamp
+        self.lon = lon
+        self.lat = lat
+        self.annotations = annotations
 
 
-@dataclass(slots=True)
-class VesselState:
+class VesselState(_Record):
     """Mutable per-vessel detector state threaded between ingest calls.
 
     ``buffer`` holds the recent reports the mean velocity is taken over, each
@@ -192,15 +195,27 @@ class VesselState:
     when it is replaced as ``last_point`` (or the track is closed) with
     labels.  It is written only when it changes.
     ``stop_anchor`` is the report an open stop is anchored at, ``None``
-    outside a stop.
+    outside a stop.  A state built without ``buffer`` gets its own empty
+    deque.
     """
 
-    buffer: deque[tuple[AisRecord, float, float]] = field(default_factory=deque)
-    last_point: AisRecord | None = None
-    labels: int = 0
-    stop_anchor: AisRecord | None = None
-    in_slow_motion: bool = False
-    in_speed_change: bool = False
+    __slots__ = _fields = ("buffer", "last_point", "labels", "stop_anchor", "in_slow_motion", "in_speed_change")
+
+    def __init__(
+        self,
+        buffer: deque[tuple[AisRecord, float, float]] | None = None,
+        last_point: AisRecord | None = None,
+        labels: int = 0,
+        stop_anchor: AisRecord | None = None,
+        in_slow_motion: bool = False,
+        in_speed_change: bool = False,
+    ) -> None:
+        self.buffer = deque() if buffer is None else buffer
+        self.last_point = last_point
+        self.labels = labels
+        self.stop_anchor = stop_anchor
+        self.in_slow_motion = in_slow_motion
+        self.in_speed_change = in_speed_change
 
 
 def track_segments(track: VesselTrack) -> list[Velocity]:

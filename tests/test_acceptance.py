@@ -11,7 +11,6 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -213,7 +212,7 @@ def test_08_tune_is_byte_deterministic(tmp_path, monkeypatch):
             with open(workdir / "input.csv", "w", encoding="utf-8") as fh:
                 for voyage in voyages:
                     write_records(
-                        [replace(p, vessel_type="cargo") for p in voyage.points], fh
+                        [p._replace(vessel_type="cargo") for p in voyage.points], fh
                     )
             monkeypatch.chdir(workdir)
             assert main(args) == 0
@@ -248,8 +247,8 @@ def test_09_cross_validation_fold_hygiene():
 def test_10_pipeline_never_mutates_its_input_records():
     with criterion(10, "no stage writes to the reports it is given"), time_budget(30.0):
         records = [p for t in make_fleet(600, 4, seed=9) for p in t.points]
-        records.append(replace(records[10], lon=records[10].lon + 1.0))  # repeated timestamp
-        records.append(replace(records[20], timestamp=records[20].timestamp + 1, lat=records[20].lat + 0.5))
+        records.append(records[10]._replace(lon=records[10].lon + 1.0))  # repeated timestamp
+        records.append(records[20]._replace(timestamp=records[20].timestamp + 1, lat=records[20].lat + 0.5))
         random.Random(3).shuffle(records)
 
         def snapshot():

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ def write_tracks_csv(path, tracks, vessel_type=None):
         for track in tracks:
             points = track.points
             if vessel_type is not None:
-                points = [replace(p, vessel_type=vessel_type) for p in points]
+                points = [p._replace(vessel_type=vessel_type) for p in points]
             write_records(points, fh)
 
 
@@ -429,7 +428,7 @@ def test_compress_output_does_not_depend_on_how_vessels_interleave(total, n_vess
     original = data.draw(st.integers(0, total - 1), label="original")
     repeat = data.draw(st.integers(original + 1, total), label="repeat at")
     # Another position at the same timestamp: only the first of the two may be kept.
-    rows.insert(repeat, replace(rows[original], lat=rows[original].lat / 2))
+    rows.insert(repeat, rows[original]._replace(lat=rows[original].lat / 2))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_tracks_csv(tmp / "by_vessel.csv", fleet)
@@ -570,7 +569,7 @@ def test_a_numeric_line_1_is_a_malformed_row_not_a_header(tmp_path, capsys, firs
 
 def test_noise_filter_flag_controls_spike_rejection(tmp_path, capsys):
     track = make_straight_track()
-    spike = replace(track.points[10], timestamp=track.points[9].timestamp + 5, lat=49.9)
+    spike = track.points[10]._replace(timestamp=track.points[9].timestamp + 5, lat=49.9)
     points = track.points[:10] + [spike] + track.points[10:]
     path = tmp_path / "spiky.csv"
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,13 +224,12 @@ def test_importing_the_package_does_not_load_numpy():
 
     Every command pays for what this import loads, so the generator and the
     synthetic fleets stay out too: ``run_ga`` imports ``vesselsyn.rng`` only
-    when a run starts.
+    when a run starts.  No class is a dataclass, so neither ``dataclasses``
+    nor the ``inspect`` it loads is imported.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
-    code = (
-        "import sys, vesselsyn, vesselsyn.cli; "
-        "print(' '.join(m for m in ('numpy', 'vesselsyn.rng', 'vesselsyn.synthetic') if m in sys.modules))"
-    )
+    unwanted = ("numpy", "vesselsyn.rng", "vesselsyn.synthetic", "dataclasses", "inspect")
+    code = f"import sys, vesselsyn, vesselsyn.cli; print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.split() == [], f"importing vesselsyn.cli loaded {run.stdout.strip()}"
 
@@ -294,7 +292,7 @@ def test_ratio_is_critical_over_noiseless(fleet_tracks, default_config):
 
 def test_metrics_invariant_under_vessel_relabelling(fleet_tracks, default_config):
     relabelled = [
-        VesselTrack(t.mmsi + 1000, t.vessel_type, [replace(p, mmsi=p.mmsi + 1000) for p in t.points])
+        VesselTrack(t.mmsi + 1000, t.vessel_type, [p._replace(mmsi=p.mmsi + 1000) for p in t.points])
         for t in fleet_tracks
     ]
     original = evaluate_config(fleet_tracks, default_config)
@@ -305,8 +303,8 @@ def test_metrics_invariant_under_vessel_relabelling(fleet_tracks, default_config
 
 def test_stricter_heading_threshold_never_compresses_more():
     track = make_curve_track()
-    strict = evaluate_config([track], replace(SynopsisConfig(), angle_threshold_deg=2.0))
-    loose = evaluate_config([track], replace(SynopsisConfig(), angle_threshold_deg=25.0))
+    strict = evaluate_config([track], SynopsisConfig()._replace(angle_threshold_deg=2.0))
+    loose = evaluate_config([track], SynopsisConfig()._replace(angle_threshold_deg=25.0))
     assert strict.ratio >= loose.ratio
     assert loose.ratio < 0.5  # the smooth curve compresses well at 25 degrees
 
@@ -398,7 +396,7 @@ def _moved(tracks, move):
         points = []
         for p in t.points:
             lon, lat = move(p.lon, p.lat)
-            points.append(replace(p, lon=lon, lat=lat))
+            points.append(p._replace(lon=lon, lat=lat))
         moved.append(VesselTrack(t.mmsi, t.vessel_type, points))
     return moved
 
@@ -584,8 +582,8 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     first = clean[0]
     kept = {cp.timestamp for cp in compress_track(first, base)}
     m = next(i for i, p in enumerate(first.points) if p.timestamp not in kept)
-    moved = [replace(p, mmsi=p.mmsi + 1000) for p in first.points]
-    moved[m] = replace(moved[m], lat=moved[m].lat + 1e-6)
+    moved = [p._replace(mmsi=p.mmsi + 1000) for p in first.points]
+    moved[m] = moved[m]._replace(lat=moved[m].lat + 1e-6)
     twin = VesselTrack(first.mmsi + 1000, first.vessel_type, moved)
     assume({cp.timestamp for cp in compress_track(twin, base)} == kept)
     tracks = clean + [twin, make_gap_track(mmsi=1)]
@@ -597,7 +595,7 @@ def test_a_shared_interval_memo_changes_no_metrics(seed, genomes):
     displaced = {}
     for t in tracks:
         synopsis = compress_track(t, cfgs[-1])
-        displaced[t.mmsi] = [synopsis[0], *(replace(cp, lat=cp.lat + 0.01) for cp in synopsis[1:-1]), synopsis[-1]]
+        displaced[t.mmsi] = [synopsis[0], *(cp._replace(lat=cp.lat + 0.01) for cp in synopsis[1:-1]), synopsis[-1]]
     assert compute_metrics(tracks, displaced, cache) == compute_metrics(tracks, displaced)
     assert {mmsi: memo for mmsi, (_, _, memo) in cache.items()} == memos
     scored = [

@@ -1,7 +1,6 @@
 """Tests for the evolutionary parameter tuner and its operators."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,7 +416,7 @@ def test_cross_validate_folds_share_caches_as_fresh_runs_would_score(monkeypatch
     folds = split_k_folds(data, 3)
     for i, fold in enumerate(result.folds):
         train = [t for j, f in enumerate(folds) if j != i for t in f]
-        config, history = run_ga(train, replace(hp, rng_seed=hp.rng_seed + i))
+        config, history = run_ga(train, hp._replace(rng_seed=hp.rng_seed + i))
         assert (fold.config, fold.history) == (config, tuple(history))
         assert fold.test_metrics == evaluate_config(folds[i], config)
 

@@ -1,7 +1,11 @@
-"""Tests for parsing position reports and grouping them into tracks."""
+"""Tests for parsing position reports and grouping them into tracks, and for the package's slot classes."""
 
+import copy
+import inspect
 import io
+import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +22,8 @@ from vesselsyn.ingest import (
     split_k_folds,
     write_records,
 )
+from vesselsyn.ga import GaHyperParams
+from vesselsyn.synopses import _LABELS, CriticalPoint, SynopsisConfig, VesselState
 
 
 def make_track(mmsi, n, t0=0):
@@ -297,3 +303,94 @@ def test_a_word_led_line_is_a_header_only_on_line_1(word, outer, quote, inner, r
         with pytest.raises(HeaderError) as refused:
             parse_records([line, row])
         assert str(refused.value).endswith(f"found {word + ',' + rest!r}")
+
+
+# ---------------------------------------------------------------------------
+# the six slot classes
+
+
+def _slot_instances():
+    """One instance of each slot class, its fields away from the defaults where it has them."""
+    rec = AisRecord(227705102, 1443650402, -4.4861, 48.3904, "passenger")
+    return [
+        rec,
+        VesselTrack(227705102, "passenger", [rec, rec._replace(timestamp=1443650462)]),
+        CriticalPoint(227705102, 1443650402, -4.4861, 48.3904, _LABELS[0b101]),
+        VesselState(deque([(rec, 0.0, 0.0)]), rec, 0b10, rec, True, False),
+        SynopsisConfig(angle_threshold_deg=7, buffer_size=9, speed_ratio=0.5),
+        GaHyperParams(r=3.0, n=0.5, population_size=8, max_generations=2, stagnation_limit=2, rng_seed=7),
+    ]
+
+
+def test_the_slot_classes_survive_pickle_and_deepcopy():
+    """Each of the six classes round-trips to an equal copy; the frozen configs rebuild through ``__init__``."""
+    for original in _slot_instances():
+        for restored in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original), copy.copy(original)):
+            assert type(restored) is type(original)
+            assert restored == original, type(original).__name__
+            assert restored is not original
+
+
+def test_the_slot_classes_keep_the_behaviour_of_dataclasses():
+    """Equality, hashing, freezing, ``_replace``, ``repr`` and fresh default buffers."""
+    rec = AisRecord(1, 60, 2.5, 3.5)
+    for obj in _slot_instances():
+        # _replace and the configs' pickling pass the fields to the constructor by these names.
+        assert tuple(inspect.signature(type(obj)).parameters) == obj._fields, type(obj).__name__
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    # Equality needs the same type and equal fields.
+    assert rec == AisRecord(1, 60, 2.5, 3.5, "unknown")
+    assert rec != AisRecord(1, 60, 2.5, 3.5, "cargo")
+    assert rec != CriticalPoint(1, 60, 2.5, 3.5, "unknown")
+    assert rec != (1, 60, 2.5, 3.5, "unknown")
+    assert VesselState() == VesselState() and VesselState() != VesselState(labels=1)
+
+    # The mutable records are unhashable; equal configs hash alike.
+    for mutable in _slot_instances()[:4]:
+        with pytest.raises(TypeError):
+            hash(mutable)
+    assert hash(SynopsisConfig(angle_threshold_deg=4)) == hash(SynopsisConfig())
+    assert hash(GaHyperParams(rng_seed=3)) == hash(GaHyperParams(rng_seed=3))
+    assert len({SynopsisConfig(), SynopsisConfig(), SynopsisConfig(speed_ratio=0.5)}) == 2
+
+    # A frozen config refuses setattr and delattr; the mutable records take both.
+    for frozen in (SynopsisConfig(), GaHyperParams()):
+        with pytest.raises(AttributeError):
+            setattr(frozen, frozen._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            delattr(frozen, frozen._fields[0])
+        assert frozen == type(frozen)()
+    state = VesselState()
+    state.labels = 4
+    assert state.labels == 4
+
+    # _replace returns a changed copy and leaves the original as it was.
+    moved = rec._replace(lat=-3.5, vessel_type="cargo")
+    assert moved == AisRecord(1, 60, 2.5, -3.5, "cargo")
+    assert rec == AisRecord(1, 60, 2.5, 3.5)
+    cfg = SynopsisConfig()
+    wider = cfg._replace(buffer_size=12, gap_period_s=600)
+    assert (wider.buffer_size, wider.gap_period_s, cfg.buffer_size, cfg.gap_period_s) == (12, 600.0, 5, 1800.0)
+    assert type(wider.gap_period_s) is float
+    assert wider.to_dict() == {**cfg.to_dict(), "buffer_size": 12, "gap_period_s": 600.0}
+
+    # _replace runs the constructor's checks and refuses unknown fields.
+    with pytest.raises(ValueError, match=r"buffer_size must be an integer >= 2, got 1"):
+        SynopsisConfig()._replace(buffer_size=1)
+    with pytest.raises(ValueError, match=r"population_size must be >= 1, got 0"):
+        GaHyperParams()._replace(population_size=0)
+    with pytest.raises(TypeError):
+        SynopsisConfig()._replace(buffer=5)
+    with pytest.raises(TypeError):
+        rec._replace(speed=1.0)
+
+    # Two fresh states do not share a buffer deque.
+    first, second = VesselState(), VesselState()
+    first.buffer.append((rec, 0.0, 0.0))
+    assert second.buffer == deque() and first.buffer is not second.buffer
+
+    assert repr(rec) == "AisRecord(mmsi=1, timestamp=60, lon=2.5, lat=3.5, vessel_type='unknown')"
+    assert repr(GaHyperParams()) == (
+        "GaHyperParams(r=10.0, n=1.0, population_size=50, max_generations=30, stagnation_limit=10, rng_seed=0)"
+    )

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -73,9 +72,9 @@ def test_the_first_report_is_dropped_only_when_the_next_two_agree_without_it():
     # The next two disagree with each other, so the first stays the anchor.
     assert filter_track(track_of([a, far, c]))[0].points == [a, c]
     # One of the next two agrees with the first: it stays.
-    assert filter_track(track_of([a, b, replace(far, timestamp=120)]))[0].points == [a, b]
+    assert filter_track(track_of([a, b, far._replace(timestamp=120)]))[0].points == [a, b]
     # Both disagree with it and agree with each other: it goes.
-    assert filter_track(track_of([replace(far, timestamp=0), b, c]))[0].points == [b, c]
+    assert filter_track(track_of([far._replace(timestamp=0), b, c]))[0].points == [b, c]
 
 
 @settings(max_examples=100, deadline=None)

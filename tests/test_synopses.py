@@ -8,7 +8,7 @@ import hashlib
 import io
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -410,7 +410,7 @@ def test_heading_threshold_sweep_on_the_corner():
     # threshold range and disappears once the threshold exceeds the turn.
     track = make_corner_track()
     for threshold in (2.0, 4.0, 25.0, 45.0, 89.0):
-        cfg = replace(SynopsisConfig(), angle_threshold_deg=threshold)
+        cfg = SynopsisConfig()._replace(angle_threshold_deg=threshold)
         headings = [
             cp
             for cp in compress_track(track, cfg)
@@ -419,7 +419,7 @@ def test_heading_threshold_sweep_on_the_corner():
         assert len(headings) == 1, f"threshold {threshold}"
         assert headings[0].timestamp == track.points[9].timestamp
     for threshold in (91.0, 120.0):
-        cfg = replace(SynopsisConfig(), angle_threshold_deg=threshold)
+        cfg = SynopsisConfig()._replace(angle_threshold_deg=threshold)
         assert not [
             cp
             for cp in compress_track(track, cfg)
@@ -456,9 +456,7 @@ def test_no_knot_interval_of_a_steady_turn_spans_much_course(turn_deg):
 
 
 def test_low_speed_threshold_at_or_below_stop_threshold_disables_slow_motion():
-    cfg = replace(
-        SynopsisConfig(), no_speed_threshold_kn=0.88, low_speed_threshold_kn=0.45
-    )
+    cfg = SynopsisConfig()._replace(no_speed_threshold_kn=0.88, low_speed_threshold_kn=0.45)
     for track in (make_slow_motion_track(), make_stop_track()):
         for cp in compress_track(track, cfg):
             assert Annotation.SLOW_MOTION_START not in cp.annotations
@@ -642,7 +640,6 @@ def test_prefix_sums_far_from_a_restart_keep_the_mean():
 # report.
 
 
-@dataclass(slots=True)
 class _OracleState(VesselState):
     """The detector state plus running sums over the oracle's buffer.
 
@@ -652,8 +649,11 @@ class _OracleState(VesselState):
     removal that leaves fewer than two entries, resets both to exactly 0.0.
     """
 
-    east_sum: float = 0.0
-    north_sum: float = 0.0
+    __slots__ = ("east_sum", "north_sum")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.east_sum = self.north_sum = 0.0
 
 
 @dataclass(slots=True)
