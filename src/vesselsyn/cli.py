@@ -199,6 +199,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise CliError(f"no tracks of vessel type {args.type!r} in input (available: {available})")
     if len(selected) < args.k:
         raise CliError(f"--k: cannot split {len(selected)} {args.type} tracks into {args.k} folds")
+    # Nothing after this reads another type's reports: freeing them here lets
+    # the GA's memo and segments reuse their memory instead of growing the heap.
+    del clean
     _make_out(args.out)
     result = cross_validate(selected, args.k, hp)
 

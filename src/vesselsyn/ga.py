@@ -93,12 +93,16 @@ class GaHyperParams(_FrozenRecord):
     ) -> None:
         """Reject values the search cannot run with; each message starts with the field.
 
-        ``r`` and ``n`` must keep every score finite.  No RMSE exceeds half
-        the Earth's circumference (no two points lie farther apart) and the
-        ratio is at most 1, so ``(r + pi * EARTH_RADIUS_M) ** n`` bounds the
-        score.
+        ``r`` and ``n`` must be ints or floats and the four counts ints
+        (booleans and numeric strings are neither here).  ``r`` and ``n``
+        must keep every score finite.  No RMSE exceeds half the Earth's
+        circumference (no two points lie farther apart) and the ratio is at
+        most 1, so ``(r + pi * EARTH_RADIUS_M) ** n`` bounds the score.
         """
         for name, value in zip(self._fields, (r, n, population_size, max_generations, stagnation_limit, rng_seed)):
+            numeric = name in ("r", "n")
+            if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else int):
+                raise ValueError(f"{name} must be {'a number' if numeric else 'an integer'}, got {value!r}")
             object.__setattr__(self, name, value)
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"r must be finite and >= 0, got {self.r!r}")

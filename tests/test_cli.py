@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import vesselsyn
 from vesselsyn.cli import _TUNE_FLAGS, build_parser, main
 from vesselsyn.ga import GaHyperParams
-from vesselsyn.ingest import write_records
+from vesselsyn.ingest import VesselTrack, write_records
 from vesselsyn.synopses import SynopsisConfig
 from vesselsyn.synthetic import make_fleet, make_mixed_voyage
 
@@ -696,6 +696,57 @@ def test_tune_with_more_folds_than_tracks_fails_cleanly(tmp_path, passenger_csv,
     assert rc == 2
     assert "error: --k: cannot split 2 passenger tracks into 3 folds" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: MMSIs of the fishing tracks and of the other-type tracks that
+#: :func:`write_mixed_type_csv` writes; no other test uses them.
+FISHING_MMSIS = (777_000_001, 777_000_002)
+OTHER_TYPE_MMSIS = {777_000_011: "cargo", 777_000_012: "tug", 777_000_013: "passenger"}
+
+
+def write_mixed_type_csv(path, with_other_types=True):
+    """Two fishing tracks, with the other types' tracks written between them unless told not to."""
+    fishing = [
+        make_mixed_voyage(120 + 10 * i, mmsi=mmsi, seed=20 + i, vessel_type="fishing")
+        for i, mmsi in enumerate(FISHING_MMSIS)
+    ]
+    others = [
+        make_mixed_voyage(100, mmsi=mmsi, seed=30 + i, vessel_type=vessel_type)
+        for i, (mmsi, vessel_type) in enumerate(OTHER_TYPE_MMSIS.items())
+    ]
+    write_tracks_csv(path, fishing[:1] + (others if with_other_types else []) + fishing[1:])
+
+
+def test_tune_frees_the_other_types_tracks_before_the_ga(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "mixed.csv"
+    write_mixed_type_csv(data)
+    cross_validate = vesselsyn.cli.cross_validate
+
+    def checked(selected, k, hp):
+        alive = [o.mmsi for o in gc.get_objects() if isinstance(o, VesselTrack) and o.mmsi in OTHER_TYPE_MMSIS]
+        assert not alive, f"{len(alive)} tracks of other types are alive while the GA runs"
+        return cross_validate(selected, k, hp)
+
+    monkeypatch.setattr("vesselsyn.cli.cross_validate", checked)
+    out = tmp_path / "tuned"
+    assert main(["tune", "--input", str(data), "--type", "fishing", "--out", str(out), *TUNE_FAST]) == 0
+    assert (out / "summary.json").exists()
+    capsys.readouterr()
+
+
+def test_other_vessel_types_never_move_tunes_output(tmp_path, capsys, monkeypatch):
+    trees = []
+    for name, with_other_types in (("fishing-only", False), ("mixed", True)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        write_mixed_type_csv(run_dir / "input.csv", with_other_types)
+        monkeypatch.chdir(run_dir)
+        assert main(["tune", "--input", "input.csv", "--type", "fishing", "--out", "tuned", *TUNE_FAST]) == 0
+        out = run_dir / "tuned"
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 8
+    assert trees[0] == trees[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,16 @@ def test_fitness_is_monotone_in_both_metrics():
         ("max_generations", -1),
         ("stagnation_limit", 0),
         ("rng_seed", -1),
+        ("r", "1"),
+        ("r", True),
+        ("n", False),
+        ("population_size", 2.5),
+        ("population_size", True),
+        ("max_generations", 1.5),
+        ("stagnation_limit", 1.5),
+        ("stagnation_limit", True),
+        ("rng_seed", 1.5),
+        ("rng_seed", "0"),
     ],
 )
 def test_hyper_params_reject_out_of_range_values(name, value):
