@@ -6,6 +6,12 @@ columns, unknown vessel type, fewer tracks of the type than ``--k``, an
 ``--out`` that cannot be made), 1 for runtime failures.  All numeric output
 is written with fixed 6-decimal formatting so repeated runs produce
 byte-identical files.
+
+Importing this module loads the modules every command runs, but not
+:mod:`vesselsyn.ga`: ``tune`` imports the GA when it runs, through
+:func:`cross_validate`.  Its settings, :class:`~vesselsyn.presets.GaHyperParams`,
+come from :mod:`vesselsyn.presets`, so the parser's ``tune`` defaults and their
+checks need no GA either.
 """
 
 from __future__ import annotations
@@ -15,14 +21,16 @@ import gc
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .evaluation import Metrics, compute_metrics, evaluate_config
-from .ga import GaHyperParams, cross_validate
 from .ingest import HeaderError, VesselTrack, load_records, partition_tracks
 from .noise import filter_dataset
-from .presets import FITNESS_PRESETS
+from .presets import FITNESS_PRESETS, GaHyperParams
 from .synopses import SynopsisConfig, compress_track, write_synopsis_csv
+
+if TYPE_CHECKING:
+    from .ga import CrossValidationResult
 
 
 class CliError(Exception):
@@ -147,6 +155,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_json(os.path.join(args.out, "comparison.json"), comparison)
     print(" | ".join(summary))
     return 0
+
+
+def cross_validate(tracks: Sequence[VesselTrack], k: int, hp: GaHyperParams) -> CrossValidationResult:
+    """:func:`vesselsyn.ga.cross_validate`, importing the GA on the first call, so only ``tune`` compiles it."""
+    from .ga import cross_validate
+
+    return cross_validate(tracks, k, hp)
 
 
 def _resolve_scoring(args: argparse.Namespace) -> tuple[str | None, float, float]:

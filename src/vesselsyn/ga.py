@@ -23,6 +23,10 @@ as an argument and use only numpy's call forms, so a numpy ``Generator``
 seeded alike gives them the same results.
 :func:`cross_validate` runs one GA per held-out fold and keeps the
 configuration that tested best.
+
+A run's settings, :class:`GaHyperParams`, live in :mod:`vesselsyn.presets`
+and are imported here under the same name.  The command-line interface
+imports this module only when ``tune`` runs, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .evaluation import Metrics, TuningCache, evaluate_config
-from .geo import EARTH_RADIUS_M
-from .ingest import VesselTrack, _FrozenRecord, split_k_folds
+from .ingest import VesselTrack, split_k_folds
+from .presets import GaHyperParams
 from .synopses import SynopsisConfig
 
 if TYPE_CHECKING:
@@ -75,51 +79,6 @@ SIGMA_FRACTION = 0.1
 #: immutable, so one genome may sit in several population slots; the
 #: operators build new genomes.  Scores live in :func:`run_ga`'s memo.
 Genome = tuple[float, ...]
-
-
-class GaHyperParams(_FrozenRecord):
-    """Everything that shapes one tuning run, including the scoring knobs; frozen."""
-
-    __slots__ = _fields = ("r", "n", "population_size", "max_generations", "stagnation_limit", "rng_seed")
-
-    def __init__(
-        self,
-        r: float = 10.0,
-        n: float = 1.0,
-        population_size: int = 50,
-        max_generations: int = 30,
-        stagnation_limit: int = 10,
-        rng_seed: int = 0,
-    ) -> None:
-        """Reject values the search cannot run with; each message starts with the field.
-
-        ``r`` and ``n`` must be ints or floats and the four counts ints
-        (booleans and numeric strings are neither here).  ``r`` and ``n``
-        must keep every score finite.  No RMSE exceeds half the Earth's
-        circumference (no two points lie farther apart) and the ratio is at
-        most 1, so ``(r + pi * EARTH_RADIUS_M) ** n`` bounds the score.
-        """
-        for name, value in zip(self._fields, (r, n, population_size, max_generations, stagnation_limit, rng_seed)):
-            numeric = name in ("r", "n")
-            if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else int):
-                raise ValueError(f"{name} must be {'a number' if numeric else 'an integer'}, got {value!r}")
-            object.__setattr__(self, name, value)
-        if not (math.isfinite(self.r) and self.r >= 0):
-            raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
-        if not (math.isfinite(self.n) and self.n > 0):
-            raise ValueError(f"n must be finite and > 0, got {self.n!r}")
-        try:
-            math.pow(self.r + math.pi * EARTH_RADIUS_M, self.n)
-        except OverflowError:
-            raise ValueError(f"r and n let the score overflow, got r={self.r!r}, n={self.n!r}") from None
-        for name, lowest in (
-            ("population_size", 1),
-            ("max_generations", 0),
-            ("stagnation_limit", 1),
-            ("rng_seed", 0),
-        ):
-            if not getattr(self, name) >= lowest:
-                raise ValueError(f"{name} must be >= {lowest}, got {getattr(self, name)!r}")
 
 
 class GenerationStats(NamedTuple):
@@ -241,8 +200,8 @@ def run_ga(
     """
     if not clean_tracks:
         raise ValueError("empty training set")
-    # Imported here: every command imports this module, and only a run needs
-    # the generator's code and tables compiled.
+    # Imported here: a caller that only maps genes or scores configs needs
+    # none of the generator's code and tables compiled.
     from .rng import Pcg64
 
     rng = Pcg64(hp.rng_seed)

@@ -930,3 +930,37 @@ def test_no_command_needs_numpy(tmp_path):
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
     assert tree() == expected
+
+
+# ---------------------------------------------------------------------------
+# the GA: only tune compiles it
+
+
+def test_only_tune_loads_the_ga(tmp_path):
+    """compress, eval and compare leave :mod:`vesselsyn.ga` and its generator unimported; tune loads both.
+
+    Every command but ``tune`` would pay for compiling them, so an eager
+    import on any of their paths, in ``evaluation`` say, fails here.
+    """
+    data = tmp_path / "fleet.csv"
+    write_tracks_csv(data, make_fleet(300, 2, seed=1), vessel_type="fishing")
+    a = write_config(tmp_path / "a.json", {})
+    b = write_config(tmp_path / "b.json", {"buffer_size": 7})
+    script = (
+        "import sys\n"
+        "from vesselsyn.cli import main\n"
+        "def run(*argv):\n"
+        "    code = main(list(argv))\n"
+        "    print('loaded:', *[m for m in ('vesselsyn.ga', 'vesselsyn.rng') if m in sys.modules], file=sys.stderr)\n"
+        "    if code:\n"
+        "        sys.exit(code)\n"
+        "data, out = sys.argv[1], sys.argv[4]\n"
+        "run('compress', '--input', data, '--out', out + '/c')\n"
+        "run('eval', '--input', data)\n"
+        "run('compare', '--input', data, '--config-a', sys.argv[2], '--config-b', sys.argv[3], '--out', out + '/cmp')\n"
+        f"run('tune', '--input', data, '--type', 'fishing', '--out', out + '/t', *{TUNE_FAST!r})\n"
+    )
+    result = run_python(script, str(data), a, b, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    loaded = [line for line in result.stderr.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded:", "loaded:", "loaded:", "loaded: vesselsyn.ga vesselsyn.rng"]

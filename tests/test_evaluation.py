@@ -222,13 +222,14 @@ def test_importing_the_package_does_not_load_numpy():
     """Neither the package's names nor the command-line interface, which every
     command imports, may pull numpy in; the GA draws from :mod:`vesselsyn.rng`.
 
-    Every command pays for what this import loads, so the generator and the
-    synthetic fleets stay out too: ``run_ga`` imports ``vesselsyn.rng`` only
-    when a run starts.  No class is a dataclass, so neither ``dataclasses``
-    nor the ``inspect`` it loads is imported.
+    Every command pays for what this import loads, so the GA, its generator
+    and the synthetic fleets stay out too: ``tune`` imports ``vesselsyn.ga``
+    when it runs, and ``run_ga`` imports ``vesselsyn.rng`` only when a run
+    starts.  No class is a dataclass, so neither ``dataclasses`` nor the
+    ``inspect`` it loads is imported.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(vesselsyn.__file__).resolve().parents[1]))
-    unwanted = ("numpy", "vesselsyn.rng", "vesselsyn.synthetic", "dataclasses", "inspect")
+    unwanted = ("numpy", "vesselsyn.ga", "vesselsyn.rng", "vesselsyn.synthetic", "dataclasses", "inspect")
     code = f"import sys, vesselsyn, vesselsyn.cli; print(' '.join(m for m in {unwanted!r} if m in sys.modules))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.split() == [], f"importing vesselsyn.cli loaded {run.stdout.strip()}"

@@ -96,6 +96,8 @@ def test_fitness_is_monotone_in_both_metrics():
         ("stagnation_limit", True),
         ("rng_seed", 1.5),
         ("rng_seed", "0"),
+        pytest.param("r", 10**400, id="r-int-beyond-float"),
+        pytest.param("n", 10**400, id="n-int-beyond-float"),
     ],
 )
 def test_hyper_params_reject_out_of_range_values(name, value):
